@@ -54,16 +54,22 @@ def pair_document():
     return writer.raw
 
 
+def documents():
+    """File name -> serialized text of every shipped fixture document."""
+    raws = {name: document_for(name, builder())
+            for name, builder in REGISTRY.items()}
+    raws["fix_b_pair"] = pair_document()
+    return {f"{name}.json": serialize_document(raw)
+            for name, raw in sorted(raws.items())}
+
+
 def main():
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else \
         Path(__file__).resolve().parent.parent / "fixtures"
     out_dir.mkdir(parents=True, exist_ok=True)
-    documents = {name: document_for(name, builder())
-                 for name, builder in REGISTRY.items()}
-    documents["fix_b_pair"] = pair_document()
-    for name, raw in sorted(documents.items()):
-        path = out_dir / f"{name}.json"
-        path.write_text(serialize_document(raw), encoding="utf-8")
+    for filename, text in documents().items():
+        path = out_dir / filename
+        path.write_text(text, encoding="utf-8")
         print(f"wrote {path}")
 
 

@@ -124,6 +124,25 @@ def multi_shuffles(block_sizes):
     return results
 
 
+def shuffle_splits(space, word, sizes):
+    """Split a word along every (k, n-k)-shuffle with k in sizes.
+
+    Yields (eps, left, right, left_odd): the Koszul sign of the shuffle, the
+    left block of k generator names and the right block of the rest, and
+    whether the left block has odd total degree.  Callers choose their own
+    sign policy from these.
+    """
+    degrees = [space.degree(g) for g in word]
+    n = len(word)
+    for k in sizes:
+        for sigma in shuffles(k, n - k):
+            left = sigma[:k]
+            yield (koszul_sign(sigma, degrees),
+                   [word[i] for i in left],
+                   [word[i] for i in sigma[k:]],
+                   sum(degrees[i] for i in left) % 2)
+
+
 class GradedSpace:
     """Finite ordered basis with shifted degrees and filtration levels.
 
@@ -242,19 +261,30 @@ class GradedSpace:
                 yield combo
 
 
-# -- elements (plain dicts generator name -> Fraction) ---------------------
+# -- sparse vectors ---------------------------------------------------------
+#
+# Elements (generator -> Fraction), coalgebra elements (canonical word ->
+# Fraction) and module tensors ((word, generator) -> Fraction) are plain
+# dicts without zero entries; they share one add, one scale and one
+# accumulator.
 
-def el_canon(terms):
-    return {g: q for g, q in terms.items() if q != 0}
+def _accumulate(out, key, q):
+    """Add q at key in place, dropping the key when the sum vanishes.
+
+    Called once per term inside the apply and twist loops of every layer.
+    It is private because perfbench's tracer wraps public functions, and
+    a span per term would cost more than the term.
+    """
+    s = out.get(key, ZERO) + q
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 def el_add(a, b):
     out = dict(a)
-    for g, q in b.items():
-        s = out.get(g, ZERO) + q
-        if s:
-            out[g] = s
-        else:
-            out.pop(g, None)
+    for key, q in b.items():
+        _accumulate(out, key, q)
     return out
 
 def el_sub(a, b):
@@ -264,7 +294,20 @@ def el_scale(a, q):
     q = Fraction(q)
     if not q:
         return {}
-    return {g: c * q for g, c in a.items()}
+    return {key: c * q for key, c in a.items()}
+
+def exact_element(element):
+    """Element with exact coefficients and no zero terms.
+
+    Every coefficient goes through parse_scalar, so floats and bools are
+    rejected at the library boundary as they are in fixture files.
+    """
+    out = {}
+    for g, q in element.items():
+        q = parse_scalar(q)
+        if q:
+            out[g] = q
+    return out
 
 def element_degree(space, el):
     """Common shifted degree of a homogeneous element, None for zero."""
@@ -289,25 +332,13 @@ def co_canon(space, terms):
     cap = space.nilpotency_order
     return {w: q for w, q in terms.items() if q and space.word_weight(w) < cap}
 
-def co_add(a, b):
-    out = dict(a)
-    for w, q in b.items():
-        s = out.get(w, ZERO) + q
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
-
-def co_scale(a, q):
-    q = Fraction(q)
-    if not q:
-        return {}
-    return {w: c * q for w, c in a.items()}
-
 def co_from_element(el):
     """View an element of L as a sum of arity-1 words."""
     return {(g,): q for g, q in el.items()}
+
+def co_linear_part(coelt):
+    """Arity-1 part of a coalgebra element, viewed as an element of L."""
+    return {w[0]: q for w, q in coelt.items() if len(w) == 1}
 
 
 def expand_factors(space, factors):
@@ -325,14 +356,8 @@ def expand_factors(space, factors):
         for _, q in combo:
             coeff *= q
         norm = space.normalize_word(names)
-        if norm is None:
-            continue
-        word, sign = norm
-        s = out.get(word, ZERO) + coeff * sign
-        if s:
-            out[word] = s
-        else:
-            out.pop(word, None)
+        if norm is not None:
+            _accumulate(out, norm[0], coeff * norm[1])
     return out
 
 
@@ -346,14 +371,8 @@ def sym_mul(space, a, b):
             if weight_a + space.word_weight(wb) >= cap:
                 continue
             norm = space.normalize_word(list(wa) + list(wb))
-            if norm is None:
-                continue
-            word, sign = norm
-            s = out.get(word, ZERO) + qa * qb * sign
-            if s:
-                out[word] = s
-            else:
-                out.pop(word, None)
+            if norm is not None:
+                _accumulate(out, norm[0], qa * qb * norm[1])
     return out
 
 
@@ -366,3 +385,114 @@ def sym_power(space, el, k):
         if not acc:
             break
     return acc
+
+
+# -- component tables -------------------------------------------------------
+
+# Error texts of ComponentTable._set_components, for word keys and for (word, generator)
+# tensor keys: bad arity, the value's place, lowered filtration, vanishing key.
+_MESSAGES = {
+    False: ("component arities must be nonnegative",
+            "value of arity-{arity} component on {word}",
+            "component on {word} lowers filtration weight",
+            "nonzero component on {word}, a word of vanishing weight"),
+    True: ("module component arities must be nonnegative",
+           "module component on {word} tensor {mgen}",
+           "module component on {word} tensor {mgen} lowers filtration",
+           "nonzero module component on a vanishing tensor {word} tensor {mgen}"),
+}
+
+
+class ComponentTable:
+    """Sparse multilinear components: arity -> {key: element}.
+
+    A key is a canonical word over word_space, or a (word, generator)
+    tensor when key_space holds the generators.  Subclasses say through
+    _ends() what else must agree for two tables to be equal; tables compare
+    by value and are therefore unhashable.
+    """
+
+    __hash__ = None
+
+    def _set_components(self, word_space, value_space, components, degree,
+                        key_space=None):
+        """Normalize keys, fold signs, validate degrees and filtration.
+
+        A value lives in value_space and has the key's degree plus `degree`
+        (+1 for structures and modules, 0 for maps); its filtration is at
+        least the key's weight, which stays below the truncation order.
+        """
+        tensor = key_space is not None
+        bad_arity, place, lowers, vanishing = _MESSAGES[tensor]
+        out = {}
+        for arity, table in components.items():
+            arity = int(arity)
+            if arity < 0:
+                raise InputError(bad_arity)
+            canon = {}
+            for key, element in table.items():
+                word, mgen = key if tensor else (key, None)
+                word = tuple(word)
+                if len(word) != arity:
+                    raise InputError(f"word {word} filed under arity {arity}")
+                if tensor and mgen not in key_space:
+                    raise InputError(f"unknown module generator {mgen!r}")
+                norm = word_space.normalize_word(list(word))
+                element = exact_element(element)
+                if norm is None:
+                    if element:
+                        raise InputError(f"nonzero value on the zero word {word}")
+                    continue
+                cword, sign = norm
+                if element:
+                    value = canon.setdefault((cword, mgen) if tensor else cword, {})
+                    for g, q in element.items():
+                        _accumulate(value, g, q * sign)
+            for key, value in list(canon.items()):
+                if not value:
+                    del canon[key]
+                    continue
+                cword, mgen = key if tensor else (key, None)
+                want = word_space.word_degree(cword) + degree
+                weight = word_space.word_weight(cword)
+                if tensor:
+                    want += key_space.degree(mgen)
+                    weight += key_space.filtration(mgen)
+                for g in value:
+                    if value_space.degree(g) != want:
+                        where = place.format(arity=arity, word=cword, mgen=mgen)
+                        raise InputError(
+                            f"{where} has degree {value_space.degree(g)} at {g}, "
+                            f"expected {want}")
+                if filtration_weight(value_space, value) < weight:
+                    raise InputError(lowers.format(word=cword, mgen=mgen))
+                if weight >= word_space.nilpotency_order:
+                    raise InputError(vanishing.format(word=cword, mgen=mgen))
+            if canon:
+                out[arity] = canon
+        self.word_space = word_space
+        self.key_space = key_space
+        self.components = out
+        self.max_arity = max(out, default=0)
+
+    def component(self, arity, word, mgen=None):
+        """Value on a canonical word (tensor mgen); empty dict when absent."""
+        key = tuple(word) if mgen is None else (tuple(word), mgen)
+        return self.components.get(arity, {}).get(key, {})
+
+    def value(self, factors, mgen=None):
+        """Value on any word of generator names, Koszul sign folded in."""
+        norm = self.word_space.normalize_word(list(factors))
+        if norm is None:
+            return {}
+        word, sign = norm
+        return el_scale(self.component(len(word), word, mgen), sign)
+
+    def keys_over(self, words):
+        """(word, generator) keys over words; generator None for word keys."""
+        return ((word, None) for word in words)
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self))
+                and self._ends() == other._ends()
+                and self.components == other.components)

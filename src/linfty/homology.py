@@ -372,5 +372,27 @@ def induced_map(src, dst, maps, k):
                    for i in range(betti_dst)])
 
 
+def linear_blocks(source, target, image, shift=0):
+    """Per-degree matrices of a linear map between two graded bases.
+
+    image(s) is the image element of source generator s.  The block at
+    degree d has a column per degree-d generator of source and a row per
+    generator of target in degree d + shift.  Returns degree -> (matrix,
+    source names, target names) for every degree where either side has
+    generators.
+    """
+    src = source.degrees_by_degree()
+    tgt = target.degrees_by_degree()
+    blocks = {}
+    for deg in set(src) | {d - shift for d in tgt}:
+        s_names = src.get(deg, ())
+        t_names = tgt.get(deg + shift, ())
+        images = [image(s) for s in s_names]
+        rows = [[im.get(t, ZERO) for im in images] for t in t_names]
+        blocks[deg] = (Matrix(len(t_names), len(s_names), rows),
+                       s_names, t_names)
+    return blocks
+
+
 def is_isomorphism(m):
     return m.nrows == m.ncols and rank(m) == m.nrows

@@ -20,7 +20,7 @@ from the seed alone.
 from fractions import Fraction
 import random
 
-from .graded import ONE, el_add
+from .graded import ONE, _accumulate, el_add
 from .structures import (
     compose,
     conjugate,
@@ -54,13 +54,8 @@ def _multiply(n, a, b):
     out = {}
     for (i, j), p in a.items():
         for (k, l), q in b.items():
-            if j != k:
-                continue
-            s = out.get((i, l), 0) + p * q
-            if s:
-                out[(i, l)] = s
-            else:
-                out.pop((i, l), None)
+            if j == k:
+                _accumulate(out, (i, l), p * q)
     return out
 
 
@@ -99,11 +94,7 @@ def matrix_structure(n, weights=None, xi=None, label=""):
         sign = -1 if (par_a % 2) and (par_b % 2) else 1
         out = dict(ab)
         for key, q in ba.items():
-            s = out.get(key, 0) - sign * q
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _accumulate(out, key, -sign * q)
         return out
 
     def as_element(mat):
@@ -137,6 +128,20 @@ def random_weights(rng, n):
     return weights
 
 
+def _raising_linear_part(rng, space):
+    """Arity-1 table: identity plus random same-degree raising terms."""
+    table = {}
+    for g in space.basis:
+        value = {g: ONE}
+        for t in space.basis:
+            if t != g and space.degree(t) == space.degree(g) \
+                    and space.filtration(t) > space.filtration(g) \
+                    and rng.random() < 0.5:
+                value[t] = Fraction(rng.choice((-2, -1, 1, 2)))
+        table[(g,)] = value
+    return table
+
+
 def random_conjugation(rng, structure, arity_two=True):
     """Random invertible coordinate change: identity plus raising terms.
 
@@ -145,15 +150,7 @@ def random_conjugation(rng, structure, arity_two=True):
     morphism onto the transported structure by construction.
     """
     space = structure.space
-    comps = {1: {}}
-    for g in space.basis:
-        value = {g: ONE}
-        for t in space.basis:
-            if t != g and space.degree(t) == space.degree(g) \
-                    and space.filtration(t) > space.filtration(g) \
-                    and rng.random() < 0.5:
-                value[t] = Fraction(rng.choice((-2, -1, 1, 2)))
-        comps[1][(g,)] = value
+    comps = {1: _raising_linear_part(rng, space)}
     if arity_two:
         table = {}
         for idx, a in enumerate(space.basis):
@@ -203,18 +200,7 @@ def random_instance(seed):
 
 def random_strict_transport(rng, structure):
     """Strict isomorphism: identity plus random filtration-raising terms."""
-    space = structure.space
-    mapping = {}
-    for g in space.basis:
-        value = {g: ONE}
-        for t in space.basis:
-            if t != g and space.degree(t) == space.degree(g) \
-                    and space.filtration(t) > space.filtration(g) \
-                    and rng.random() < 0.5:
-                value[t] = Fraction(rng.choice((-2, -1, 1, 2)))
-        mapping[(g,)] = value
-    transported, morphism = conjugate(structure, {1: mapping})
-    return transported, morphism
+    return conjugate(structure, {1: _raising_linear_part(rng, structure.space)})
 
 
 def two_chart_diagram(structure, transports=None, label=""):

@@ -64,8 +64,6 @@ def parse_fixture_text(text):
 def scalar_from_json(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InputError(f"{where}: scalar must be an integer or 'p/q' string")
-    if isinstance(value, int):
-        return Fraction(value)
     return parse_scalar(value)
 
 
@@ -89,7 +87,8 @@ def word_from_key(key, where):
     return () if key == "" else tuple(key.split("|"))
 
 
-def tensor_key(word, mgen):
+def tensor_key(key):
+    word, mgen = key
     return f"{word_key(word)}@{mgen}"
 
 
@@ -100,7 +99,8 @@ def tensor_from_key(key, where):
     return word_from_key(wkey, where), mgen
 
 
-def components_from_json(obj, where):
+def components_from_json(obj, where, key_from=word_from_key):
+    """Component tables from JSON; key_from decodes one word or tensor key."""
     if not isinstance(obj, dict):
         raise InputError(f"{where}: components must be an object")
     out = {}
@@ -111,38 +111,16 @@ def components_from_json(obj, where):
             raise InputError(f"{where}: arity key {arity!r} is not an integer") from None
         if not isinstance(table, dict):
             raise InputError(f"{where}[{arity}]: expected an object")
-        out[k] = {word_from_key(key, f"{where}[{arity}]"):
+        out[k] = {key_from(key, f"{where}[{arity}]"):
                   element_from_json(value, f"{where}[{arity}].{key}")
                   for key, value in table.items()}
     return out
 
 
-def components_json(components):
-    return {str(k): {word_key(word): element_json(value)
-                     for word, value in sorted(table.items())}
-            for k, table in sorted(components.items()) if table}
-
-
-def module_components_from_json(obj, where):
-    if not isinstance(obj, dict):
-        raise InputError(f"{where}: components must be an object")
-    out = {}
-    for arity, table in obj.items():
-        try:
-            k = int(arity)
-        except (TypeError, ValueError):
-            raise InputError(f"{where}: arity key {arity!r} is not an integer") from None
-        if not isinstance(table, dict):
-            raise InputError(f"{where}[{arity}]: expected an object")
-        out[k] = {tensor_from_key(key, f"{where}[{arity}]"):
-                  element_from_json(value, f"{where}[{arity}].{key}")
-                  for key, value in table.items()}
-    return out
-
-
-def module_components_json(components):
-    return {str(k): {tensor_key(word, mgen): element_json(value)
-                     for (word, mgen), value in sorted(table.items())}
+def components_json(components, key_json=word_key):
+    """JSON form of component tables; key_json encodes one key."""
+    return {str(k): {key_json(key): element_json(value)
+                     for key, value in sorted(table.items())}
             for k, table in sorted(components.items()) if table}
 
 
@@ -226,7 +204,8 @@ class FixtureDocument:
         _check_fields(obj, ("base", "space", "components"), where)
         base = self._ref(self.structures, obj.get("base"), where, "structure")
         space = self._ref(self.spaces, obj.get("space"), where, "space")
-        comps = module_components_from_json(obj.get("components", {}), where)
+        comps = components_from_json(obj.get("components", {}), where,
+                                     tensor_from_key)
         self.modules[name] = LInftyModule(base, space, comps, label=name)
 
     def _build_module_morphisms(self, name, obj):
@@ -234,7 +213,8 @@ class FixtureDocument:
         _check_fields(obj, ("source", "target", "components"), where)
         source = self._ref(self.modules, obj.get("source"), where, "module")
         target = self._ref(self.modules, obj.get("target"), where, "module")
-        comps = module_components_from_json(obj.get("components", {}), where)
+        comps = components_from_json(obj.get("components", {}), where,
+                                     tensor_from_key)
         self.module_morphisms[name] = ModuleMorphism(source, target, comps,
                                                      label=name)
 
@@ -347,108 +327,70 @@ def space_json(space):
     }
 
 
-def structure_json(structure, space_name):
-    return {"space": space_name,
-            "components": components_json(structure.components)}
-
-
-def morphism_json(morphism, source_name, target_name):
-    return {"source": source_name, "target": target_name,
-            "components": components_json(morphism.components)}
-
-
-def module_json(module, base_name, space_name):
-    return {"base": base_name, "space": space_name,
-            "components": module_components_json(module.components)}
-
-
-def module_morphism_json(mm, source_name, target_name):
-    return {"source": source_name, "target": target_name,
-            "components": module_components_json(mm.components)}
-
-
 class FixtureWriter:
     """Accumulates named objects into a raw document, deduplicating by value."""
 
     def __init__(self):
         self.raw = {"format_version": FORMAT_VERSION}
+        self._registries = {}  # section -> name -> object, for deduplication
 
     def _section(self, name):
         return self.raw.setdefault(name, {})
 
-    def _find_or_add(self, section, obj, payload_fn, hint, registry,
-                     same=None):
-        for name, known in registry.items():
-            if (same(known, obj) if same else known == obj):
-                return name
+    def _fresh_name(self, section, hint):
         name = hint
         suffix = 1
         while name in self._section(section):
             suffix += 1
             name = f"{hint}.{suffix}"
+        return name
+
+    def _find_or_add(self, section, obj, payload_fn, hint, same=None):
+        registry = self._registries.setdefault(section, {})
+        for name, known in registry.items():
+            if (same(known, obj) if same else known == obj):
+                return name
+        name = self._fresh_name(section, hint)
         registry[name] = obj
-        self._section(section)[name] = payload_fn(name)
+        self._section(section)[name] = payload_fn()
         return name
 
     def add_space(self, space, hint):
-        registry = getattr(self, "_spaces", None)
-        if registry is None:
-            registry = self._spaces = {}
-        return self._find_or_add("spaces", space, lambda name: space_json(space),
-                                 hint, registry, same=spaces_equal)
+        return self._find_or_add("spaces", space, lambda: space_json(space),
+                                 hint, same=spaces_equal)
 
     def add_structure(self, structure, hint):
-        registry = getattr(self, "_structures", None)
-        if registry is None:
-            registry = self._structures = {}
         space_name = self.add_space(structure.space, f"{hint}.space")
-        return self._find_or_add(
-            "structures", structure,
-            lambda name: structure_json(structure, space_name),
-            hint, registry)
+        return self._find_or_add("structures", structure, lambda: {
+            "space": space_name,
+            "components": components_json(structure.components)}, hint)
 
     def add_morphism(self, morphism, hint):
-        registry = getattr(self, "_morphisms", None)
-        if registry is None:
-            registry = self._morphisms = {}
         src = self.add_structure(morphism.source, f"{hint}.source")
         tgt = self.add_structure(morphism.target, f"{hint}.target")
-        return self._find_or_add(
-            "morphisms", morphism,
-            lambda name: morphism_json(morphism, src, tgt),
-            hint, registry)
+        return self._find_or_add("morphisms", morphism, lambda: {
+            "source": src, "target": tgt,
+            "components": components_json(morphism.components)}, hint)
 
     def add_module(self, module, hint):
-        registry = getattr(self, "_modules", None)
-        if registry is None:
-            registry = self._modules = {}
         base = self.add_structure(module.base, f"{hint}.base")
         space = self.add_space(module.space, f"{hint}.mspace")
-        return self._find_or_add(
-            "modules", module,
-            lambda name: module_json(module, base, space),
-            hint, registry)
+        return self._find_or_add("modules", module, lambda: {
+            "base": base, "space": space,
+            "components": components_json(module.components, tensor_key)}, hint)
 
     def add_module_morphism(self, mm, hint):
-        registry = getattr(self, "_module_morphisms", None)
-        if registry is None:
-            registry = self._module_morphisms = {}
         src = self.add_module(mm.source, f"{hint}.source")
         tgt = self.add_module(mm.target, f"{hint}.target")
-        return self._find_or_add(
-            "module_morphisms", mm,
-            lambda name: module_morphism_json(mm, src, tgt),
-            hint, registry)
+        return self._find_or_add("module_morphisms", mm, lambda: {
+            "source": src, "target": tgt,
+            "components": components_json(mm.components, tensor_key)}, hint)
 
     def add_element(self, space, value, hint):
         space_name = self.add_space(space, f"{hint}.space")
-        section = self._section("elements")
-        name = hint
-        suffix = 1
-        while name in section:
-            suffix += 1
-            name = f"{hint}.{suffix}"
-        section[name] = {"space": space_name, "value": element_json(value)}
+        name = self._fresh_name("elements", hint)
+        self._section("elements")[name] = {"space": space_name,
+                                           "value": element_json(value)}
         return name
 
     def add_cover(self, cover, hint):

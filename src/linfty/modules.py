@@ -10,7 +10,8 @@ phi_k: L^vk tensor M -> M of degree +1.  The full operator acts by
 where eps' = (-1)^(total shifted degree of the left block) is the Koszul
 cost of carrying the odd operator past that block.  Module morphisms extend
 by the same shuffle sum without eps' (they are even), and their components
-are recovered as the unit-word slot of the extension.
+are recovered as the unit-word slot of the extension.  Both go through one
+shuffle-split loop that differs only in that sign policy.
 
 Tensors are dicts (word, module generator) -> coefficient, truncated when
 word weight plus generator level reaches the shared truncation order; module
@@ -21,27 +22,29 @@ word degree + generator degree + 1, and the dg constructor below takes its
 differential and action in those unshifted terms.
 """
 
-from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from .graded import (
+    ComponentTable,
     InputError,
     MathCheckError,
     ONE,
-    ZERO,
-    el_add,
+    _accumulate,
+    co_linear_part,
     el_scale,
-    koszul_sign,
-    shuffles,
+    exact_element,
+    shuffle_splits,
+    sym_mul,
 )
 from .structures import (
-    LInftyStructure,
     coderivation_apply,
+    compose,
     morphism_apply,
     spaces_equal,
     default_cap,
 )
-from .graded import sym_mul
-from .twisting import validate_twist_datum, weighted_powers
+from .twisting import twist_morphism, twist_structure, twist_table
 
 
 # -- tensor helpers ---------------------------------------------------------------
@@ -57,83 +60,23 @@ def tensor_canon(base_space, module_space, terms):
         if q and tensor_weight(base_space, module_space, w, m) < cap}
 
 
-def tensor_add(a, b):
-    out = dict(a)
-    for key, q in b.items():
-        s = out.get(key, ZERO) + q
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+def surviving_tensors(base_space, module_space, words):
+    """(word, generator) pairs over words whose weight stays below the order."""
+    cap = base_space.nilpotency_order
+    for word in words:
+        for mgen in module_space.basis:
+            if tensor_weight(base_space, module_space, word, mgen) < cap:
+                yield word, mgen
 
 
-def tensor_scale(a, q):
-    q = Fraction(q)
-    if not q:
-        return {}
-    return {k: c * q for k, c in a.items()}
+class _TensorTable(ComponentTable):
+    """Component table keyed by (word, module generator) tensors."""
+
+    def keys_over(self, words):
+        return surviving_tensors(self.word_space, self.key_space, words)
 
 
-def _canonical_module_components(base_space, key_space, value_space,
-                                 components, expected_degree):
-    """Like the structure canonicalizer, for (word, generator) keyed tables.
-
-    Key generators live in key_space, value elements in value_space; the two
-    differ for module morphisms.
-    """
-    out = {}
-    for arity, table in components.items():
-        arity = int(arity)
-        if arity < 0:
-            raise InputError("module component arities must be nonnegative")
-        canon = {}
-        for (word, mgen), element in table.items():
-            word = tuple(word)
-            if len(word) != arity:
-                raise InputError(f"word {word} filed under arity {arity}")
-            if mgen not in key_space:
-                raise InputError(f"unknown module generator {mgen!r}")
-            norm = base_space.normalize_word(list(word))
-            element = {g: Fraction(q) for g, q in element.items() if q}
-            if norm is None:
-                if element:
-                    raise InputError(f"nonzero value on the zero word {word}")
-                continue
-            cword, sign = norm
-            value = el_scale(element, sign)
-            if not value:
-                continue
-            key = (cword, mgen)
-            prev = canon.get(key)
-            canon[key] = el_add(prev, value) if prev else value
-        for (cword, mgen), value in list(canon.items()):
-            value = {g: q for g, q in value.items() if q}
-            if not value:
-                del canon[(cword, mgen)]
-                continue
-            want = base_space.word_degree(cword) + key_space.degree(mgen) \
-                + expected_degree
-            for g in value:
-                if value_space.degree(g) != want:
-                    raise InputError(
-                        f"module component on {cword} tensor {mgen} has degree "
-                        f"{value_space.degree(g)} at {g}, expected {want}")
-            in_weight = base_space.word_weight(cword) + key_space.filtration(mgen)
-            if min(value_space.filtration(g) for g in value) < in_weight:
-                raise InputError(
-                    f"module component on {cword} tensor {mgen} lowers filtration")
-            if in_weight >= base_space.nilpotency_order:
-                raise InputError(
-                    f"nonzero module component on a vanishing tensor "
-                    f"{cword} tensor {mgen}")
-            canon[(cword, mgen)] = value
-        if canon:
-            out[arity] = canon
-    return out
-
-
-class LInftyModule:
+class LInftyModule(_TensorTable):
     """Components phi_k of a degree +1 module operator over a base structure."""
 
     def __init__(self, base, space, components, label=""):
@@ -142,74 +85,46 @@ class LInftyModule:
         self.base = base
         self.space = space
         self.label = label
-        self.components = _canonical_module_components(
-            base.space, space, space, components, 1)
-        self.max_arity = max(self.components, default=0)
+        self._set_components(base.space, space, components, 1, key_space=space)
 
-    def component(self, arity, word, mgen):
-        return self.components.get(arity, {}).get((tuple(word), mgen), {})
+    def _ends(self):
+        return (self.base, self.space.generators, self.space.nilpotency_order)
 
-    def value(self, factors, mgen):
-        norm = self.base.space.normalize_word(list(factors))
+
+def _split_terms(table, word, mgen, coeff, odd):
+    """Terms of sum eps (left block) tensor C(right block tensor mgen).
+
+    An odd operator also carries eps' = (-1)^(degree of the left block), the
+    Koszul cost of moving it past that block; even maps carry no eps'.
+    """
+    space = table.word_space
+    n = len(word)
+    sizes = range(max(0, n - table.max_arity), n + 1)
+    for eps, left, right, left_odd in shuffle_splits(space, word, sizes):
+        value = table.value(right, mgen)
+        if not value:
+            continue
+        norm = space.normalize_word(left)
         if norm is None:
-            return {}
-        word, sign = norm
-        return el_scale(self.component(len(word), word, mgen), sign)
-
-    def __eq__(self, other):
-        return (isinstance(other, LInftyModule)
-                and self.base == other.base
-                and spaces_equal(self.space, other.space)
-                and self.components == other.components)
-
-    def __hash__(self):
-        return NotImplemented
+            continue
+        lword, lsign = norm
+        scale = coeff * (-eps if odd and left_odd else eps) * lsign
+        for produced, q in value.items():
+            yield (lword, produced), q * scale
 
 
 def module_apply(module, tensor_elt):
     """Apply the full module operator to a tensor element."""
-    base_space = module.base.space
-    mspace = module.space
     out = {}
     for (word, mgen), coeff in tensor_elt.items():
         if not coeff:
             continue
         # Q-part: coderivation on the word, generator untouched
         for oword, q in coderivation_apply(module.base, {word: ONE}).items():
-            key = (oword, mgen)
-            s = out.get(key, ZERO) + coeff * q
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        # phi-part over shuffle splittings
-        n = len(word)
-        degrees = [base_space.degree(g) for g in word]
-        for k in range(0, n + 1):
-            if n - k > module.max_arity:
-                continue
-            for sigma in shuffles(k, n - k):
-                eps = koszul_sign(sigma, degrees)
-                left = [word[sigma[i]] for i in range(k)]
-                right = [word[sigma[i]] for i in range(k, n)]
-                carry = sum(degrees[sigma[i]] for i in range(k))
-                eps_prime = -1 if carry % 2 else 1
-                value = module.value(right, mgen)
-                if not value:
-                    continue
-                norm = base_space.normalize_word(left)
-                if norm is None:
-                    continue
-                lword, lsign = norm
-                scale = coeff * eps * eps_prime * lsign
-                for produced, q in value.items():
-                    key = (lword, produced)
-                    s = out.get(key, ZERO) + q * scale
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-    return tensor_canon(base_space, mspace, out)
+            _accumulate(out, (oword, mgen), coeff * q)
+        for key, q in _split_terms(module, word, mgen, coeff, odd=True):
+            _accumulate(out, key, q)
+    return tensor_canon(module.base.space, module.space, out)
 
 
 def check_module_square_zero(module, max_arity=None):
@@ -217,17 +132,14 @@ def check_module_square_zero(module, max_arity=None):
     if max_arity is None:
         max_arity = default_cap(module.base.space)
     base_space = module.base.space
-    for word in base_space.enumerate_words(max_arity):
-        for mgen in module.space.basis:
-            if tensor_weight(base_space, module.space, word, mgen) \
-                    >= base_space.nilpotency_order:
-                continue
-            once = module_apply(module, {(word, mgen): ONE})
-            twice = module_apply(module, once)
-            if twice:
-                raise MathCheckError(
-                    f"module operator does not square to zero: residual {twice} "
-                    f"on {word} tensor {mgen}")
+    for word, mgen in surviving_tensors(
+            base_space, module.space, base_space.enumerate_words(max_arity)):
+        once = module_apply(module, {(word, mgen): ONE})
+        twice = module_apply(module, once)
+        if twice:
+            raise MathCheckError(
+                f"module operator does not square to zero: residual {twice} "
+                f"on {word} tensor {mgen}")
     return True
 
 
@@ -251,7 +163,7 @@ def from_dg_module(base, module_generators, differential, action, label=""):
     for m, image in differential.items():
         if m not in space:
             raise InputError(f"differential on unknown module generator {m!r}")
-        image = {g: Fraction(q) for g, q in image.items() if q}
+        image = exact_element(image)
         for g in image:
             if space.degree(g) != space.degree(m) + 1:
                 raise InputError(f"b({m}) is not homogeneous of degree +1")
@@ -262,18 +174,13 @@ def from_dg_module(base, module_generators, differential, action, label=""):
     for (gamma, m), image in action.items():
         if gamma not in base.space or m not in space:
             raise InputError(f"action on unknown pair ({gamma!r}, {m!r})")
-        image = {g: Fraction(q) for g, q in image.items() if q}
+        image = exact_element(image)
         unshifted = base.space.degree(gamma) + 1
         for g in image:
             if space.degree(g) != unshifted + space.degree(m):
                 raise InputError(f"rho({gamma})({m}) has inconsistent degree")
-        if not image:
-            continue
-        sign = -(-1) ** unshifted
-        key = ((gamma,), m)
-        value = el_scale(image, sign)
-        prev = comp1.get(key)
-        comp1[key] = el_add(prev, value) if prev else value
+        if image:
+            comp1[((gamma,), m)] = el_scale(image, -(-1) ** unshifted)
 
     return LInftyModule(base, space, {0: comp0, 1: comp1}, label=label)
 
@@ -286,24 +193,33 @@ def module_from_morphism(morphism, max_arity=None, label=""):
     """
     cap = max_arity if max_arity is not None else max(
         default_cap(morphism.source.space), morphism.max_arity)
-    base = morphism.source
     target = morphism.target
+    comps = _joined_components(
+        morphism, cap, lambda joined: coderivation_apply(target, joined))
+    return LInftyModule(morphism.source, target.space, comps, label=label)
+
+
+def _joined_components(morphism, cap, apply):
+    """Components pr(apply(F(w) v m)) on surviving tensors w tensor m.
+
+    F is the morphism, m runs over the target's generators, and pr takes
+    the arity-1 part; F(w) is computed once per word.
+    """
+    space = morphism.source.space
+    tensors = surviving_tensors(space, morphism.target.space,
+                                space.enumerate_words(cap))
     comps = {}
-    for word in base.space.enumerate_words(cap):
+    for word, keys in groupby(tensors, key=itemgetter(0)):
         image = morphism_apply(morphism, {word: ONE})
-        for mgen in target.space.basis:
-            if tensor_weight(base.space, target.space, word, mgen) \
-                    >= base.space.nilpotency_order:
-                continue
-            joined = sym_mul(target.space, image, {(mgen,): ONE})
-            applied = coderivation_apply(target, joined)
-            value = {w[0]: q for w, q in applied.items() if len(w) == 1}
+        for key in keys:
+            joined = sym_mul(morphism.target.space, image, {(key[1],): ONE})
+            value = co_linear_part(apply(joined))
             if value:
-                comps.setdefault(len(word), {})[(word, mgen)] = value
-    return LInftyModule(base, target.space, comps, label=label)
+                comps.setdefault(len(word), {})[key] = value
+    return comps
 
 
-class ModuleMorphism:
+class ModuleMorphism(_TensorTable):
     """Components of a degree 0 map of modules over one base."""
 
     def __init__(self, source, target, components, label=""):
@@ -312,62 +228,22 @@ class ModuleMorphism:
         self.source = source
         self.target = target
         self.label = label
-        self.components = _canonical_module_components(
-            source.base.space, source.space, target.space, components, 0)
-        self.max_arity = max(self.components, default=0)
+        self._set_components(source.base.space, target.space, components, 0,
+                             key_space=source.space)
 
-    def component(self, arity, word, mgen):
-        return self.components.get(arity, {}).get((tuple(word), mgen), {})
-
-    def value(self, factors, mgen):
-        norm = self.source.base.space.normalize_word(list(factors))
-        if norm is None:
-            return {}
-        word, sign = norm
-        return el_scale(self.component(len(word), word, mgen), sign)
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleMorphism)
-                and self.source == other.source
-                and self.target == other.target
-                and self.components == other.components)
-
-    def __hash__(self):
-        return NotImplemented
+    def _ends(self):
+        return (self.source, self.target)
 
 
 def module_morphism_apply(mm, tensor_elt):
     """Extend components over shuffle splittings (even map, no eps')."""
-    base_space = mm.source.base.space
     out = {}
     for (word, mgen), coeff in tensor_elt.items():
         if not coeff:
             continue
-        n = len(word)
-        degrees = [base_space.degree(g) for g in word]
-        for k in range(0, n + 1):
-            if n - k > mm.max_arity:
-                continue
-            for sigma in shuffles(k, n - k):
-                eps = koszul_sign(sigma, degrees)
-                left = [word[sigma[i]] for i in range(k)]
-                right = [word[sigma[i]] for i in range(k, n)]
-                value = mm.value(right, mgen)
-                if not value:
-                    continue
-                norm = base_space.normalize_word(left)
-                if norm is None:
-                    continue
-                lword, lsign = norm
-                scale = coeff * eps * lsign
-                for produced, q in value.items():
-                    key = (lword, produced)
-                    s = out.get(key, ZERO) + q * scale
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-    return tensor_canon(base_space, mm.target.space, out)
+        for key, q in _split_terms(mm, word, mgen, coeff, odd=False):
+            _accumulate(out, key, q)
+    return tensor_canon(mm.word_space, mm.target.space, out)
 
 
 def check_module_morphism(mm, max_arity=None):
@@ -375,18 +251,15 @@ def check_module_morphism(mm, max_arity=None):
     if max_arity is None:
         max_arity = default_cap(mm.source.base.space)
     base_space = mm.source.base.space
-    for word in base_space.enumerate_words(max_arity):
-        for mgen in mm.source.space.basis:
-            if tensor_weight(base_space, mm.source.space, word, mgen) \
-                    >= base_space.nilpotency_order:
-                continue
-            start = {(word, mgen): ONE}
-            lhs = module_morphism_apply(mm, module_apply(mm.source, start))
-            rhs = module_apply(mm.target, module_morphism_apply(mm, start))
-            if lhs != rhs:
-                raise MathCheckError(
-                    f"module morphism does not intertwine operators "
-                    f"on {word} tensor {mgen}")
+    for word, mgen in surviving_tensors(
+            base_space, mm.source.space, base_space.enumerate_words(max_arity)):
+        start = {(word, mgen): ONE}
+        lhs = module_morphism_apply(mm, module_apply(mm.source, start))
+        rhs = module_apply(mm.target, module_morphism_apply(mm, start))
+        if lhs != rhs:
+            raise MathCheckError(
+                f"module morphism does not intertwine operators "
+                f"on {word} tensor {mgen}")
     return True
 
 
@@ -398,19 +271,13 @@ def compose_module_morphisms(outer, inner, max_arity=None):
     cap = max_arity if max_arity is not None else max(
         default_cap(base_space), inner.max_arity + outer.max_arity)
     comps = {}
-    for word in base_space.enumerate_words(cap):
-        for mgen in inner.source.space.basis:
-            if tensor_weight(base_space, inner.source.space, word, mgen) \
-                    >= base_space.nilpotency_order:
-                continue
-            mid = module_morphism_apply(inner, {(word, mgen): ONE})
-            end = module_morphism_apply(outer, mid)
-            value = {}
-            for (w, g), q in end.items():
-                if not w:
-                    value[g] = q
-            if value:
-                comps.setdefault(len(word), {})[(word, mgen)] = value
+    for word, mgen in surviving_tensors(
+            base_space, inner.source.space, base_space.enumerate_words(cap)):
+        mid = module_morphism_apply(inner, {(word, mgen): ONE})
+        end = module_morphism_apply(outer, mid)
+        value = {g: q for (w, g), q in end.items() if not w}
+        if value:
+            comps.setdefault(len(word), {})[(word, mgen)] = value
     return ModuleMorphism(inner.source, outer.target, comps)
 
 
@@ -432,83 +299,27 @@ def module_morphism_from_triangle(outer, inner, max_arity=None, label=""):
     """
     if not spaces_equal(inner.target.space, outer.source.space):
         raise InputError("triangle does not compose")
-    from .structures import compose as compose_structures
-    base = inner.source
     cap = max_arity if max_arity is not None else max(
-        default_cap(base.space), inner.max_arity, outer.max_arity)
+        default_cap(inner.source.space), inner.max_arity, outer.max_arity)
     source_module = module_from_morphism(inner, max_arity=cap)
     target_module = module_from_morphism(
-        compose_structures(outer, inner, max_arity=cap), max_arity=cap)
-    comps = {}
-    for word in base.space.enumerate_words(cap):
-        image = morphism_apply(inner, {word: ONE})
-        for mgen in source_module.space.basis:
-            if tensor_weight(base.space, source_module.space, word, mgen) \
-                    >= base.space.nilpotency_order:
-                continue
-            joined = sym_mul(inner.target.space, image, {(mgen,): ONE})
-            pushed = morphism_apply(outer, joined)
-            value = {w[0]: q for w, q in pushed.items() if len(w) == 1}
-            if value:
-                comps.setdefault(len(word), {})[(word, mgen)] = value
+        compose(outer, inner, max_arity=cap), max_arity=cap)
+    comps = _joined_components(
+        inner, cap, lambda joined: morphism_apply(outer, joined))
     return ModuleMorphism(source_module, target_module, comps, label=label)
 
 
 def twist_module(module, pi):
     """Module with components (phi^pi)_k(w tensor m), over the twisted base."""
-    base_space = module.base.space
-    pi = validate_twist_datum(base_space, pi)
-    from .twisting import twist_structure
-    comps = {}
-    for k in range(0, module.max_arity + 1):
-        table = {}
-        for word in base_space.enumerate_words(k, min_arity=k):
-            for mgen in module.space.basis:
-                if tensor_weight(base_space, module.space, word, mgen) \
-                        >= base_space.nilpotency_order:
-                    continue
-                total = {}
-                for ell, power in weighted_powers(base_space, pi):
-                    if k + ell > module.max_arity:
-                        break
-                    for pword, pcoeff in power.items():
-                        value = module.value(list(pword) + list(word), mgen)
-                        if value:
-                            total = el_add(total, el_scale(value, pcoeff))
-                if total:
-                    table[(word, mgen)] = total
-        if table:
-            comps[k] = table
     return LInftyModule(twist_structure(module.base, pi), module.space,
-                        comps, label=module.label)
+                        twist_table(module, pi), label=module.label)
 
 
 def twist_module_morphism(mm, pi):
     """Twisted module morphism between the twisted modules."""
-    base_space = mm.source.base.space
-    pi = validate_twist_datum(base_space, pi)
-    comps = {}
-    for k in range(0, mm.max_arity + 1):
-        table = {}
-        for word in base_space.enumerate_words(k, min_arity=k):
-            for mgen in mm.source.space.basis:
-                if tensor_weight(base_space, mm.source.space, word, mgen) \
-                        >= base_space.nilpotency_order:
-                    continue
-                total = {}
-                for ell, power in weighted_powers(base_space, pi):
-                    if k + ell > mm.max_arity:
-                        break
-                    for pword, pcoeff in power.items():
-                        value = mm.value(list(pword) + list(word), mgen)
-                        if value:
-                            total = el_add(total, el_scale(value, pcoeff))
-                if total:
-                    table[(word, mgen)] = total
-        if table:
-            comps[k] = table
     return ModuleMorphism(twist_module(mm.source, pi),
-                          twist_module(mm.target, pi), comps, label=mm.label)
+                          twist_module(mm.target, pi),
+                          twist_table(mm, pi), label=mm.label)
 
 
 def check_module_twist_consistency(morphism, pi, max_arity=None):
@@ -520,7 +331,6 @@ def check_module_twist_consistency(morphism, pi, max_arity=None):
     target only through the base wiring, so components are compared on the
     shared tables and the bases through structure equality.
     """
-    from .twisting import twist_morphism
     cap = max_arity if max_arity is not None else max(
         default_cap(morphism.source.space), morphism.max_arity)
     route_a = twist_module(module_from_morphism(morphism, max_arity=cap), pi)

@@ -70,6 +70,22 @@ def rename_word(index, word):
     return tuple(slot_name(index, g) for g in word)
 
 
+def _merge_slots(tables, key):
+    """Joint components of per-slot component tables.
+
+    Values move into their slot, words map through key(index, word), and
+    entries that land on one joint word add up.
+    """
+    components = {}
+    for i, comps in tables.items():
+        for k, table in comps.items():
+            out = components.setdefault(k, {})
+            for word, value in table.items():
+                joint = key(i, word)
+                out[joint] = el_add(out.get(joint, {}), rename_element(i, value))
+    return components
+
+
 class ProductStructure:
     """Slotwise product; `assembled` is the structure on the joint space."""
 
@@ -90,15 +106,8 @@ class ProductStructure:
             for g in sp.basis:
                 gens.append((slot_name(i, g), sp.degree(g), sp.filtration(g)))
         self.space = GradedSpace(gens, orders.pop(), label=label)
-        components = {}
-        for i in self.index:
-            for k, table in self.factors[i].components.items():
-                out = components.setdefault(k, {})
-                for word, value in table.items():
-                    key = rename_word(i, word)
-                    prev = out.get(key)
-                    renamed = rename_element(i, value)
-                    out[key] = el_add(prev, renamed) if prev else renamed
+        components = _merge_slots(
+            {i: self.factors[i].components for i in self.index}, rename_word)
         self.assembled = LInftyStructure(self.space, components, label=label)
         self.label = label
 
@@ -140,14 +149,9 @@ def product_morphism(product, family, label=""):
     for i in product.index:
         if family[i].target != product.factors[i]:
             raise InputError(f"family member at {i!r} does not land in factor {i!r}")
-    components = {}
-    for i in product.index:
-        for k, table in family[i].components.items():
-            out = components.setdefault(k, {})
-            for word, value in table.items():
-                prev = out.get(word)
-                renamed = rename_element(i, value)
-                out[word] = el_add(prev, renamed) if prev else renamed
+    components = _merge_slots(
+        {i: family[i].components for i in product.index},
+        lambda i, word: word)
     return LInftyMorphism(source, product.assembled, components, label=label)
 
 
@@ -161,12 +165,8 @@ def slotwise_morphism(source_product, target_product, family, label=""):
         if family[i].source != source_product.factors[i] or \
                 family[i].target != target_product.factors[i]:
             raise InputError(f"family member at {i!r} has wrong endpoints")
-    components = {}
-    for i in source_product.index:
-        for k, table in family[i].components.items():
-            out = components.setdefault(k, {})
-            for word, value in table.items():
-                out[rename_word(i, word)] = rename_element(i, value)
+    components = _merge_slots(
+        {i: family[i].components for i in source_product.index}, rename_word)
     return LInftyMorphism(source_product.assembled, target_product.assembled,
                           components, label=label)
 
@@ -402,8 +402,7 @@ def build_cech_complex(cover, global_structure, global_restrictions,
                     key = ((), slot_name(tuple_slot(a), g))
                     value = {slot_name(tuple_slot(b), t): q * sign
                              for t, q in image.items()}
-                    prev = table.get(key)
-                    table[key] = el_add(prev, value) if prev else value
+                    table[key] = el_add(table.get(key, {}), value)
         connecting.append(ModuleMorphism(levels[k], levels[k + 1],
                                          {0: table} if table else {},
                                          label=f"d.{k}"))

@@ -17,24 +17,24 @@ direct cohomology computation; the two routes must agree, and a disagreement
 raises instead of picking a side.
 """
 
-from .graded import InputError, MathCheckError, ZERO
+from .graded import InputError, MathCheckError
 from .homology import (
     ChainComplex,
-    Matrix,
     check_chain_map,
     induced_map,
     is_isomorphism,
+    linear_blocks,
     rank,
     solve_matrix,
 )
 from .modules import (
+    LInftyModule,
+    ModuleMorphism,
     check_module_morphism,
     check_module_square_zero,
     compose_module_morphisms,
-    twist_module,
-    twist_module_morphism,
 )
-from .twisting import mc_check, twist_structure
+from .twisting import mc_check, twist_structure, twist_table
 
 
 def module_chain_complex(module):
@@ -44,18 +44,13 @@ def module_chain_complex(module):
     (phi_0^2 picks up a curvature action term), and then there is no
     underlying complex to take cohomology of.
     """
-    by_deg = module.space.degrees_by_degree()
-    dims = {deg: len(names) for deg, names in by_deg.items()}
-    diffs = {}
-    for deg, names in by_deg.items():
-        t_names = by_deg.get(deg + 1, ())
-        rows = [[module.component(0, (), s).get(t, ZERO) for s in names]
-                for t in t_names]
-        m = Matrix(len(t_names), len(names), rows)
-        if not m.is_zero():
-            diffs[deg] = m
+    space = module.space
+    by_deg = space.degrees_by_degree()
+    blocks = linear_blocks(space, space, lambda s: module.component(0, (), s),
+                           shift=1)
     try:
-        return ChainComplex(dims, diffs)
+        return ChainComplex({d: len(names) for d, names in by_deg.items()},
+                            {d: blocks[d][0] for d in by_deg})
     except MathCheckError:
         raise MathCheckError(
             "arity-0 module operator does not square to zero; "
@@ -64,16 +59,9 @@ def module_chain_complex(module):
 
 def module_morphism_blocks(mm):
     """degree -> matrix of the arity-0 unit-word part of a module morphism."""
-    src_by = mm.source.space.degrees_by_degree()
-    tgt_by = mm.target.space.degrees_by_degree()
-    mats = {}
-    for deg in set(src_by) | set(tgt_by):
-        s_names = src_by.get(deg, ())
-        t_names = tgt_by.get(deg, ())
-        rows = [[mm.component(0, (), s).get(t, ZERO) for s in s_names]
-                for t in t_names]
-        mats[deg] = Matrix(len(t_names), len(s_names), rows)
-    return mats
+    blocks = linear_blocks(mm.source.space, mm.target.space,
+                           lambda s: mm.component(0, (), s))
+    return {deg: block for deg, (block, _, _) in blocks.items()}
 
 
 def _is_zero_module_morphism(mm):
@@ -123,14 +111,19 @@ class ResolutionDiagram:
                 and self.connecting == other.connecting)
 
 
+def _twist_diagram(diagram, pi, base):
+    """Twist each module once over the twisted base, then wire the maps."""
+    modules = [LInftyModule(base, m.space, twist_table(m, pi), label=m.label)
+               for m in diagram.modules()]
+    maps = [ModuleMorphism(modules[p], modules[p + 1], twist_table(f, pi),
+                           label=f.label)
+            for p, f in enumerate(diagram.maps())]
+    return ResolutionDiagram(base, modules[0], modules[1:], maps[0], maps[1:],
+                             label=diagram.label)
+
+
 def twist_resolution(diagram, pi):
-    return ResolutionDiagram(
-        twist_structure(diagram.base, pi),
-        twist_module(diagram.augmented, pi),
-        [twist_module(m, pi) for m in diagram.levels],
-        twist_module_morphism(diagram.augmentation, pi),
-        [twist_module_morphism(d, pi) for d in diagram.connecting],
-        label=diagram.label)
+    return _twist_diagram(diagram, pi, twist_structure(diagram.base, pi))
 
 
 def induced_cohomology_sequence(diagram):
@@ -254,12 +247,15 @@ class ResolutionMorphism:
 
 
 def twist_resolution_morphism(ladder, pi):
-    return ResolutionMorphism(
-        twist_resolution(ladder.source, pi),
-        twist_resolution(ladder.target, pi),
-        twist_module_morphism(ladder.augmented_map, pi),
-        [twist_module_morphism(u, pi) for u in ladder.level_maps],
-        label=ladder.label)
+    """Twist both diagrams over one twisted base and wire the verticals."""
+    base = twist_structure(ladder.source.base, pi)
+    source = _twist_diagram(ladder.source, pi, base)
+    target = _twist_diagram(ladder.target, pi, base)
+    verticals = [ModuleMorphism(s, t, twist_table(u, pi), label=u.label)
+                 for u, s, t in zip(ladder.verticals(), source.modules(),
+                                    target.modules())]
+    return ResolutionMorphism(source, target, verticals[0], verticals[1:],
+                              label=ladder.label)
 
 
 def check_resolution_morphism(ladder, max_arity=None):
@@ -321,17 +317,18 @@ def prop_key_pipeline(ladder, pi, max_arity=None):
         report["failing_clause"] = "twist datum not Maurer-Cartan for the base"
         return report
 
-    adapted_src, seq_src = check_adapted_mc(ladder.source, pi, max_arity=max_arity)
-    adapted_tgt, seq_tgt = check_adapted_mc(ladder.target, pi, max_arity=max_arity)
+    # the whole ladder is twisted once; its diagrams serve adaptedness too
+    twisted = twist_resolution_morphism(ladder, pi)
+    seq_src = induced_cohomology_sequence(twisted.source)
+    seq_tgt = induced_cohomology_sequence(twisted.target)
     report["adapted_source"] = seq_src
     report["adapted_target"] = seq_tgt
-    if not adapted_src or not adapted_tgt:
-        which = "source" if not adapted_src else "target"
+    if not seq_src["exact"] or not seq_tgt["exact"]:
+        which = "source" if not seq_src["exact"] else "target"
         report["verdict"] = "hypotheses unmet"
         report["failing_clause"] = f"twist not adapted to the {which} diagram"
         return report
 
-    twisted = twist_resolution_morphism(ladder, pi)
     level_flags = {}
     for n, u in enumerate(twisted.level_maps):
         ok, mats = _quasi_iso_report(u)

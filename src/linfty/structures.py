@@ -28,21 +28,31 @@ from fractions import Fraction
 from math import factorial
 
 from .graded import (
+    ComponentTable,
     InputError,
     MathCheckError,
     ONE,
     ZERO,
-    co_add,
+    _accumulate,
     co_canon,
+    co_linear_part,
     el_add,
     el_scale,
+    el_sub,
+    exact_element,
     expand_factors,
-    filtration_weight,
     koszul_sign,
     multi_shuffles,
-    shuffles,
+    shuffle_splits,
 )
-from .homology import ChainComplex, Matrix, check_chain_map, induced_map, is_isomorphism, solve
+from .homology import (
+    ChainComplex,
+    check_chain_map,
+    induced_map,
+    is_isomorphism,
+    linear_blocks,
+    solve,
+)
 
 VERIFY_ARITY = 4
 
@@ -52,78 +62,13 @@ def default_cap(space, floor=VERIFY_ARITY):
     return max(floor, space.nilpotency_order - 1)
 
 
-def _canonicalize_components(space, components, expected_degree, value_space=None):
-    """Normalize word keys, fold signs, validate degrees and filtration.
-
-    expected_degree is the shifted degree shift of the map (structure: +1,
-    morphism: 0).  Values live in value_space (defaults to space).
-    """
-    vspace = value_space or space
-    out = {}
-    for arity, table in components.items():
-        arity = int(arity)
-        if arity < 0:
-            raise InputError("component arities must be nonnegative")
-        canon = {}
-        for word, element in table.items():
-            word = tuple(word)
-            if len(word) != arity:
-                raise InputError(f"word {word} filed under arity {arity}")
-            norm = space.normalize_word(list(word))
-            element = {g: Fraction(q) for g, q in element.items() if q}
-            if norm is None:
-                if element:
-                    raise InputError(f"nonzero value on the zero word {word}")
-                continue
-            cword, sign = norm
-            value = el_scale(element, sign)
-            if not value:
-                continue
-            prev = canon.get(cword)
-            canon[cword] = el_add(prev, value) if prev else value
-        for cword, value in list(canon.items()):
-            value = {g: q for g, q in value.items() if q}
-            if not value:
-                del canon[cword]
-                continue
-            word_deg = space.word_degree(cword)
-            for g in value:
-                if vspace.degree(g) != word_deg + expected_degree:
-                    raise InputError(
-                        f"value of arity-{arity} component on {cword} has degree "
-                        f"{vspace.degree(g)} at {g}, expected {word_deg + expected_degree}")
-            if filtration_weight(vspace, value) < space.word_weight(cword):
-                raise InputError(
-                    f"component on {cword} lowers filtration weight")
-            if space.word_weight(cword) >= space.nilpotency_order:
-                raise InputError(
-                    f"nonzero component on {cword}, a word of vanishing weight")
-            canon[cword] = value
-        if canon:
-            out[arity] = canon
-    return out
-
-
-class LInftyStructure:
+class LInftyStructure(ComponentTable):
     """Taylor components of a degree +1 coderivation on one graded space."""
 
     def __init__(self, space, components, label=""):
         self.space = space
         self.label = label
-        self.components = _canonicalize_components(space, components, 1)
-        self.max_arity = max(self.components, default=0)
-
-    def component(self, arity, word):
-        """Value on a canonical word; empty dict when absent."""
-        return self.components.get(arity, {}).get(tuple(word), {})
-
-    def value(self, factors):
-        """Value on any word of generator names, Koszul sign folded in."""
-        norm = self.space.normalize_word(list(factors))
-        if norm is None:
-            return {}
-        word, sign = norm
-        return el_scale(self.component(len(word), word), sign)
+        self._set_components(space, space, components, 1)
 
     def curvature(self):
         """Q_0 applied to the unit word."""
@@ -132,13 +77,8 @@ class LInftyStructure:
     def is_flat(self):
         return not self.curvature()
 
-    def __eq__(self, other):
-        return (isinstance(other, LInftyStructure)
-                and spaces_equal(self.space, other.space)
-                and self.components == other.components)
-
-    def __hash__(self):
-        return NotImplemented
+    def _ends(self):
+        return (self.space.generators, self.space.nilpotency_order)
 
 
 def spaces_equal(a, b):
@@ -153,31 +93,13 @@ def coderivation_apply(structure, coelt):
     for word, coeff in coelt.items():
         if not coeff:
             continue
-        n = len(word)
-        degrees = [space.degree(g) for g in word]
-        for k in range(0, n + 1):
-            if k > structure.max_arity:
-                break
-            if k not in structure.components and k > 0:
-                continue
-            for sigma in shuffles(k, n - k):
-                eps = koszul_sign(sigma, degrees)
-                left = [word[sigma[i]] for i in range(k)]
-                right = [word[sigma[i]] for i in range(k, n)]
-                value = structure.value(left)
-                if not value:
-                    continue
-                for produced, q in value.items():
-                    norm = space.normalize_word([produced] + right)
-                    if norm is None:
-                        continue
-                    oword, osign = norm
-                    term = coeff * eps * q * osign
-                    s = out.get(oword, ZERO) + term
-                    if s:
-                        out[oword] = s
-                    else:
-                        out.pop(oword, None)
+        sizes = [k for k in range(min(len(word), structure.max_arity) + 1)
+                 if k == 0 or k in structure.components]
+        for eps, left, right, _ in shuffle_splits(space, word, sizes):
+            for produced, q in structure.value(left).items():
+                norm = space.normalize_word([produced] + right)
+                if norm is not None:
+                    _accumulate(out, norm[0], coeff * eps * q * norm[1])
     return co_canon(space, out)
 
 
@@ -212,7 +134,7 @@ def from_curved_lie(generators, nilpotency_order, curvature, differential,
     unshifted_degree = {name: deg for name, deg, _ in generators}
 
     def checked_element(el, expected_deg, what):
-        el = {g: Fraction(q) for g, q in el.items() if q}
+        el = exact_element(el)
         for g in el:
             if g not in unshifted_degree:
                 raise InputError(f"{what} mentions unknown generator {g!r}")
@@ -250,7 +172,7 @@ def from_curved_lie(generators, nilpotency_order, curvature, differential,
         flipped = el_scale(value, flip_sign)
         rkey = (h, g)
         if rkey in bracket:
-            other = {x: Fraction(q) for x, q in bracket[rkey].items() if q}
+            other = exact_element(bracket[rkey])
             if other != flipped:
                 raise InputError(f"bracket on ({g},{h}) and ({h},{g}) breaks antisymmetry")
         table.setdefault(rkey, flipped)
@@ -274,7 +196,7 @@ def from_curved_lie(generators, nilpotency_order, curvature, differential,
     return LInftyStructure(space, {0: comp0, 1: comp1, 2: comp2}, label=label)
 
 
-class LInftyMorphism:
+class LInftyMorphism(ComponentTable):
     """Taylor components of a coalgebra morphism between two structures."""
 
     def __init__(self, source, target, components, label=""):
@@ -283,34 +205,17 @@ class LInftyMorphism:
         self.source = source
         self.target = target
         self.label = label
-        comps = _canonicalize_components(
-            source.space, components, 0, value_space=target.space)
-        if 0 in comps:
+        self._set_components(source.space, target.space, components, 0)
+        if 0 in self.components:
             raise InputError("morphism components start at arity 1")
-        self.components = comps
-        self.max_arity = max(self.components, default=0)
-
-    def component(self, arity, word):
-        return self.components.get(arity, {}).get(tuple(word), {})
-
-    def value(self, factors):
-        norm = self.source.space.normalize_word(list(factors))
-        if norm is None:
-            return {}
-        word, sign = norm
-        return el_scale(self.component(len(word), word), sign)
 
     def is_strict(self):
         return self.max_arity <= 1
 
-    def __eq__(self, other):
-        return (isinstance(other, LInftyMorphism)
-                and spaces_equal(self.source.space, other.source.space)
-                and spaces_equal(self.target.space, other.target.space)
-                and self.components == other.components)
-
-    def __hash__(self):
-        return NotImplemented
+    def _ends(self):
+        src, tgt = self.source.space, self.target.space
+        return (src.generators, src.nilpotency_order,
+                tgt.generators, tgt.nilpotency_order)
 
 
 def _compositions(n, parts):
@@ -333,11 +238,7 @@ def morphism_apply(morphism, coelt):
             continue
         n = len(word)
         if n == 0:
-            s = out.get((), ZERO) + coeff
-            if s:
-                out[()] = s
-            else:
-                out.pop((), None)
+            _accumulate(out, (), coeff)
             continue
         degrees = [src.degree(g) for g in word]
         for p in range(1, n + 1):
@@ -349,25 +250,16 @@ def morphism_apply(morphism, coelt):
                     eps = koszul_sign(sigma, degrees)
                     blocks = []
                     pos = 0
-                    dead = False
                     for size in sizes:
-                        factors = [word[sigma[pos + i]] for i in range(size)]
+                        value = morphism.value([word[i] for i in sigma[pos:pos + size]])
                         pos += size
-                        value = morphism.value(factors)
                         if not value:
-                            dead = True
                             break
                         blocks.append(value)
-                    if dead:
-                        continue
-                    expanded = expand_factors(tgt, blocks)
-                    scale = coeff * eps * inv_p
-                    for oword, q in expanded.items():
-                        s = out.get(oword, ZERO) + q * scale
-                        if s:
-                            out[oword] = s
-                        else:
-                            out.pop(oword, None)
+                    else:
+                        scale = coeff * eps * inv_p
+                        for oword, q in expand_factors(tgt, blocks).items():
+                            _accumulate(out, oword, q * scale)
     return co_canon(tgt, out)
 
 
@@ -377,14 +269,10 @@ def check_morphism(morphism, max_arity=VERIFY_ARITY):
         lhs = morphism_apply(morphism, coderivation_apply(morphism.source, {word: ONE}))
         rhs = coderivation_apply(morphism.target, morphism_apply(morphism, {word: ONE}))
         if lhs != rhs:
-            diff = co_add(lhs, co_scale_neg(rhs))
+            diff = el_sub(lhs, rhs)
             raise MathCheckError(
                 f"morphism does not intertwine coderivations: residual {diff} on word {word}")
     return True
-
-
-def co_scale_neg(coelt):
-    return {w: -q for w, q in coelt.items()}
 
 
 def strict_morphism(source, target, mapping, label=""):
@@ -414,7 +302,7 @@ def compose(outer, inner, max_arity=None):
     comps = {}
     for word in inner.source.space.enumerate_words(cap, min_arity=1):
         image = morphism_apply(outer, morphism_apply(inner, {word: ONE}))
-        value = {w[0]: q for w, q in image.items() if len(w) == 1}
+        value = co_linear_part(image)
         if value:
             comps.setdefault(len(word), {})[word] = value
     return LInftyMorphism(inner.source, outer.target, comps)
@@ -422,22 +310,8 @@ def compose(outer, inner, max_arity=None):
 
 def _strict_blocks(morphism):
     """Per-degree matrices of the arity-1 component, plus basis bookkeeping."""
-    src = morphism.source.space
-    tgt = morphism.target.space
-    src_by_deg = src.degrees_by_degree()
-    tgt_by_deg = tgt.degrees_by_degree()
-    blocks = {}
-    for deg in set(src_by_deg) | set(tgt_by_deg):
-        s_names = src_by_deg.get(deg, ())
-        t_names = tgt_by_deg.get(deg, ())
-        rows = []
-        for t in t_names:
-            row = []
-            for s in s_names:
-                row.append(morphism.component(1, (s,)).get(t, ZERO))
-            rows.append(row)
-        blocks[deg] = (Matrix(len(t_names), len(s_names), rows), s_names, t_names)
-    return blocks
+    return linear_blocks(morphism.source.space, morphism.target.space,
+                         lambda s: morphism.component(1, (s,)))
 
 
 def invert(morphism, max_arity=None):
@@ -471,11 +345,10 @@ def invert(morphism, max_arity=None):
         term = {word: ONE}
         sign = 1
         while term:
-            total = co_add(total, term if sign > 0 else co_scale_neg(term))
-            image = morphism_apply(tangent, term)
-            term = co_add(image, co_scale_neg(term))
+            total = el_add(total, term) if sign > 0 else el_sub(total, term)
+            term = el_sub(morphism_apply(tangent, term), term)
             sign = -sign
-        value = {w[0]: q for w, q in total.items() if len(w) == 1}
+        value = co_linear_part(total)
         if value:
             comps.setdefault(len(word), {})[word] = value
     tangent_inverse = LInftyMorphism(src, src, comps)
@@ -501,7 +374,7 @@ def conjugate(structure, components, target_space=None, max_arity=None):
         pulled = morphism_apply(inverse, {word: ONE})
         derived = coderivation_apply(structure, pulled)
         pushed = morphism_apply(phi, derived)
-        value = {w[0]: q for w, q in pushed.items() if len(w) == 1}
+        value = co_linear_part(pushed)
         if value:
             comps.setdefault(len(word), {})[word] = value
     transported = LInftyStructure(tspace, comps)
@@ -515,18 +388,10 @@ def chain_complex(structure):
             "curved structure has no underlying complex: curvature is nonzero")
     space = structure.space
     by_deg = space.degrees_by_degree()
-    dims = {deg: len(names) for deg, names in by_deg.items()}
-    diffs = {}
-    for deg, names in by_deg.items():
-        t_names = by_deg.get(deg + 1, ())
-        rows = []
-        for t in t_names:
-            rows.append([structure.component(1, (s,)).get(t, ZERO) for s in names])
-        m = Matrix(len(t_names), len(names), rows)
-        if not m.is_zero():
-            diffs[deg] = m
-    return ChainComplex(dims, diffs,
-                        labels={d: tuple(n) for d, n in by_deg.items()})
+    blocks = linear_blocks(space, space, lambda s: structure.component(1, (s,)),
+                           shift=1)
+    return ChainComplex({d: len(names) for d, names in by_deg.items()},
+                        {d: blocks[d][0] for d in by_deg}, labels=by_deg)
 
 
 def is_quasi_iso(morphism):

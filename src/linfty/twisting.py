@@ -9,6 +9,11 @@ here is a finite sum, evaluated literally:
     pi_F         = sum (1/n!) F_n(pi^n),  n >= 1
     F^pi_k(w)    = sum (1/l!) F_{k+l}(pi^l v w)
 
+The last three lines are one loop, twist_table, run on any component table:
+the pushforward is the k = 0 value of F's table, and modules and their maps
+are twisted by the same loop over (word, generator) keys.  The loop returns
+bare tables; callers wire them to endpoints they have twisted once.
+
 Maurer-Cartan has one definition, the curvature of the twisted structure
 (the k = 0 case of the second line); the full-coderivation route
 Q(exp pi) = 0 is computed independently and mc_check enforces that the two
@@ -16,20 +21,21 @@ routes agree before answering.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 from .graded import (
     InputError,
     MathCheckError,
     ONE,
-    co_add,
+    _accumulate,
     co_from_element,
-    co_scale,
     el_add,
     el_scale,
     element_degree,
+    exact_element,
     filtration_weight,
+    sym_mul,
 )
-from .graded import sym_mul
 from .structures import (
     LInftyMorphism,
     LInftyStructure,
@@ -40,7 +46,7 @@ from .structures import (
 
 def validate_twist_datum(space, pi):
     """Twist data are homogeneous of shifted degree 0 and positive weight."""
-    pi = {g: Fraction(q) for g, q in pi.items() if q}
+    pi = exact_element(pi)
     degree = element_degree(space, pi)
     if degree is not None and degree != 0:
         raise InputError(f"twist datum must have shifted degree 0, got {degree}")
@@ -57,7 +63,7 @@ def weighted_powers(space, pi):
         yield ell, power
         ell += 1
         power = sym_mul(space, power, co_from_element(pi))
-        power = co_scale(power, Fraction(1, ell))
+        power = el_scale(power, Fraction(1, ell))
 
 
 def exp_element(space, pi):
@@ -65,45 +71,55 @@ def exp_element(space, pi):
     pi = validate_twist_datum(space, pi)
     total = {}
     for _, power in weighted_powers(space, pi):
-        total = co_add(total, power)
+        total = el_add(total, power)
     return total
+
+
+def twist_table(table, pi, arities=None):
+    """Twisted components C^pi_k(w) = sum (1/l!) C_{k+l}(pi^l v w).
+
+    table is any component table (structure, morphism, module or module
+    morphism); pi lives on its word space.  Returns raw components for the
+    given arities (default: every arity of the table), ready to be wired to
+    twisted endpoints by the caller.
+    """
+    space = table.word_space
+    pi = validate_twist_datum(space, pi)
+    powers = list(islice(weighted_powers(space, pi), table.max_arity + 1))
+    if arities is None:
+        arities = range(table.max_arity + 1)
+    comps = {}
+    for k in arities:
+        row = {}
+        for word, mgen in table.keys_over(space.enumerate_words(k, min_arity=k)):
+            total = {}
+            for ell, power in powers:
+                if k + ell > table.max_arity:
+                    break
+                for pword, pcoeff in power.items():
+                    for g, q in table.value(pword + word, mgen).items():
+                        _accumulate(total, g, q * pcoeff)
+            if total:
+                row[word if mgen is None else (word, mgen)] = total
+        if row:
+            comps[k] = row
+    return comps
+
+
+def _unit_value(table, pi):
+    """The k = 0 twisted value sum (1/l!) C_l(pi^l) on the unit word."""
+    return twist_table(table, pi, (0,)).get(0, {}).get((), {})
 
 
 def twist_structure(structure, pi):
     """Structure with components Q^pi_k(w) = sum (1/l!) Q_{k+l}(pi^l v w)."""
-    space = structure.space
-    pi = validate_twist_datum(space, pi)
-    comps = {}
-    for k in range(0, structure.max_arity + 1):
-        table = {}
-        for word in space.enumerate_words(k, min_arity=k):
-            total = {}
-            for ell, power in weighted_powers(space, pi):
-                if k + ell > structure.max_arity:
-                    break
-                for pword, pcoeff in power.items():
-                    value = structure.value(list(pword) + list(word))
-                    if value:
-                        total = el_add(total, el_scale(value, pcoeff))
-            if total:
-                table[word] = total
-        if table:
-            comps[k] = table
-    return LInftyStructure(space, comps, label=structure.label)
+    return LInftyStructure(structure.space, twist_table(structure, pi),
+                           label=structure.label)
 
 
 def maurer_cartan_series(structure, pi):
     """Curvature of the twisted structure: sum (1/n!) Q_n(pi^n)."""
-    pi = validate_twist_datum(structure.space, pi)
-    total = {}
-    for ell, power in weighted_powers(structure.space, pi):
-        if ell > structure.max_arity:
-            break
-        for pword, pcoeff in power.items():
-            value = structure.value(list(pword))
-            if value:
-                total = el_add(total, el_scale(value, pcoeff))
-    return total
+    return _unit_value(structure, pi)
 
 
 def mc_check(structure, pi, route="both"):
@@ -128,40 +144,12 @@ def mc_check(structure, pi, route="both"):
 
 def push_mc(morphism, pi):
     """Pushforward pi_F = sum over n >= 1 of (1/n!) F_n(pi^n)."""
-    pi = validate_twist_datum(morphism.source.space, pi)
-    total = {}
-    for ell, power in weighted_powers(morphism.source.space, pi):
-        if ell > morphism.max_arity:
-            break
-        if ell == 0:
-            continue
-        for pword, pcoeff in power.items():
-            value = morphism.value(list(pword))
-            if value:
-                total = el_add(total, el_scale(value, pcoeff))
-    return total
+    return _unit_value(morphism, pi)
 
 
 def twist_morphism(morphism, pi):
     """Morphism F^pi between the twisted source and the pi_F-twisted target."""
-    space = morphism.source.space
-    pi = validate_twist_datum(space, pi)
-    comps = {}
-    for k in range(1, max(morphism.max_arity, 1) + 1):
-        table = {}
-        for word in space.enumerate_words(k, min_arity=k):
-            total = {}
-            for ell, power in weighted_powers(space, pi):
-                if k + ell > morphism.max_arity:
-                    break
-                for pword, pcoeff in power.items():
-                    value = morphism.value(list(pword) + list(word))
-                    if value:
-                        total = el_add(total, el_scale(value, pcoeff))
-            if total:
-                table[word] = total
-        if table:
-            comps[k] = table
+    comps = twist_table(morphism, pi, range(1, morphism.max_arity + 1))
     return LInftyMorphism(
         twist_structure(morphism.source, pi),
         twist_structure(morphism.target, push_mc(morphism, pi)),

@@ -1,8 +1,19 @@
 """Collects acceptance-criterion outcomes and prints one line per criterion."""
 
 from contextlib import contextmanager
+import importlib.util
+from pathlib import Path
 
 RESULTS = {}
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """Import scripts/<name>.py as a module without running its main()."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @contextmanager

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import criterion
+from conftest import criterion, load_script
 
 from linfty.graded import MathCheckError, ONE, el_scale
 from linfty.structures import (
@@ -228,30 +228,8 @@ def test_criterion_8_negative_controls_fail_where_expected():
         assert report["squares"][1] is False
 
 
-CLI_RUNS = [
-    (["validate", "fix_a.json"], 0),
-    (["validate", "fix_b.json"], 0),
-    (["validate", "fix_b_pair.json"], 0),
-    (["validate", "fix_c.json"], 0),
-    (["validate", "cech_fixb.json"], 0),
-    (["validate", "cech_fixb_ladder.json"], 0),
-    (["validate", "nonadapted.json"], 0),
-    (["validate", "perturbed_ladder.json"], 0),
-    (["validate", "jacobi_violation.json"], 1),
-    (["mc", "fix_b.json", "--element", "x"], 0),
-    (["mc", "fix_b.json", "--element", "2x"], 1),
-    (["twist", "fix_b.json", "--element", "x"], 0),
-    (["cohomology", "fix_a.json"], 0),
-    (["twist-identities", "fix_b_pair.json", "--structure", "fix_b",
-      "--element", "x", "--second-element", "2x"], 0),
-    (["module-consistency", "fix_b_pair.json", "--element", "x"], 0),
-    (["resolution-check", "fix_c.json"], 0),
-    (["resolution-check", "nonadapted.json"], 0),
-    (["adapted-mc", "cech_fixb.json", "--element", "x"], 0),
-    (["adapted-mc", "nonadapted.json", "--element", "x"], 1),
-    (["prop-key", "cech_fixb_ladder.json", "--mc", "x"], 0),
-    (["prop-key", "perturbed_ladder.json", "--element", "zero"], 1),
-]
+# the corpus table of scripts/verify_corpus.py, so the two cannot drift apart
+CLI_RUNS = load_script("verify_corpus").RUNS
 
 
 def _run_cli(args, report_path):
@@ -264,6 +242,7 @@ def _run_cli(args, report_path):
 def test_criterion_9_cli_is_deterministic(tmp_path):
     with criterion(9, "repeated CLI runs over the corpus exit identically "
                       "and produce byte-identical reports"):
+        assert CLI_RUNS, "the corpus table is empty"
         for i, (args, expected) in enumerate(CLI_RUNS):
             first = _run_cli(args, tmp_path / f"a{i}.json")
             second = _run_cli(args, tmp_path / f"b{i}.json")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_script
 from linfty.graded import InputError
 from linfty.io import (
     FixtureWriter,
@@ -49,6 +50,14 @@ def test_round_trip_is_the_identity_on_the_shipped_corpus():
         again = serialize_document(doc.raw)
         assert again == text, path.name
         assert load_document(again).raw == doc.raw
+
+
+def test_shipped_fixtures_match_their_builders():
+    """fixtures/*.json are exactly what scripts/build_fixtures.py writes."""
+    built = load_script("build_fixtures").documents()
+    assert sorted(built) == sorted(p.name for p in FIXTURES.glob("*.json"))
+    for filename, text in built.items():
+        assert (FIXTURES / filename).read_bytes() == text.encode("utf-8"), filename
 
 
 def test_minimal_document_builds_working_objects():

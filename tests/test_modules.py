@@ -409,3 +409,32 @@ def test_twisted_module_morphism_still_checks():
     mm = module_morphism_from_triangle(back, phi)
     twisted = twist_module_morphism(mm, {"u": ONE})
     assert check_module_morphism(twisted)
+
+
+# -- library boundary and table identity --------------------------------------------
+
+@pytest.mark.parametrize("part", ["differential", "action"])
+def test_dg_module_constructor_rejects_floats(part):
+    base = fix_b()
+    data = {"differential": {}, "action": {}}
+    data[part] = {"differential": {"m": {"p": 0.5}},
+                  "action": {("x", "m"): {"p": 0.5}}}[part]
+    with pytest.raises(InputError, match="exact scalars required"):
+        from_dg_module(base, [("m", 0, 0), ("p", 2, 2)], **data)
+
+
+def test_module_component_values_must_be_exact():
+    base = fix_b()
+    mspace = GradedSpace([("m", 0, 0), ("p", 1, 0)], 3)
+    with pytest.raises(InputError, match="exact scalars required"):
+        LInftyModule(base, mspace, {0: {((), "m"): {"p": 0.5}}})
+
+
+def test_module_tables_are_unhashable():
+    base = fix_b()
+    module = from_dg_module(base, [("m", 0, 0), ("n", 1, 0)],
+                            differential={"m": {"n": ONE}}, action={})
+    for table in (module, identity_module_morphism(module)):
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(table)
+        assert table == table

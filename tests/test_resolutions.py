@@ -11,6 +11,7 @@ from linfty.modules import (
     ModuleMorphism,
     from_dg_module,
     identity_module_morphism,
+    twist_module_morphism,
 )
 from linfty.homology import Matrix
 from linfty.resolutions import (
@@ -24,7 +25,9 @@ from linfty.resolutions import (
     module_morphism_blocks,
     prop_key_pipeline,
     twist_resolution,
+    twist_resolution_morphism,
 )
+from linfty.twisting import twist_structure
 from linfty.fixtures import (
     cech_fixb_diagram,
     cech_fixb_ladder,
@@ -158,6 +161,24 @@ def test_twist_resolution_roundtrip():
     there = twist_resolution(diagram, {"x": ONE})
     back = twist_resolution(there, {"x": Fraction(-1)})
     assert back == diagram
+
+
+def test_twisted_ladder_is_wired_to_its_twisted_diagrams():
+    """One twisted base for both diagrams; verticals join their modules."""
+    ladder = cech_fixb_ladder()
+    pi = {"x": ONE}
+    twisted = twist_resolution_morphism(ladder, pi)
+    assert twisted.source.base is twisted.target.base
+    assert twisted.source.base == twist_structure(ladder.source.base, pi)
+    for m in twisted.source.modules() + twisted.target.modules():
+        assert m.base is twisted.source.base
+    for u, s, t in zip(twisted.verticals(), twisted.source.modules(),
+                       twisted.target.modules()):
+        assert u.source is s and u.target is t
+    assert twisted.source == twist_resolution(ladder.source, pi)
+    assert twisted.target == twist_resolution(ladder.target, pi)
+    for u, v in zip(twisted.verticals(), ladder.verticals()):
+        assert u == twist_module_morphism(v, pi)
 
 
 # -- ladders -------------------------------------------------------------------

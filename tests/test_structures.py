@@ -427,3 +427,35 @@ def test_quasi_iso_to_empty_and_back():
 def test_quasi_iso_identity():
     s = fix_a()
     assert is_quasi_iso(identity_morphism(s))
+
+
+# -- library boundary and table identity ----------------------------------------
+
+@pytest.mark.parametrize("scalar", [0.25, 0.0, True])
+def test_component_values_must_be_exact(scalar):
+    sp = GradedSpace([("x", 0, 1), ("c", 1, 2)], 3)
+    with pytest.raises(InputError, match="exact scalars required"):
+        LInftyStructure(sp, {1: {("x",): {"c": scalar}}})
+
+
+@pytest.mark.parametrize("part", ["curvature", "differential", "bracket"])
+def test_curved_lie_constructor_rejects_floats(part):
+    data = {
+        "curvature": {"c": ONE},
+        "differential": {},
+        "bracket": {("x", "x"): {"c": Fraction(2)}},
+    }
+    data[part] = {"curvature": {"c": 0.5},
+                  "differential": {"x": {"c": 0.5}},
+                  "bracket": {("x", "x"): {"c": 0.5}}}[part]
+    with pytest.raises(InputError, match="exact scalars required"):
+        from_curved_lie([("x", 1, 1), ("c", 2, 2)], 3, **data)
+
+
+def test_component_tables_are_unhashable():
+    s = from_curved_lie([("x", 1, 1), ("c", 2, 2)], 3, curvature={"c": ONE},
+                        differential={}, bracket={})
+    for table in (s, identity_morphism(s)):
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(table)
+        assert table == table

@@ -263,3 +263,13 @@ def test_twist_identities_random_data(a, b, c, d):
     second = {g: Fraction(q) for g, q in (("u", c), ("v", d)) if q}
     assert check_structure_twist_identities(base, pi, second)
     assert check_morphism_twist_identities(phi, pi, second)
+
+
+@pytest.mark.parametrize("scalar", [0.5, 1.0, True])
+def test_twist_datum_must_be_exact(scalar):
+    s = from_curved_lie([("x", 1, 1), ("c", 2, 2)], 3, curvature={"c": ONE},
+                        differential={}, bracket={("x", "x"): {"c": Fraction(2)}})
+    with pytest.raises(InputError, match="exact scalars required"):
+        validate_twist_datum(s.space, {"x": scalar})
+    with pytest.raises(InputError, match="exact scalars required"):
+        twist_structure(s, {"x": scalar})
