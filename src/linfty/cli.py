@@ -271,7 +271,7 @@ def cmd_resolution_check(doc, args):
 def cmd_adapted_mc(doc, args):
     name, diagram = _pick(doc.resolutions, args.resolution, "resolution")
     pi = _element_on(doc, args.element, diagram.base.space, "--element")
-    adapted, sequence = check_adapted_mc(diagram, pi, max_arity=args.max_arity)
+    adapted, sequence = check_adapted_mc(diagram, pi)
     report = {"resolution": name, "element": args.element,
               "adapted": adapted, "sequence": sequence}
     lines = [f"adapted-mc {name}, element {args.element}: "

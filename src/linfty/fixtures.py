@@ -11,33 +11,18 @@ Naming scheme, kept stable because frozen test values refer to it:
   jacobi_violation  bracket table failing Jacobi first at arity three
   nonadapted   resolution that is exact untwisted but dies when twisted
   cech_fixb    two-chart spread of fix_b, identity restrictions
+  cech_fixb_ladder  two_chart_ladder from cech_fixb to the fix_b2 spread,
+               with the doubling morphism as the fiber on every chart
 """
 
 from fractions import Fraction
 
 from .graded import GradedSpace, ONE
-from .structures import (
-    LInftyStructure,
-    identity_morphism,
-    strict_morphism,
-)
-from .modules import (
-    LInftyModule,
-    ModuleMorphism,
-    identity_module_morphism,
-    module_from_morphism,
-    module_morphism_from_triangle,
-)
-from .products import (
-    CoverDescription,
-    ProductStructure,
-    build_cech_complex,
-    product_morphism,
-    slotwise_morphism,
-    tuple_slot,
-)
+from .structures import LInftyStructure, from_curved_lie, strict_morphism
+from .modules import LInftyModule, ModuleMorphism, identity_module_morphism
+from .products import CoverDescription
 from .resolutions import ResolutionDiagram, ResolutionMorphism
-from .structures import from_curved_lie
+from .instances import CHARTS, two_chart_diagram, two_chart_ladder
 
 
 def fix_a():
@@ -102,15 +87,8 @@ def fix_c_cover():
 
 
 def fix_c_diagram():
-    cover = fix_c_cover()
-    global_structure = _constants_chart("global")
-    restrictions = {
-        name: strict_morphism(global_structure, cover.local_structures[(name,)],
-                              {"f": {"f": ONE}})
-        for name in cover.opens
-    }
-    return build_cech_complex(cover, global_structure, restrictions,
-                              label="fix_c")
+    """Two-chart spread of the constants: the Cech diagram of fix_c_cover()."""
+    return two_chart_diagram(_constants_chart("global"), label="fix_c")
 
 
 def fix_c_identity_ladder():
@@ -139,76 +117,20 @@ def perturbed_ladder():
                               label="perturbed")
 
 
-def _spread_cover(local_builder, label):
-    charts = {
-        ("U",): local_builder(),
-        ("V",): local_builder(),
-        ("U", "V"): local_builder(),
-    }
-    ident = {g: {g: ONE} for g in charts[("U",)].space.basis}
-    restrictions = {
-        (("U",), ("U", "V")): strict_morphism(
-            charts[("U",)], charts[("U", "V")], ident),
-        (("V",), ("U", "V")): strict_morphism(
-            charts[("V",)], charts[("U", "V")], ident),
-    }
-    return CoverDescription(["U", "V"], list(charts), charts, restrictions,
-                            label=label)
-
-
 def cech_fixb_diagram():
     """fix_b spread over two charts with identity restrictions."""
-    cover = _spread_cover(fix_b, "cech_fixb")
-    base = fix_b()
-    restrictions = {
-        name: strict_morphism(base, cover.local_structures[(name,)],
-                              {g: {g: ONE} for g in base.space.basis})
-        for name in cover.opens
-    }
-    return build_cech_complex(cover, base, restrictions, label="cech_fixb")
+    return two_chart_diagram(fix_b(), label="cech_fixb")
 
 
 def cech_fixb_ladder():
     """Ladder from the fix_b spread to the fix_b2 spread over the same base.
 
     Both diagrams are modules over fix_b; the target charts carry the
-    transported structure and are reached through the doubling morphism, so
-    the vertical maps come from the fiberwise triangle construction.
+    transported structure and are reached through the doubling morphism
+    morphism_t(), the transport of every chart in two_chart_ladder.
     """
-    src = cech_fixb_diagram()
-    base = src.base
-    doubling = {"x": {"x": ONE}, "c": {"c": Fraction(2)}}
-    cover = _spread_cover(fix_b2, "cech_fixb2")
-    restrictions = {
-        name: strict_morphism(base, cover.local_structures[(name,)], doubling)
-        for name in cover.opens
-    }
-    tgt = build_cech_complex(cover, base, restrictions, label="cech_fixb2")
-
-    src_cover = _spread_cover(fix_b, "cech_fixb")
-    verticals = []
-    for k in range(len(src.levels)):
-        tuples = src_cover.level(k)
-        src_product = ProductStructure(
-            {tuple_slot(a): src_cover.local_structures[a] for a in tuples})
-        tgt_product = ProductStructure(
-            {tuple_slot(a): cover.local_structures[a] for a in tuples})
-        fiber = slotwise_morphism(src_product, tgt_product, {
-            tuple_slot(a): strict_morphism(
-                src_cover.local_structures[a], cover.local_structures[a],
-                doubling)
-            for a in tuples})
-        inner = product_morphism(src_product, {
-            tuple_slot(a): strict_morphism(
-                base, src_cover.local_structures[a],
-                {g: {g: ONE} for g in base.space.basis})
-            for a in tuples})
-        verticals.append(module_morphism_from_triangle(fiber, inner))
-    return ResolutionMorphism(
-        src, tgt,
-        identity_module_morphism(src.augmented),
-        verticals,
-        label="cech_fixb_ladder")
+    return two_chart_ladder(fix_b(), {a: morphism_t() for a in CHARTS},
+                            label="cech_fixb_ladder")
 
 
 def nonadapted_diagram():

@@ -202,9 +202,6 @@ class GradedSpace:
         except KeyError:
             raise InputError(f"unknown generator {name!r}") from None
 
-    def is_odd(self, name):
-        return self.degree(name) % 2 != 0
-
     def degrees_by_degree(self):
         """Map shifted degree -> tuple of generator names, in basis order."""
         out = {}
@@ -248,8 +245,11 @@ class GradedSpace:
 
         Words whose total filtration weight reaches the nilpotency order are
         zero and are skipped.  Deterministic order: by arity, then
-        lexicographically in basis indices.
+        lexicographically in basis indices.  A negative max_arity is an
+        input error, not an empty sweep that would pass every check.
         """
+        if max_arity < 0:
+            raise InputError(f"max_arity must be nonnegative, got {max_arity}")
         names = self.basis
         for arity in range(min_arity, max_arity + 1):
             for combo in itertools.combinations_with_replacement(names, arity):
@@ -291,7 +291,7 @@ def el_sub(a, b):
     return el_add(a, el_scale(b, -1))
 
 def el_scale(a, q):
-    q = Fraction(q)
+    q = parse_scalar(q)
     if not q:
         return {}
     return {key: c * q for key, c in a.items()}

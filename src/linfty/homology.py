@@ -12,10 +12,9 @@ Zero-dimensional degrees are fully supported (shape-checked empty matrices);
 resolution diagrams rely on that for their virtual zero ends.
 """
 
-from fractions import Fraction
 from math import gcd
 
-from .graded import InputError, MathCheckError, ZERO, ONE
+from .graded import InputError, MathCheckError, ZERO, ONE, parse_scalar
 
 
 class Matrix:
@@ -32,7 +31,7 @@ class Matrix:
             raise InputError(f"matrix rows do not match shape {nrows}x{ncols}")
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        self.rows = tuple(tuple(parse_scalar(x) for x in r) for r in rows)
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
@@ -83,7 +82,7 @@ class Matrix:
         return self + other.scale(-1)
 
     def scale(self, q):
-        q = Fraction(q)
+        q = parse_scalar(q)
         return Matrix(self.nrows, self.ncols,
                       [[q * x for x in r] for r in self.rows])
 
@@ -158,12 +157,6 @@ def rref(m):
     return Matrix(m.nrows, m.ncols, rows), tuple(pivots)
 
 
-def row_space(m):
-    """Nonzero RREF rows: a deterministic basis of the row space."""
-    red, pivots = rref(m)
-    return [red.rows[i] for i in range(len(pivots))]
-
-
 def nullspace(m):
     """Deterministic kernel basis: one vector per free column of the RREF."""
     red, pivots = rref(m)
@@ -224,22 +217,20 @@ class ChainComplex:
 
     dims maps degree -> dimension; differentials maps degree k to the matrix
     of d: C^k -> C^{k+1} (shape dims[k+1] x dims[k]).  Missing entries are
-    zero.  labels, when given, name the basis of each degree for reports.
+    zero.  A complex is not changed after construction, so the cohomology
+    of each degree is computed once and kept.
     """
 
-    def __init__(self, dims, differentials, labels=None, check=True):
-        self.dims = {}
-        for k, v in dims.items():
-            if int(v) < 0:
-                raise InputError("dimensions must be nonnegative")
-            self.dims[int(k)] = int(v)
-        self.labels = {int(k): tuple(v) for k, v in (labels or {}).items()}
-        for k, names in self.labels.items():
-            if len(names) != self.dim(k):
-                raise InputError(f"degree {k}: {len(names)} labels for dimension {self.dim(k)}")
+    def __init__(self, dims, differentials, check=True):
+        for n in [*dims, *dims.values(), *differentials]:
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise InputError(
+                    f"degrees and dimensions must be ints, got {n!r}")
+        if any(v < 0 for v in dims.values()):
+            raise InputError("dimensions must be nonnegative")
+        self.dims = dict(dims)
         self.differentials = {}
         for k, m in differentials.items():
-            k = int(k)
             if not isinstance(m, Matrix):
                 m = Matrix.from_rows(m, ncols=self.dim(k))
             if m.nrows != self.dim(k + 1) or m.ncols != self.dim(k):
@@ -248,6 +239,7 @@ class ChainComplex:
                     f"expected {self.dim(k + 1)}x{self.dim(k)}")
             if not m.is_zero():
                 self.differentials[k] = m
+        self._homology = {}  # degree -> (betti, reps, boundary basis rows)
         if check:
             self.check_complex()
 
@@ -274,35 +266,43 @@ class ChainComplex:
     def cycle_basis(self, k):
         return nullspace(self.d(k))
 
-    def _boundary_rref(self, k):
-        image_rows = Matrix.from_rows(
-            [self.d(k - 1).column(j) for j in range(self.dim(k - 1))],
-            ncols=self.dim(k))
-        return rref(image_rows)
-
-    def cohomology(self, k):
-        """(Betti number, deterministic representative vectors) at degree k.
+    def _cohomology_record(self, k):
+        """(Betti number, representatives, boundary basis rows) at degree k.
 
         Representatives are cycle vectors reduced against the RREF of the
         boundary space and re-reduced among themselves; they are unique for a
         given basis ordering.  Rank-nullity audit: representative count must
-        equal dim ker - rank(previous d).
+        equal dim ker - rank(previous d).  Computed once per degree.
         """
-        cycles = self.cycle_basis(k)
-        bred, bpivots = self._boundary_rref(k)
-        reduced = [reduce_against(v, bred.rows, bpivots) for v in cycles]
-        if reduced:
-            rep_matrix, rep_pivots = rref(Matrix.from_rows(reduced, ncols=self.dim(k)))
-            reps = [rep_matrix.rows[i] for i in range(len(rep_pivots))]
-        else:
-            reps = []
-        boundary_rank = rank(self.d(k - 1))
-        betti = len(cycles) - boundary_rank
-        if len(reps) != betti:
-            raise MathCheckError(
-                f"cohomology audit failed at degree {k}: "
-                f"{len(reps)} representatives vs Betti {betti}")
-        return betti, reps
+        if k not in self._homology:
+            cycles = self.cycle_basis(k)
+            bred, bpivots = rref(Matrix.from_rows(
+                [self.d(k - 1).column(j) for j in range(self.dim(k - 1))],
+                ncols=self.dim(k)))
+            boundary = bred.rows[:len(bpivots)]
+            reduced = [reduce_against(v, boundary, bpivots) for v in cycles]
+            if reduced:
+                rep_matrix, rep_pivots = rref(
+                    Matrix.from_rows(reduced, ncols=self.dim(k)))
+                reps = rep_matrix.rows[:len(rep_pivots)]
+            else:
+                reps = ()
+            betti = len(cycles) - rank(self.d(k - 1))
+            if len(reps) != betti:
+                raise MathCheckError(
+                    f"cohomology audit failed at degree {k}: "
+                    f"{len(reps)} representatives vs Betti {betti}")
+            self._homology[k] = (betti, reps, boundary)
+        return self._homology[k]
+
+    def cohomology(self, k):
+        """(Betti number, deterministic representative vectors) at degree k."""
+        betti, reps, _ = self._cohomology_record(k)
+        return betti, list(reps)
+
+    def boundary_basis(self, k):
+        """RREF basis rows of the boundaries at degree k."""
+        return self._cohomology_record(k)[2]
 
     def betti(self):
         return {k: self.cohomology(k)[0] for k in self.degrees()}
@@ -313,9 +313,6 @@ class ChainComplex:
     def is_exact(self):
         """Exact at every degree, including the virtual zero ends."""
         return all(self.is_exact_at(k) for k in self.degrees())
-
-    def total_dim(self):
-        return sum(self.dims.values())
 
 
 def check_chain_map(src, dst, maps):
@@ -352,9 +349,7 @@ def induced_map(src, dst, maps, k):
     f = maps.get(k, Matrix(dst.dim(k), src.dim(k)))
     if not isinstance(f, Matrix):
         f = Matrix.from_rows(f, ncols=src.dim(k))
-    bred, bpivots = dst._boundary_rref(k)
-    boundary_rows = [bred.rows[i] for i in range(len(bpivots))]
-    basis_cols = list(dst_reps) + boundary_rows
+    basis_cols = dst_reps + list(dst.boundary_basis(k))
     basis = Matrix.from_rows(
         [[basis_cols[j][i] for j in range(len(basis_cols))]
          for i in range(dst.dim(k))] if basis_cols else [],
@@ -370,6 +365,16 @@ def induced_map(src, dst, maps, k):
     return Matrix(betti_dst, len(src_reps),
                   [[cols[j][i] for j in range(len(src_reps))]
                    for i in range(betti_dst)])
+
+
+def induced_maps(src, dst, blocks):
+    """Check a chain map, then return degree -> its induced cohomology matrix.
+
+    The degrees are those of either complex.
+    """
+    check_chain_map(src, dst, blocks)
+    degrees = sorted(set(src.degrees()) | set(dst.degrees()))
+    return {d: induced_map(src, dst, blocks, d) for d in degrees}
 
 
 def linear_blocks(source, target, image, shift=0):
@@ -392,6 +397,14 @@ def linear_blocks(source, target, image, shift=0):
         blocks[deg] = (Matrix(len(t_names), len(s_names), rows),
                        s_names, t_names)
     return blocks
+
+
+def operator_complex(space, image):
+    """Complex of a degree +1 operator; image(s) is the image of generator s."""
+    by_deg = space.degrees_by_degree()
+    blocks = linear_blocks(space, space, image, shift=1)
+    return ChainComplex({d: len(names) for d, names in by_deg.items()},
+                        {d: blocks[d][0] for d in by_deg})
 
 
 def is_isomorphism(m):

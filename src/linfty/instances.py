@@ -11,7 +11,8 @@ Maurer-Cartan, so every instance ships with a canonical flattening twist.
 Non-strictness comes from conjugating by random filtration-raising
 coordinate changes; richer Maurer-Cartan elements from adding multiples of
 single units (every single unit squares to zero).  Ladders spread an
-instance over a two-chart cover and transport each chart separately.
+instance over a two-chart cover and transport each chart separately;
+two_chart_ladder builds such a ladder from the per-chart transports.
 
 Everything is driven by random.Random(seed), so instances are reproducible
 from the seed alone.
@@ -203,6 +204,10 @@ def random_strict_transport(rng, structure):
     return conjugate(structure, {1: _raising_linear_part(rng, structure.space)})
 
 
+# nerve of the two-chart cover U, V: both charts and their overlap
+CHARTS = (("U",), ("V",), ("U", "V"))
+
+
 def two_chart_diagram(structure, transports=None, label=""):
     """Spread a structure over a two-chart cover.
 
@@ -211,52 +216,60 @@ def two_chart_diagram(structure, transports=None, label=""):
     restrictions are the induced comparisons, so any choice yields a valid
     diagram with identity-shaped combinatorics.
     """
-    tuples = [("U",), ("V",), ("U", "V")]
     if transports is None:
-        transports = {a: identity_morphism(structure) for a in tuples}
-    locals_ = {a: transports[a].target for a in tuples}
+        transports = {a: identity_morphism(structure) for a in CHARTS}
+    locals_ = {a: transports[a].target for a in CHARTS}
     restrictions = {}
     for a in (("U",), ("V",)):
         b = ("U", "V")
         restrictions[(a, b)] = compose(transports[b], invert(transports[a]))
-    cover = CoverDescription(["U", "V"], tuples, locals_, restrictions,
+    cover = CoverDescription(["U", "V"], CHARTS, locals_, restrictions,
                              label=label)
     return build_cech_complex(
         cover, structure, {name: transports[(name,)] for name in ("U", "V")},
         label=label)
 
 
-def random_ladder(seed):
-    """Reproducible ladder over a random matrix instance, with its MC datum.
+def two_chart_ladder(structure, transports, label=""):
+    """Ladder from the identity spread of a structure to a transported one.
 
-    Source: the instance spread with identity transports.  Target: the same
-    instance spread with independent random strict transports per chart.
-    Verticals come from the fiberwise triangle construction, and the pair
-    (ladder, pi) satisfies every hypothesis of the twisted criterion.
+    transports maps each chart tuple to a strict map out of the structure.
+    The source is two_chart_diagram(structure), the target is
+    two_chart_diagram(structure, transports), the level maps come from the
+    fiberwise triangle construction with the transports as fibers, and the
+    augmented map is the identity.
     """
-    rng = random.Random(seed)
-    n = rng.choice((3, 3, 4))
-    weights = random_weights(rng, n)
-    base, xi = matrix_structure(n, weights, label=f"ladder{seed}")
-    src = two_chart_diagram(base, label=f"ladder{seed}.src")
-    tuples = [("U",), ("V",), ("U", "V")]
-    transports = {a: random_strict_transport(rng, base)[1] for a in tuples}
-    tgt = two_chart_diagram(base, transports, label=f"ladder{seed}.tgt")
-
+    src = two_chart_diagram(structure, label=f"{label}.src")
+    tgt = two_chart_diagram(structure, transports, label=f"{label}.tgt")
     verticals = []
     for k in range(2):
-        level = [a for a in tuples if len(a) == k + 1]
-        src_product = ProductStructure({tuple_slot(a): base for a in level})
+        level = [a for a in CHARTS if len(a) == k + 1]
+        src_product = ProductStructure(
+            {tuple_slot(a): structure for a in level})
         tgt_product = ProductStructure(
             {tuple_slot(a): transports[a].target for a in level})
         fiber = slotwise_morphism(src_product, tgt_product,
                                   {tuple_slot(a): transports[a] for a in level})
         inner = product_morphism(src_product, {
-            tuple_slot(a): identity_morphism(base) for a in level})
+            tuple_slot(a): identity_morphism(structure) for a in level})
         verticals.append(module_morphism_from_triangle(fiber, inner))
-    ladder = ResolutionMorphism(
+    return ResolutionMorphism(
         src, tgt,
         identity_module_morphism(src.augmented),
         verticals,
-        label=f"ladder{seed}")
-    return ladder, xi
+        label=label)
+
+
+def random_ladder(seed):
+    """Reproducible ladder over a random matrix instance, with its MC datum.
+
+    two_chart_ladder with independent random strict transports per chart;
+    the pair (ladder, pi) satisfies every hypothesis of the twisted
+    criterion.
+    """
+    rng = random.Random(seed)
+    n = rng.choice((3, 3, 4))
+    weights = random_weights(rng, n)
+    base, xi = matrix_structure(n, weights, label=f"ladder{seed}")
+    transports = {a: random_strict_transport(rng, base)[1] for a in CHARTS}
+    return two_chart_ladder(base, transports, label=f"ladder{seed}"), xi

@@ -180,7 +180,7 @@ def from_dg_module(base, module_generators, differential, action, label=""):
             if space.degree(g) != unshifted + space.degree(m):
                 raise InputError(f"rho({gamma})({m}) has inconsistent degree")
         if image:
-            comp1[((gamma,), m)] = el_scale(image, -(-1) ** unshifted)
+            comp1[((gamma,), m)] = el_scale(image, 1 if unshifted % 2 else -1)
 
     return LInftyModule(base, space, {0: comp0, 1: comp1}, label=label)
 

@@ -23,7 +23,6 @@ from .graded import (
     InputError,
     MathCheckError,
     ONE,
-    ZERO,
     el_add,
 )
 from .structures import (
@@ -34,7 +33,7 @@ from .structures import (
     identity_morphism,
     strict_morphism,
 )
-from .twisting import maurer_cartan_series, push_mc, twist_structure, twist_morphism
+from .twisting import maurer_cartan_series, twist_structure, twist_morphism
 from .modules import (
     ModuleMorphism,
     check_module_morphism,
@@ -110,16 +109,6 @@ class ProductStructure:
             {i: self.factors[i].components for i in self.index}, rename_word)
         self.assembled = LInftyStructure(self.space, components, label=label)
         self.label = label
-
-    def split_element(self, element):
-        """Slot decomposition of a joint element: index -> factor element."""
-        out = {i: {} for i in self.index}
-        for name, q in element.items():
-            i, g = split_slot(name)
-            if i not in out:
-                raise InputError(f"element mentions unknown slot {i!r}")
-            out[i][g] = q
-        return out
 
 
 def projection(product, i):

@@ -22,8 +22,10 @@ from .homology import (
     ChainComplex,
     check_chain_map,
     induced_map,
+    induced_maps,
     is_isomorphism,
     linear_blocks,
+    operator_complex,
     rank,
     solve_matrix,
 )
@@ -44,13 +46,9 @@ def module_chain_complex(module):
     (phi_0^2 picks up a curvature action term), and then there is no
     underlying complex to take cohomology of.
     """
-    space = module.space
-    by_deg = space.degrees_by_degree()
-    blocks = linear_blocks(space, space, lambda s: module.component(0, (), s),
-                           shift=1)
     try:
-        return ChainComplex({d: len(names) for d, names in by_deg.items()},
-                            {d: blocks[d][0] for d in by_deg})
+        return operator_complex(module.space,
+                                lambda s: module.component(0, (), s))
     except MathCheckError:
         raise MathCheckError(
             "arity-0 module operator does not square to zero; "
@@ -134,10 +132,20 @@ def induced_cohomology_sequence(diagram):
     i + 1 is level i.  Exactness at the ends means injectivity at node 0
     and surjectivity at the last node.
     """
+    return _sequence_report(*_sequence_skeleton(diagram))
+
+
+def _sequence_skeleton(diagram):
+    """Node complexes and map blocks of a diagram, checked as chain maps."""
     complexes = [module_chain_complex(m) for m in diagram.modules()]
     blocks = [module_morphism_blocks(f) for f in diagram.maps()]
     for p, mats in enumerate(blocks):
         check_chain_map(complexes[p], complexes[p + 1], mats)
+    return complexes, blocks
+
+
+def _sequence_report(complexes, blocks):
+    """The induced_cohomology_sequence report of a checked skeleton."""
     degrees = sorted({d for cc in complexes for d in cc.degrees()})
     betti = []
     for cc in complexes:
@@ -205,7 +213,7 @@ def check_resolution(diagram, max_arity=None):
     }
 
 
-def check_adapted_mc(diagram, pi, max_arity=None):
+def check_adapted_mc(diagram, pi):
     """Twist the whole diagram and test exactness of the induced sequence.
 
     pi must be Maurer-Cartan for the base (checked first; this is what makes
@@ -279,17 +287,6 @@ def check_resolution_morphism(ladder, max_arity=None):
     return {"ok": not failures, "failures": failures, "squares": squares}
 
 
-def _quasi_iso_report(mm):
-    """(all isomorphisms, degree -> induced matrix) for a module morphism."""
-    src_cc = module_chain_complex(mm.source)
-    tgt_cc = module_chain_complex(mm.target)
-    blocks = module_morphism_blocks(mm)
-    check_chain_map(src_cc, tgt_cc, blocks)
-    degrees = sorted(set(src_cc.degrees()) | set(tgt_cc.degrees()))
-    mats = {d: induced_map(src_cc, tgt_cc, blocks, d) for d in degrees}
-    return all(is_isomorphism(m) for m in mats.values()), mats
-
-
 def prop_key_pipeline(ladder, pi, max_arity=None):
     """Hypotheses, exact-rows conclusion and its independent confirmation.
 
@@ -317,10 +314,13 @@ def prop_key_pipeline(ladder, pi, max_arity=None):
         report["failing_clause"] = "twist datum not Maurer-Cartan for the base"
         return report
 
-    # the whole ladder is twisted once; its diagrams serve adaptedness too
+    # the whole ladder is twisted once and each twisted module's complex is
+    # built once; they serve adaptedness, the level maps and both routes
     twisted = twist_resolution_morphism(ladder, pi)
-    seq_src = induced_cohomology_sequence(twisted.source)
-    seq_tgt = induced_cohomology_sequence(twisted.target)
+    src_cc, src_blocks = _sequence_skeleton(twisted.source)
+    seq_src = _sequence_report(src_cc, src_blocks)
+    tgt_cc, tgt_blocks = _sequence_skeleton(twisted.target)
+    seq_tgt = _sequence_report(tgt_cc, tgt_blocks)
     report["adapted_source"] = seq_src
     report["adapted_target"] = seq_tgt
     if not seq_src["exact"] or not seq_tgt["exact"]:
@@ -330,9 +330,11 @@ def prop_key_pipeline(ladder, pi, max_arity=None):
         return report
 
     level_flags = {}
+    level_blocks = []
     for n, u in enumerate(twisted.level_maps):
-        ok, mats = _quasi_iso_report(u)
-        level_flags[n] = ok
+        level_blocks.append(module_morphism_blocks(u))
+        mats = induced_maps(src_cc[n + 1], tgt_cc[n + 1], level_blocks[n])
+        level_flags[n] = all(is_isomorphism(m) for m in mats.values())
     report["level_quasi_iso"] = level_flags
     if not all(level_flags.values()):
         bad = sorted(n for n, ok in level_flags.items() if not ok)
@@ -342,21 +344,15 @@ def prop_key_pipeline(ladder, pi, max_arity=None):
 
     # exact-rows route: through the augmentation squares.  H(F) and H(G)
     # are injective (exactness at node 0), so H(G) X = H(U^0) H(F) pins X.
-    src_aug_cc = module_chain_complex(twisted.source.augmented)
-    tgt_aug_cc = module_chain_complex(twisted.target.augmented)
-    src_l0_cc = module_chain_complex(twisted.source.levels[0])
-    tgt_l0_cc = module_chain_complex(twisted.target.levels[0])
-    f_blocks = module_morphism_blocks(twisted.source.augmentation)
-    g_blocks = module_morphism_blocks(twisted.target.augmentation)
-    u0_blocks = module_morphism_blocks(twisted.level_maps[0])
+    # Node 0 of each complex list is the augmented module, node 1 level 0.
     u_blocks = module_morphism_blocks(twisted.augmented_map)
-    degrees = sorted(set(src_aug_cc.degrees()) | set(tgt_aug_cc.degrees()))
+    degrees = sorted(set(src_cc[0].degrees()) | set(tgt_cc[0].degrees()))
     solved = {}
     direct = {}
     for d in degrees:
-        hf = induced_map(src_aug_cc, src_l0_cc, f_blocks, d)
-        hg = induced_map(tgt_aug_cc, tgt_l0_cc, g_blocks, d)
-        hu0 = induced_map(src_l0_cc, tgt_l0_cc, u0_blocks, d)
+        hf = induced_map(src_cc[0], src_cc[1], src_blocks[0], d)
+        hg = induced_map(tgt_cc[0], tgt_cc[1], tgt_blocks[0], d)
+        hu0 = induced_map(src_cc[1], tgt_cc[1], level_blocks[0], d)
         if rank(hg) != hg.ncols:
             raise MathCheckError(
                 f"twisted target augmentation not injective on cohomology "
@@ -367,7 +363,7 @@ def prop_key_pipeline(ladder, pi, max_arity=None):
                 f"exact-rows route unsolvable at degree {d}: augmentation "
                 f"square does not close on cohomology")
         solved[d] = x
-        direct[d] = induced_map(src_aug_cc, tgt_aug_cc, u_blocks, d)
+        direct[d] = induced_map(src_cc[0], tgt_cc[0], u_blocks, d)
     report["induced"] = direct
     agree = all(solved[d] == direct[d] for d in degrees)
     iso = all(is_isomorphism(direct[d]) for d in degrees)

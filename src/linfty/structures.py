@@ -46,11 +46,10 @@ from .graded import (
     shuffle_splits,
 )
 from .homology import (
-    ChainComplex,
-    check_chain_map,
-    induced_map,
+    induced_maps,
     is_isomorphism,
     linear_blocks,
+    operator_complex,
     solve,
 )
 
@@ -165,7 +164,7 @@ def from_curved_lie(generators, nilpotency_order, curvature, differential,
         value = checked_element(
             value, unshifted_degree[g] + unshifted_degree[h], f"[{g},{h}]")
         key = (g, h)
-        flip_sign = -(-1) ** (unshifted_degree[g] * unshifted_degree[h])
+        flip_sign = 1 if unshifted_degree[g] * unshifted_degree[h] % 2 else -1
         if key in table and table[key] != value:
             raise InputError(f"bracket given twice on ({g}, {h}) with different values")
         table[key] = value
@@ -183,7 +182,7 @@ def from_curved_lie(generators, nilpotency_order, curvature, differential,
         value = table.get((g, h), {})
         if not value:
             continue
-        signed = el_scale(value, -(-1) ** unshifted_degree[g])
+        signed = el_scale(value, 1 if unshifted_degree[g] % 2 else -1)
         if signed:
             comp2[word] = signed
     # a repeated generator word (g, g) needs [g, g]; consistency with the
@@ -386,12 +385,8 @@ def chain_complex(structure):
     if not structure.is_flat():
         raise MathCheckError(
             "curved structure has no underlying complex: curvature is nonzero")
-    space = structure.space
-    by_deg = space.degrees_by_degree()
-    blocks = linear_blocks(space, space, lambda s: structure.component(1, (s,)),
-                           shift=1)
-    return ChainComplex({d: len(names) for d, names in by_deg.items()},
-                        {d: blocks[d][0] for d in by_deg}, labels=by_deg)
+    return operator_complex(structure.space,
+                            lambda s: structure.component(1, (s,)))
 
 
 def is_quasi_iso(morphism):
@@ -403,8 +398,5 @@ def is_quasi_iso(morphism):
     src_cx = chain_complex(morphism.source)
     tgt_cx = chain_complex(morphism.target)
     blocks = {deg: block for deg, (block, _, _) in _strict_blocks(morphism).items()}
-    check_chain_map(src_cx, tgt_cx, blocks)
-    for deg in sorted(set(src_cx.degrees()) | set(tgt_cx.degrees())):
-        if not is_isomorphism(induced_map(src_cx, tgt_cx, blocks, deg)):
-            return False
-    return True
+    mats = induced_maps(src_cx, tgt_cx, blocks)
+    return all(is_isomorphism(m) for m in mats.values())

@@ -260,6 +260,13 @@ def test_enumerate_words_orders_by_arity_then_index():
         (), ("a",), ("b",), ("a", "a"), ("a", "b")]
 
 
+def test_enumerate_words_rejects_a_negative_arity_cap():
+    # an empty sweep would let every check over it pass vacuously
+    sp = GradedSpace([("a", 0, 0)], 2)
+    with pytest.raises(InputError, match="max_arity must be nonnegative"):
+        list(sp.enumerate_words(-1))
+
+
 # -- element and coalgebra helpers --------------------------------------------------
 
 def test_element_degree_and_weight():
@@ -275,6 +282,12 @@ def test_element_degree_and_weight():
 def test_el_add_cancels_to_empty():
     a = {"a": Fraction(1, 2)}
     assert el_add(a, el_scale(a, -1)) == {}
+
+
+@pytest.mark.parametrize("scalar", [0.1, 1.0, True])
+def test_el_scale_rejects_floats_and_bools(scalar):
+    with pytest.raises(InputError):
+        el_scale({"x": Fraction(1)}, scalar)
 
 
 def test_co_canon_truncates_heavy_words():

@@ -10,14 +10,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linfty.graded import InputError, MathCheckError
+from linfty import homology
+from linfty.graded import GradedSpace, InputError, MathCheckError
 from linfty.homology import (
     ChainComplex,
     Matrix,
     check_chain_map,
     induced_map,
+    induced_maps,
     is_isomorphism,
     nullspace,
+    operator_complex,
     rank,
     rref,
     solve,
@@ -258,3 +261,64 @@ def test_is_isomorphism_rejects_nonsquare_and_singular():
     assert not is_isomorphism(Matrix(2, 2, [[1, 1], [1, 1]]))
     assert is_isomorphism(Matrix(2, 2, [[1, 1], [0, 1]]))
     assert is_isomorphism(Matrix(0, 0))
+
+
+# -- exact boundary ------------------------------------------------------------
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, True])
+def test_matrix_rejects_float_and_bool_entries(entry):
+    with pytest.raises(InputError):
+        Matrix(1, 1, [[entry]])
+
+
+@pytest.mark.parametrize("scalar", [0.5, True])
+def test_matrix_scale_rejects_float_and_bool(scalar):
+    with pytest.raises(InputError):
+        Matrix.identity(2).scale(scalar)
+
+
+@pytest.mark.parametrize("dims, differentials", [
+    ({0: 2.7}, {}),
+    ({0: True}, {}),
+    ({0.0: 1}, {}),
+    ({0: 1, 1: 1}, {False: [[1]]}),
+])
+def test_complex_requires_int_dimensions_and_degrees(dims, differentials):
+    with pytest.raises(InputError, match="must be ints"):
+        ChainComplex(dims, differentials)
+
+
+# -- cohomology kept per degree, induced maps per complex pair ----------------
+
+def test_cohomology_is_computed_once_per_degree(monkeypatch):
+    calls = []
+    monkeypatch.setattr(homology, "rref",
+                        lambda m: calls.append(m) or rref(m))
+    c = ChainComplex({0: 1, 1: 3}, {0: [[1], [1], [0]]})
+    betti, reps = c.cohomology(1)
+    first = len(calls)
+    assert first > 0
+    reps.clear()  # the caller gets a copy of the kept representatives
+    again, kept = c.cohomology(1)
+    assert again == betti == len(kept) == 2
+    induced_map(c, c, {0: Matrix.identity(1), 1: Matrix.identity(3)}, 1)
+    # the induced map reuses the kept boundary rows; only its solves eliminate
+    assert len(calls) == first + 2
+
+
+def test_induced_maps_checks_then_covers_every_degree():
+    c = ChainComplex({0: 2, 1: 1}, {0: [[1, -1]]})
+    maps = {0: Matrix.identity(2).scale(3), 1: Matrix.identity(1).scale(3)}
+    assert induced_maps(c, c, maps) == {
+        0: Matrix(1, 1, [[3]]), 1: Matrix(0, 0)}
+    d = ChainComplex({0: 2, 1: 1}, {})
+    with pytest.raises(MathCheckError):
+        induced_maps(c, d, {0: Matrix.identity(2), 1: Matrix.identity(1)})
+
+
+def test_operator_complex_reads_a_degree_one_operator():
+    space = GradedSpace([("a", 0, 0), ("b", 1, 0)], 1)
+    cc = operator_complex(space, lambda s: {"b": Fraction(2)} if s == "a" else {})
+    assert cc.dims == {0: 1, 1: 1}
+    assert cc.d(0) == Matrix(1, 1, [[2]])
+    assert cc.betti() == {0: 0, 1: 0}

@@ -1,6 +1,7 @@
 """Fixture document round-trips, input diagnostics, CLI exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import load_script
-from linfty.graded import InputError
+from linfty.graded import InputError, ONE
 from linfty.io import (
     FixtureWriter,
     load_document,
@@ -19,7 +20,9 @@ from linfty.io import (
     word_key,
 )
 from linfty import cli
-from linfty.fixtures import cech_fixb_ladder, fix_b
+from linfty.fixtures import cech_fixb_ladder, fix_b, fix_c_cover, fix_c_diagram
+from linfty.resolutions import check_resolution
+from linfty.structures import strict_morphism
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -153,6 +156,26 @@ def test_writer_deduplicates_equal_spaces_and_structures():
     assert list(writer.raw["spaces"]) == ["one.space"]
 
 
+def test_cech_of_resolution_loads_from_a_written_cover():
+    cover = fix_c_cover()
+    writer = FixtureWriter()
+    writer.add_cover(cover, "cov")
+    expected = fix_c_diagram()
+    base = writer.add_structure(expected.base, "global")
+    restrictions = {
+        name: writer.add_morphism(strict_morphism(
+            expected.base, cover.local_structures[(name,)], {"f": {"f": ONE}}),
+            f"r.{name}")
+        for name in cover.opens}
+    writer.raw["resolutions"] = {"fix_c": {
+        "cech_of": "cov", "global": base, "restrictions": restrictions}}
+    doc = load_document(serialize_document(writer.raw))
+    assert sorted(doc.covers) == ["cov"]
+    loaded = doc.resolutions["fix_c"]
+    assert loaded == expected
+    assert check_resolution(loaded)["ok"]
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -179,6 +202,16 @@ def test_cli_validate_flags_the_broken_bracket(capsys):
         ["validate", str(FIXTURES / "jacobi_violation.json")], capsys)
     assert code == 1
     assert "square to zero" in out
+
+
+def test_cli_negative_max_arity_exits_2(capsys):
+    # an empty sweep must not report the broken bracket as a pass
+    code, out, err = run_cli(
+        ["validate", str(FIXTURES / "jacobi_violation.json"),
+         "--max-arity", "-1"], capsys)
+    assert code == 2
+    assert "validate: pass" not in out
+    assert "max_arity must be nonnegative" in err
 
 
 def test_cli_input_errors_exit_2(capsys):
@@ -255,3 +288,15 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "validate: pass" in proc.stdout
+
+
+def test_twist_survey_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "twist_survey.py"),
+         "--seeds", "2"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "all laws hold" in proc.stdout

@@ -423,6 +423,15 @@ def test_dg_module_constructor_rejects_floats(part):
         from_dg_module(base, [("m", 0, 0), ("p", 2, 2)], **data)
 
 
+def test_dg_module_sign_stays_exact_at_negative_degrees():
+    base = from_curved_lie([("y", -1, 1), ("w", 1, 1), ("u", 0, 2)], 3,
+                           curvature={}, differential={},
+                           bracket={("y", "w"): {"u": ONE}})
+    module = from_dg_module(base, [("m", 0, 1), ("p", -1, 2)], {},
+                            {("y", "m"): {"p": ONE}})
+    assert module.components == {1: {(("y",), "m"): {"p": ONE}}}
+
+
 def test_module_component_values_must_be_exact():
     base = fix_b()
     mspace = GradedSpace([("m", 0, 0), ("p", 1, 0)], 3)

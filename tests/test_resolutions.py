@@ -13,6 +13,7 @@ from linfty.modules import (
     identity_module_morphism,
     twist_module_morphism,
 )
+from linfty import resolutions
 from linfty.homology import Matrix
 from linfty.resolutions import (
     ResolutionDiagram,
@@ -223,6 +224,16 @@ def test_pipeline_cech_fixb_ladder_at_x():
     report = prop_key_pipeline(cech_fixb_ladder(), {"x": ONE})
     assert report["verdict"] == "quasi-isomorphism"
     assert report["level_quasi_iso"] == {0: True, 1: True}
+
+
+def test_pipeline_builds_each_twisted_module_complex_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(resolutions, "module_chain_complex",
+                        lambda m: built.append(m) or module_chain_complex(m))
+    report = prop_key_pipeline(cech_fixb_ladder(), {"x": ONE})
+    assert report["verdict"] == "quasi-isomorphism"
+    # augmented module and two levels, in each of the two twisted diagrams
+    assert len(built) == 6
 
 
 def test_pipeline_rejects_broken_ladder():

@@ -452,6 +452,14 @@ def test_curved_lie_constructor_rejects_floats(part):
         from_curved_lie([("x", 1, 1), ("c", 2, 2)], 3, **data)
 
 
+def test_curved_lie_signs_stay_exact_at_negative_degrees():
+    # the antisymmetry and shift signs are parities, never negative powers
+    s = from_curved_lie([("y", -1, 1), ("w", 1, 1), ("u", 0, 2)], 3,
+                        curvature={}, differential={},
+                        bracket={("y", "w"): {"u": ONE}})
+    assert s.components == {2: {("y", "w"): {"u": ONE}}}
+
+
 def test_component_tables_are_unhashable():
     s = from_curved_lie([("x", 1, 1), ("c", 2, 2)], 3, curvature={"c": ONE},
                         differential={}, bracket={})
