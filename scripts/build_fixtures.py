@@ -13,23 +13,16 @@ from pathlib import Path
 from linfty.fixtures import REGISTRY, morphism_t
 from linfty.io import FixtureWriter, serialize_document
 from linfty.resolutions import ResolutionDiagram, ResolutionMorphism
-from linfty.structures import LInftyStructure
 from linfty.graded import ONE
 
 
 def document_for(name, obj):
     writer = FixtureWriter()
-    if isinstance(obj, LInftyStructure):
-        writer.add_structure(obj, name)
-        _attach_elements(writer, name, obj.space)
-    elif isinstance(obj, ResolutionDiagram):
-        writer.add_resolution(obj, name)
-        _attach_elements(writer, name, obj.base.space)
-    elif isinstance(obj, ResolutionMorphism):
-        writer.add_ladder(obj, name)
-        _attach_elements(writer, name, obj.source.base.space)
-    else:
-        raise TypeError(f"no serializer for {type(obj).__name__}")
+    writer.add(obj, name)
+    # the twist data live on the space of the structure everything sits over
+    base = obj.source if isinstance(obj, ResolutionMorphism) else obj
+    base = base.base if isinstance(base, ResolutionDiagram) else base
+    _attach_elements(writer, name, base.space)
     return writer.raw
 
 
@@ -47,9 +40,9 @@ def pair_document():
     """fix_b, fix_b2 and the doubling morphism between them, in one file."""
     writer = FixtureWriter()
     t = morphism_t()
-    writer.add_structure(t.source, "fix_b")
-    writer.add_structure(t.target, "fix_b2")
-    writer.add_morphism(t, "t")
+    writer.add(t.source, "fix_b")
+    writer.add(t.target, "fix_b2")
+    writer.add(t, "t")
     _attach_elements(writer, "fix_b", t.source.space)
     return writer.raw
 

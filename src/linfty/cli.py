@@ -167,7 +167,7 @@ def cmd_twist(doc, args):
     pi = _element_on(doc, args.element, structure.space, "--element")
     twisted = twist_structure(structure, pi)
     writer = FixtureWriter()
-    writer.add_structure(twisted, name)
+    writer.add(twisted, name)
     writer.add_element(twisted.space, pi, args.element)
     report = writer.raw
     return True, report, None
@@ -347,6 +347,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_arity is not None and args.max_arity < 0:
+            raise InputError(f"max_arity must be nonnegative, got {args.max_arity}")
         doc = _read_document(args.fixture)
         ok, report, lines = _COMMANDS[args.command](doc, args)
     except InputError as e:

@@ -18,6 +18,11 @@ sections; every object is declared under a name and referenced by it:
                      "restrictions": {open: ref}}
   ladders           {"source", "target", "augmented_map", "level_maps"}
 
+A ref is a name string; list fields are JSON arrays of refs.  The
+reference fields of structures, morphisms, modules, module_morphisms,
+explicit resolutions and ladders are in one table, SCHEMA, which both
+FixtureDocument and FixtureWriter.add read.
+
 Words are pipe-joined generator names with "" for the unit word; module
 keys append "@generator".  Scalars are JSON integers or "p/q" strings;
 floats are rejected at parse time.  Serialization is canonical: sorted
@@ -132,6 +137,48 @@ def _check_fields(obj, allowed, where):
         raise InputError(f"{where}: unknown field {sorted(unknown)}")
 
 
+# The reference structure of the format, read by FixtureDocument and
+# FixtureWriter alike: section -> (class, key codec, reference fields).  The
+# key codec (decode, encode) of a component table section is None for
+# resolutions and ladders.  A reference field is (field, section it names an
+# object of, writer name suffix, holds a list); fields are the class's
+# attribute names, in constructor order, and a list entry's name suffix ends
+# in its index.
+SCHEMA = {
+    "structures": (LInftyStructure, (word_from_key, word_key), (
+        ("space", "spaces", "space", False),)),
+    "morphisms": (LInftyMorphism, (word_from_key, word_key), (
+        ("source", "structures", "source", False),
+        ("target", "structures", "target", False))),
+    "modules": (LInftyModule, (tensor_from_key, tensor_key), (
+        ("base", "structures", "base", False),
+        ("space", "spaces", "mspace", False))),
+    "module_morphisms": (ModuleMorphism, (tensor_from_key, tensor_key), (
+        ("source", "modules", "source", False),
+        ("target", "modules", "target", False))),
+    "resolutions": (ResolutionDiagram, None, (
+        ("base", "structures", "base", False),
+        ("augmented", "modules", "aug", False),
+        ("levels", "modules", "level", True),
+        ("augmentation", "module_morphisms", "F", False),
+        ("connecting", "module_morphisms", "d", True))),
+    "ladders": (ResolutionMorphism, None, (
+        ("source", "resolutions", "src", False),
+        ("target", "resolutions", "tgt", False),
+        ("augmented_map", "module_morphisms", "u", False),
+        ("level_maps", "module_morphisms", "u", True))),
+}
+_SECTION_OF = {cls: section for section, (cls, _, _) in SCHEMA.items()}
+# The fields each section allows, worked out once rather than per object.
+_FIELDS = {section: [ref[0] for ref in refs] + (["components"] if codec else [])
+           for section, (_, codec, refs) in SCHEMA.items()}
+
+
+def _kind(section):
+    """Singular noun of a section for messages: module_morphisms -> module morphism."""
+    return section[:-1].replace("_", " ")
+
+
 class FixtureDocument:
     """Parsed and constructed fixture objects, plus the normalized raw form."""
 
@@ -142,30 +189,43 @@ class FixtureDocument:
                 f"unsupported format_version {raw.get('format_version')!r}, "
                 f"expected {FORMAT_VERSION!r}")
         self.raw = raw
-        self.spaces = {}
-        self.structures = {}
-        self.morphisms = {}
-        self.modules = {}
-        self.module_morphisms = {}
-        self.elements = {}
-        self.covers = {}
-        self.resolutions = {}
-        self.ladders = {}
+        for section in _SECTIONS:
+            setattr(self, section, {})  # name -> object, one table per section
         for section in _SECTIONS:
             part = raw.get(section, {})
             if not isinstance(part, dict):
                 raise InputError(f"section {section} must be an object")
-            builder = getattr(self, f"_build_{section}")
-            for name in part:
-                builder(name, part[name])
+            build = getattr(self, f"_build_{section}", self._build)
+            for name, obj in part.items():
+                build(section, name, obj)
 
-    def _ref(self, table, name, where, kind):
-        if name not in table:
-            raise InputError(f"{where}: no {kind} named {name!r}")
-        return table[name]
+    def _ref(self, section, name, where):
+        try:
+            return getattr(self, section)[name]
+        except (KeyError, TypeError):  # TypeError: a list or object as a name
+            raise InputError(f"{where}: no {_kind(section)} named {name!r}") from None
 
-    def _build_spaces(self, name, obj):
-        where = f"spaces.{name}"
+    def _build(self, section, name, obj):
+        """Build one object of a SCHEMA section: references, then components."""
+        cls, codec, refs = SCHEMA[section]
+        where = f"{section}.{name}"
+        _check_fields(obj, _FIELDS[section], where)
+        args = []
+        for field, target, _, many in refs:
+            if not many:
+                args.append(self._ref(target, obj.get(field), where))
+                continue
+            names = obj.get(field, [])
+            if not isinstance(names, list):
+                raise InputError(f"{where}: {field} must be a list")
+            args.append([self._ref(target, ref, where) for ref in names])
+        if codec:
+            args.append(components_from_json(obj.get("components", {}), where,
+                                             codec[0]))
+        getattr(self, section)[name] = cls(*args, label=name)
+
+    def _build_spaces(self, section, name, obj):
+        where = f"{section}.{name}"
         _check_fields(obj, ("generators", "order"), where)
         gens = obj.get("generators")
         if not isinstance(gens, list):
@@ -184,51 +244,17 @@ class FixtureDocument:
             raise InputError(f"{where}: order must be an integer")
         self.spaces[name] = GradedSpace(triples, order, label=name)
 
-    def _build_structures(self, name, obj):
-        where = f"structures.{name}"
-        _check_fields(obj, ("space", "components"), where)
-        space = self._ref(self.spaces, obj.get("space"), where, "space")
-        comps = components_from_json(obj.get("components", {}), where)
-        self.structures[name] = LInftyStructure(space, comps, label=name)
-
-    def _build_morphisms(self, name, obj):
-        where = f"morphisms.{name}"
-        _check_fields(obj, ("source", "target", "components"), where)
-        source = self._ref(self.structures, obj.get("source"), where, "structure")
-        target = self._ref(self.structures, obj.get("target"), where, "structure")
-        comps = components_from_json(obj.get("components", {}), where)
-        self.morphisms[name] = LInftyMorphism(source, target, comps, label=name)
-
-    def _build_modules(self, name, obj):
-        where = f"modules.{name}"
-        _check_fields(obj, ("base", "space", "components"), where)
-        base = self._ref(self.structures, obj.get("base"), where, "structure")
-        space = self._ref(self.spaces, obj.get("space"), where, "space")
-        comps = components_from_json(obj.get("components", {}), where,
-                                     tensor_from_key)
-        self.modules[name] = LInftyModule(base, space, comps, label=name)
-
-    def _build_module_morphisms(self, name, obj):
-        where = f"module_morphisms.{name}"
-        _check_fields(obj, ("source", "target", "components"), where)
-        source = self._ref(self.modules, obj.get("source"), where, "module")
-        target = self._ref(self.modules, obj.get("target"), where, "module")
-        comps = components_from_json(obj.get("components", {}), where,
-                                     tensor_from_key)
-        self.module_morphisms[name] = ModuleMorphism(source, target, comps,
-                                                     label=name)
-
-    def _build_elements(self, name, obj):
-        where = f"elements.{name}"
+    def _build_elements(self, section, name, obj):
+        where = f"{section}.{name}"
         _check_fields(obj, ("space", "value"), where)
-        space = self._ref(self.spaces, obj.get("space"), where, "space")
+        space = self._ref("spaces", obj.get("space"), where)
         value = element_from_json(obj.get("value", {}), where)
         for g in value:
             space.index(g)
         self.elements[name] = (space, value)
 
-    def _build_covers(self, name, obj):
-        where = f"covers.{name}"
+    def _build_covers(self, section, name, obj):
+        where = f"{section}.{name}"
         _check_fields(obj, ("opens", "nerve", "locals", "restrictions"), where)
         opens = obj.get("opens")
         nerve_raw = obj.get("nerve")
@@ -241,7 +267,7 @@ class FixtureDocument:
         locals_ = {}
         for key, ref in locals_raw.items():
             locals_[tuple(key.split(","))] = self._ref(
-                self.structures, ref, f"{where}.locals.{key}", "structure")
+                "structures", ref, f"{where}.locals.{key}")
         restrictions_raw = obj.get("restrictions", {})
         if not isinstance(restrictions_raw, dict):
             raise InputError(f"{where}: restrictions must be an object")
@@ -252,57 +278,26 @@ class FixtureDocument:
                     f"{where}.restrictions: key {key!r} must look like 'a->b'")
             a, b = key.split("->")
             restrictions[(tuple(a.split(",")), tuple(b.split(",")))] = self._ref(
-                self.morphisms, ref, f"{where}.restrictions.{key}", "morphism")
+                "morphisms", ref, f"{where}.restrictions.{key}")
         self.covers[name] = CoverDescription(opens, nerve, locals_,
                                              restrictions, label=name)
 
-    def _build_resolutions(self, name, obj):
-        where = f"resolutions.{name}"
-        if "cech_of" in obj:
-            _check_fields(obj, ("cech_of", "global", "restrictions"), where)
-            cover = self._ref(self.covers, obj.get("cech_of"), where, "cover")
-            base = self._ref(self.structures, obj.get("global"), where,
-                             "structure")
-            restrictions_raw = obj.get("restrictions", {})
-            if not isinstance(restrictions_raw, dict):
-                raise InputError(f"{where}: restrictions must be an object")
-            restrictions = {
-                open_: self._ref(self.morphisms, ref,
-                                 f"{where}.restrictions.{open_}", "morphism")
-                for open_, ref in restrictions_raw.items()}
-            self.resolutions[name] = build_cech_complex(
-                cover, base, restrictions, label=name)
+    def _build_resolutions(self, section, name, obj):
+        if not (isinstance(obj, dict) and "cech_of" in obj):
+            self._build(section, name, obj)
             return
-        _check_fields(obj, ("base", "augmented", "levels", "augmentation",
-                            "connecting"), where)
-        base = self._ref(self.structures, obj.get("base"), where, "structure")
-        augmented = self._ref(self.modules, obj.get("augmented"), where, "module")
-        levels = [self._ref(self.modules, ref, where, "module")
-                  for ref in obj.get("levels", [])]
-        augmentation = self._ref(self.module_morphisms, obj.get("augmentation"),
-                                 where, "module morphism")
-        connecting = [self._ref(self.module_morphisms, ref, where,
-                                "module morphism")
-                      for ref in obj.get("connecting", [])]
-        self.resolutions[name] = ResolutionDiagram(
-            base, augmented, levels, augmentation, connecting, label=name)
-
-    def _build_ladders(self, name, obj):
-        where = f"ladders.{name}"
-        _check_fields(obj, ("source", "target", "augmented_map", "level_maps"),
-                      where)
-        source = self._ref(self.resolutions, obj.get("source"), where,
-                           "resolution")
-        target = self._ref(self.resolutions, obj.get("target"), where,
-                           "resolution")
-        augmented_map = self._ref(self.module_morphisms,
-                                  obj.get("augmented_map"), where,
-                                  "module morphism")
-        level_maps = [self._ref(self.module_morphisms, ref, where,
-                                "module morphism")
-                      for ref in obj.get("level_maps", [])]
-        self.ladders[name] = ResolutionMorphism(
-            source, target, augmented_map, level_maps, label=name)
+        where = f"{section}.{name}"
+        _check_fields(obj, ("cech_of", "global", "restrictions"), where)
+        cover = self._ref("covers", obj.get("cech_of"), where)
+        base = self._ref("structures", obj.get("global"), where)
+        restrictions_raw = obj.get("restrictions", {})
+        if not isinstance(restrictions_raw, dict):
+            raise InputError(f"{where}: restrictions must be an object")
+        restrictions = {
+            open_: self._ref("morphisms", ref, f"{where}.restrictions.{open_}")
+            for open_, ref in restrictions_raw.items()}
+        self.resolutions[name] = build_cech_complex(
+            cover, base, restrictions, label=name)
 
 
 def load_document(text):
@@ -355,50 +350,48 @@ class FixtureWriter:
         self._section(section)[name] = payload_fn()
         return name
 
-    def add_space(self, space, hint):
-        return self._find_or_add("spaces", space, lambda: space_json(space),
-                                 hint, same=spaces_equal)
-
-    def add_structure(self, structure, hint):
-        space_name = self.add_space(structure.space, f"{hint}.space")
-        return self._find_or_add("structures", structure, lambda: {
-            "space": space_name,
-            "components": components_json(structure.components)}, hint)
-
-    def add_morphism(self, morphism, hint):
-        src = self.add_structure(morphism.source, f"{hint}.source")
-        tgt = self.add_structure(morphism.target, f"{hint}.target")
-        return self._find_or_add("morphisms", morphism, lambda: {
-            "source": src, "target": tgt,
-            "components": components_json(morphism.components)}, hint)
-
-    def add_module(self, module, hint):
-        base = self.add_structure(module.base, f"{hint}.base")
-        space = self.add_space(module.space, f"{hint}.mspace")
-        return self._find_or_add("modules", module, lambda: {
-            "base": base, "space": space,
-            "components": components_json(module.components, tensor_key)}, hint)
-
-    def add_module_morphism(self, mm, hint):
-        src = self.add_module(mm.source, f"{hint}.source")
-        tgt = self.add_module(mm.target, f"{hint}.target")
-        return self._find_or_add("module_morphisms", mm, lambda: {
-            "source": src, "target": tgt,
-            "components": components_json(mm.components, tensor_key)}, hint)
+    def add(self, obj, hint):
+        """Name obj in the SCHEMA section of its class (or in spaces), after
+        what it refers to.  Spaces and component tables are deduplicated by
+        value; a resolution or ladder name is used once.  Returns the name
+        the object is written under.
+        """
+        if isinstance(obj, GradedSpace):
+            return self._find_or_add("spaces", obj, lambda: space_json(obj),
+                                     hint, same=spaces_equal)
+        section = _SECTION_OF.get(type(obj))
+        if section is None:
+            raise TypeError(f"no fixture section for {type(obj).__name__}")
+        _, codec, refs = SCHEMA[section]
+        payload = {}
+        for field, _, suffix, many in refs:
+            value = getattr(obj, field)
+            payload[field] = ([self.add(v, f"{hint}.{suffix}{i}")
+                               for i, v in enumerate(value)] if many
+                              else self.add(value, f"{hint}.{suffix}"))
+        if codec:
+            return self._find_or_add(section, obj, lambda: {
+                **payload,
+                "components": components_json(obj.components, codec[1])}, hint)
+        part = self._section(section)
+        if hint in part:
+            raise InputError(f"{_kind(section)} name {hint!r} already used")
+        part[hint] = payload
+        return hint
 
     def add_element(self, space, value, hint):
-        space_name = self.add_space(space, f"{hint}.space")
+        space_name = self.add(space, f"{hint}.space")
         name = self._fresh_name("elements", hint)
         self._section("elements")[name] = {"space": space_name,
                                            "value": element_json(value)}
         return name
 
     def add_cover(self, cover, hint):
-        locals_ = {tuple_slot(a): self.add_structure(
+        locals_ = {tuple_slot(a): self.add(
             cover.local_structures[a], f"{hint}.{tuple_slot(a)}")
             for a in cover.nerve}
         restrictions = {
-            f"{tuple_slot(a)}->{tuple_slot(b)}": self.add_morphism(
+            f"{tuple_slot(a)}->{tuple_slot(b)}": self.add(
                 r, f"{hint}.r.{tuple_slot(a)}.{tuple_slot(b)}")
             for (a, b), r in sorted(cover.restrictions.items())}
         section = self._section("covers")
@@ -409,45 +402,6 @@ class FixtureWriter:
             "nerve": [list(a) for a in cover.nerve],
             "locals": locals_,
             "restrictions": restrictions,
-        }
-        return hint
-
-    def add_resolution(self, diagram, hint):
-        base = self.add_structure(diagram.base, f"{hint}.base")
-        augmented = self.add_module(diagram.augmented, f"{hint}.aug")
-        levels = [self.add_module(m, f"{hint}.level{i}")
-                  for i, m in enumerate(diagram.levels)]
-        augmentation = self.add_module_morphism(diagram.augmentation,
-                                                f"{hint}.F")
-        connecting = [self.add_module_morphism(d, f"{hint}.d{i}")
-                      for i, d in enumerate(diagram.connecting)]
-        section = self._section("resolutions")
-        if hint in section:
-            raise InputError(f"resolution name {hint!r} already used")
-        section[hint] = {
-            "base": base,
-            "augmented": augmented,
-            "levels": levels,
-            "augmentation": augmentation,
-            "connecting": connecting,
-        }
-        return hint
-
-    def add_ladder(self, ladder, hint):
-        source = self.add_resolution(ladder.source, f"{hint}.src")
-        target = self.add_resolution(ladder.target, f"{hint}.tgt")
-        augmented_map = self.add_module_morphism(ladder.augmented_map,
-                                                 f"{hint}.u")
-        level_maps = [self.add_module_morphism(u, f"{hint}.u{i}")
-                      for i, u in enumerate(ladder.level_maps)]
-        section = self._section("ladders")
-        if hint in section:
-            raise InputError(f"ladder name {hint!r} already used")
-        section[hint] = {
-            "source": source,
-            "target": target,
-            "augmented_map": augmented_map,
-            "level_maps": level_maps,
         }
         return hint
 

@@ -56,9 +56,9 @@ from .homology import (
 VERIFY_ARITY = 4
 
 
-def default_cap(space, floor=VERIFY_ARITY):
+def default_cap(space):
     """Materialization cap: verification arity, or N-1 when that is larger."""
-    return max(floor, space.nilpotency_order - 1)
+    return max(VERIFY_ARITY, space.nilpotency_order - 1)
 
 
 class LInftyStructure(ComponentTable):
@@ -296,8 +296,8 @@ def compose(outer, inner, max_arity=None):
     """
     if not spaces_equal(inner.target.space, outer.source.space):
         raise InputError("composition endpoints do not match")
-    cap = max_arity or max(default_cap(inner.source.space),
-                           inner.max_arity, outer.max_arity)
+    cap = max_arity if max_arity is not None else max(
+        default_cap(inner.source.space), inner.max_arity, outer.max_arity)
     comps = {}
     for word in inner.source.space.enumerate_words(cap, min_arity=1):
         image = morphism_apply(outer, morphism_apply(inner, {word: ONE}))
@@ -334,7 +334,8 @@ def invert(morphism, max_arity=None):
             inverse_map[t] = {s: coords[i] for i, s in enumerate(s_names) if coords[i]}
     strict_inverse = strict_morphism(tgt, src, inverse_map)
 
-    cap = max_arity or max(default_cap(src.space), morphism.max_arity)
+    cap = max_arity if max_arity is not None else max(
+        default_cap(src.space), morphism.max_arity)
     tangent = compose(strict_inverse, morphism, max_arity=cap)
 
     comps = {}
@@ -366,7 +367,8 @@ def conjugate(structure, components, target_space=None, max_arity=None):
     tspace = target_space or structure.space
     placeholder = LInftyStructure(tspace, {})
     phi = LInftyMorphism(structure, placeholder, components)
-    cap = max_arity or max(default_cap(structure.space), phi.max_arity)
+    cap = max_arity if max_arity is not None else max(
+        default_cap(structure.space), phi.max_arity)
     inverse = invert(phi, max_arity=cap)
     comps = {}
     for word in tspace.enumerate_words(cap):

@@ -1,5 +1,6 @@
 """Fixture document round-trips, input diagnostics, CLI exit codes."""
 
+import copy
 import json
 import os
 import subprocess
@@ -20,9 +21,20 @@ from linfty.io import (
     word_key,
 )
 from linfty import cli
-from linfty.fixtures import cech_fixb_ladder, fix_b, fix_c_cover, fix_c_diagram
-from linfty.resolutions import check_resolution
-from linfty.structures import strict_morphism
+from linfty.homology import Matrix
+from linfty.fixtures import (
+    REGISTRY,
+    fix_b,
+    fix_c_cover,
+    fix_c_diagram,
+    morphism_t,
+)
+from linfty.resolutions import (
+    ResolutionDiagram,
+    ResolutionMorphism,
+    check_resolution,
+)
+from linfty.structures import LInftyMorphism, LInftyStructure, strict_morphism
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -107,6 +119,58 @@ def test_dangling_references_are_named():
         load_document(doc_text(raw))
 
 
+# Reference fields of each section, and whether the field holds a list.
+REFERENCES = {
+    "structures": {"space": False},
+    "morphisms": {"source": False, "target": False},
+    "modules": {"base": False, "space": False},
+    "module_morphisms": {"source": False, "target": False},
+    "elements": {"space": False},
+    "resolutions": {"base": False, "augmented": False, "levels": True,
+                    "augmentation": False, "connecting": True},
+    "ladders": {"source": False, "target": False, "augmented_map": False,
+                "level_maps": True},
+}
+
+
+def malformed_references(raw):
+    """Copies of raw with one reference, or one whole list field, swapped
+    for a list and then for a number."""
+    for section, fields in REFERENCES.items():
+        for name, obj in raw.get(section, {}).items():
+            for field, many in fields.items():
+                slots = [None] + (list(range(len(obj[field]))) if many else [])
+                for slot in slots:
+                    for bad in (["x"], 3):
+                        doc = copy.deepcopy(raw)
+                        holder, key = doc[section][name], field
+                        if slot is not None:
+                            holder, key = holder[field], slot
+                        holder[key] = bad
+                        yield doc
+
+
+def test_malformed_references_are_input_errors():
+    probes = 0
+    for path in sorted(FIXTURES.glob("*.json")):
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        for doc in malformed_references(raw):
+            probes += 1
+            with pytest.raises(InputError):
+                load_document(doc_text(doc))
+    assert probes > 200
+
+
+def test_a_malformed_reference_exits_2(tmp_path, capsys):
+    raw = json.loads((FIXTURES / "fix_b_pair.json").read_text(encoding="utf-8"))
+    raw["morphisms"]["t"]["source"] = ["fix_b"]
+    path = tmp_path / "bad.json"
+    path.write_text(doc_text(raw), encoding="utf-8")
+    code, _, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert "morphisms.t: no structure named ['fix_b']" in err
+
+
 def test_unknown_fields_and_sections_are_rejected():
     raw = json.loads(doc_text(MINIMAL))
     raw["structures"]["q"]["extra"] = 1
@@ -136,22 +200,37 @@ def test_word_and_tensor_keys():
         tensor_from_key("x|c", "t")
 
 
-def test_writer_round_trips_a_full_ladder():
-    ladder = cech_fixb_ladder()
+SECTION_OF = {LInftyStructure: "structures", LInftyMorphism: "morphisms",
+              ResolutionDiagram: "resolutions", ResolutionMorphism: "ladders"}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY) + ["t"])
+def test_writer_round_trips_every_builder(name):
+    obj = REGISTRY[name]() if name in REGISTRY else morphism_t()
     writer = FixtureWriter()
-    writer.add_ladder(ladder, "lad")
+    assert writer.add(obj, name) == name
     doc = load_document(serialize_document(writer.raw))
-    loaded = doc.ladders["lad"]
-    assert loaded.source == ladder.source
-    assert loaded.target == ladder.target
-    assert loaded.augmented_map == ladder.augmented_map
-    assert loaded.level_maps == ladder.level_maps
+    loaded = getattr(doc, SECTION_OF[type(obj)])[name]
+    if isinstance(obj, ResolutionMorphism):
+        assert (loaded.source, loaded.target) == (obj.source, obj.target)
+        assert loaded.verticals() == obj.verticals()
+    else:
+        assert loaded == obj
+
+
+def test_writer_names_a_resolution_once_and_rejects_unknown_objects():
+    writer = FixtureWriter()
+    writer.add(fix_c_diagram(), "r")
+    with pytest.raises(InputError, match="resolution name 'r' already used"):
+        writer.add(fix_c_diagram(), "r")
+    with pytest.raises(TypeError, match="no fixture section for Matrix"):
+        writer.add(Matrix(1, 1), "m")
 
 
 def test_writer_deduplicates_equal_spaces_and_structures():
     writer = FixtureWriter()
-    a = writer.add_structure(fix_b(), "one")
-    b = writer.add_structure(fix_b(), "two")
+    a = writer.add(fix_b(), "one")
+    b = writer.add(fix_b(), "two")
     assert a == b == "one"
     assert list(writer.raw["spaces"]) == ["one.space"]
 
@@ -161,9 +240,9 @@ def test_cech_of_resolution_loads_from_a_written_cover():
     writer = FixtureWriter()
     writer.add_cover(cover, "cov")
     expected = fix_c_diagram()
-    base = writer.add_structure(expected.base, "global")
+    base = writer.add(expected.base, "global")
     restrictions = {
-        name: writer.add_morphism(strict_morphism(
+        name: writer.add(strict_morphism(
             expected.base, cover.local_structures[(name,)], {"f": {"f": ONE}}),
             f"r.{name}")
         for name in cover.opens}
@@ -204,13 +283,28 @@ def test_cli_validate_flags_the_broken_bracket(capsys):
     assert "square to zero" in out
 
 
-def test_cli_negative_max_arity_exits_2(capsys):
-    # an empty sweep must not report the broken bracket as a pass
-    code, out, err = run_cli(
-        ["validate", str(FIXTURES / "jacobi_violation.json"),
-         "--max-arity", "-1"], capsys)
+NEGATIVE_CAP_RUNS = {
+    "validate": ["jacobi_violation.json"],
+    "mc": ["fix_b.json", "--element", "x"],
+    "twist": ["fix_b.json", "--element", "x"],
+    "cohomology": ["fix_a.json"],
+    "twist-identities": ["fix_b_pair.json", "--structure", "fix_b",
+                         "--element", "x", "--second-element", "2x"],
+    "module-consistency": ["fix_b_pair.json", "--element", "x"],
+    "resolution-check": ["fix_c.json"],
+    "adapted-mc": ["cech_fixb.json", "--element", "x"],
+    "prop-key": ["cech_fixb_ladder.json", "--mc", "x"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_rejects_a_negative_max_arity(command, capsys):
+    # an empty sweep must not report, say, the broken bracket as a pass
+    fixture, *flags = NEGATIVE_CAP_RUNS[command]
+    code, out, err = run_cli([command, str(FIXTURES / fixture), *flags,
+                              "--max-arity", "-1"], capsys)
     assert code == 2
-    assert "validate: pass" not in out
+    assert out == ""
     assert "max_arity must be nonnegative" in err
 
 

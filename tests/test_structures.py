@@ -29,6 +29,7 @@ from linfty.structures import (
     morphism_apply,
     strict_morphism,
 )
+from linfty.fixtures import morphism_t
 
 
 # -- oracles -------------------------------------------------------------------
@@ -347,6 +348,15 @@ def test_compose_with_identity_and_strictness():
     ident = identity_morphism(s)
     assert compose(ident, ident) == ident
     assert ident.is_strict()
+
+
+def test_an_explicit_zero_cap_materializes_no_components():
+    # max_arity=0 is a cap, not a request for the default
+    t = morphism_t()
+    assert compose(t, identity_morphism(t.source), max_arity=0).components == {}
+    assert invert(t, max_arity=0).components == {}
+    transported, _ = conjugate(t.source, t.components, max_arity=0)
+    assert set(transported.components) <= {0}
 
 
 def test_invert_strict_diagonal():
