@@ -3,14 +3,20 @@
 
 Prints one line per invocation and exits nonzero when any run disagrees
 with the expected code.  Negative fixtures are expected to exit 1; that
-counts as agreement.
+counts as agreement only when stderr holds no Python crash report (a
+traceback, or the note that the module could not be found), since a crash
+exits 1 too.  The runs import linfty from this checkout's src/ first.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+CRASH_MARKERS = ("Traceback (most recent call last)",
+                 "Error while finding module specification")
 
 RUNS = [
     (["validate", "fix_a.json"], 0),
@@ -41,13 +47,22 @@ RUNS = [
 ]
 
 
+def agrees(proc, expected):
+    """The expected exit code, reached without a crash."""
+    return proc.returncode == expected and not any(
+        marker in proc.stderr for marker in CRASH_MARKERS)
+
+
 def main():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     bad = 0
     for args, expected in RUNS:
         argv = [sys.executable, "-m", "linfty.cli", args[0],
                 str(FIXTURES / args[1])] + args[2:]
-        proc = subprocess.run(argv, capture_output=True, text=True)
-        agree = proc.returncode == expected
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        agree = agrees(proc, expected)
         mark = "ok " if agree else "BAD"
         print(f"{mark} exit={proc.returncode} expected={expected}  "
               + " ".join(args))

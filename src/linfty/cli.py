@@ -29,7 +29,6 @@ from fractions import Fraction
 
 from .graded import InputError, MathCheckError, el_scale
 from .structures import (
-    VERIFY_ARITY,
     chain_complex,
     check_morphism,
     check_square_zero,
@@ -89,22 +88,23 @@ def _pick(table, chosen, kind):
         f"--{kind.replace(' ', '-')}")
 
 
-def _element_on(doc, name, space, flag):
+def _named_element(doc, name, flag):
+    """(space, value) of the element named by a flag."""
     if name is None:
         raise InputError(f"this command needs {flag} <name>")
     if name not in doc.elements:
         raise InputError(
             f"no element named {name!r} (have {sorted(doc.elements)})")
-    espace, value = doc.elements[name]
+    return doc.elements[name]
+
+
+def _element_on(doc, name, space, flag):
+    espace, value = _named_element(doc, name, flag)
     if not spaces_equal(espace, space):
         raise InputError(
             f"element {name!r} lives on a different space than the "
             f"selected object")
     return value
-
-
-def _square_zero_cap(args):
-    return args.max_arity if args.max_arity is not None else VERIFY_ARITY
 
 
 def _collect(results, failures, key, check):
@@ -117,15 +117,14 @@ def _collect(results, failures, key, check):
 
 
 def cmd_validate(doc, args):
-    cap = _square_zero_cap(args)
     results = {}
     failures = []
     for name, s in doc.structures.items():
         _collect(results, failures, f"structures.{name}",
-                 lambda s=s: check_square_zero(s, max_arity=cap))
+                 lambda s=s: check_square_zero(s, max_arity=args.max_arity))
     for name, f in doc.morphisms.items():
         _collect(results, failures, f"morphisms.{name}",
-                 lambda f=f: check_morphism(f, max_arity=cap))
+                 lambda f=f: check_morphism(f, max_arity=args.max_arity))
     for name, m in doc.modules.items():
         _collect(results, failures, f"modules.{name}",
                  lambda m=m: check_module_square_zero(m, max_arity=args.max_arity))
@@ -140,7 +139,7 @@ def cmd_validate(doc, args):
 
 def cmd_mc(doc, args):
     name, structure = _pick(doc.structures, args.structure, "structure")
-    check_square_zero(structure, max_arity=_square_zero_cap(args))
+    check_square_zero(structure, max_arity=args.max_arity)
     pi = _element_on(doc, args.element, structure.space, "--element")
     residual = maurer_cartan_series(structure, pi)
     ok = mc_check(structure, pi)
@@ -163,7 +162,7 @@ def cmd_mc(doc, args):
 
 def cmd_twist(doc, args):
     name, structure = _pick(doc.structures, args.structure, "structure")
-    check_square_zero(structure, max_arity=_square_zero_cap(args))
+    check_square_zero(structure, max_arity=args.max_arity)
     pi = _element_on(doc, args.element, structure.space, "--element")
     twisted = twist_structure(structure, pi)
     writer = FixtureWriter()
@@ -175,7 +174,7 @@ def cmd_twist(doc, args):
 
 def cmd_cohomology(doc, args):
     name, structure = _pick(doc.structures, args.structure, "structure")
-    check_square_zero(structure, max_arity=_square_zero_cap(args))
+    check_square_zero(structure, max_arity=args.max_arity)
     cc = chain_complex(structure)
     betti = {d: cc.cohomology(d)[0] for d in cc.degrees()}
     report = {"structure": name, "betti": betti}
@@ -201,7 +200,7 @@ def _random_identity_suite(seed):
 
 def cmd_twist_identities(doc, args):
     name, structure = _pick(doc.structures, args.structure, "structure")
-    check_square_zero(structure, max_arity=_square_zero_cap(args))
+    check_square_zero(structure, max_arity=args.max_arity)
     pi = _element_on(doc, args.element, structure.space, "--element")
     second = _element_on(doc, args.second_element, structure.space,
                          "--second-element")
@@ -228,22 +227,13 @@ def cmd_twist_identities(doc, args):
 def cmd_module_consistency(doc, args):
     if not doc.morphisms:
         raise InputError("fixture declares no morphisms to check")
-    checks = {}
-    used = False
     pi_name = args.element
-    for fname, f in sorted(doc.morphisms.items()):
-        if pi_name is None:
-            raise InputError("this command needs --element <name>")
-        if pi_name not in doc.elements:
-            raise InputError(
-                f"no element named {pi_name!r} (have {sorted(doc.elements)})")
-        espace, pi = doc.elements[pi_name]
-        if not spaces_equal(espace, f.source.space):
-            continue
-        used = True
-        checks[fname] = check_module_twist_consistency(
-            f, pi, max_arity=args.max_arity)
-    if not used:
+    espace, pi = _named_element(doc, pi_name, "--element")
+    checks = {fname: check_module_twist_consistency(
+                  f, pi, max_arity=args.max_arity)
+              for fname, f in sorted(doc.morphisms.items())
+              if spaces_equal(espace, f.source.space)}
+    if not checks:
         raise InputError(
             f"element {pi_name!r} matches no morphism source in the fixture")
     report = {"element": pi_name, "morphisms": checks}

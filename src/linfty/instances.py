@@ -236,8 +236,8 @@ def two_chart_ladder(structure, transports, label=""):
     transports maps each chart tuple to a strict map out of the structure.
     The source is two_chart_diagram(structure), the target is
     two_chart_diagram(structure, transports), the level maps come from the
-    fiberwise triangle construction with the transports as fibers, and the
-    augmented map is the identity.
+    fiberwise triangle construction with the transports as fibers, between
+    the diagrams' own level modules, and the augmented map is the identity.
     """
     src = two_chart_diagram(structure, label=f"{label}.src")
     tgt = two_chart_diagram(structure, transports, label=f"{label}.tgt")
@@ -252,7 +252,8 @@ def two_chart_ladder(structure, transports, label=""):
                                   {tuple_slot(a): transports[a] for a in level})
         inner = product_morphism(src_product, {
             tuple_slot(a): identity_morphism(structure) for a in level})
-        verticals.append(module_morphism_from_triangle(fiber, inner))
+        verticals.append(module_morphism_from_triangle(
+            fiber, inner, src.levels[k], tgt.levels[k]))
     return ResolutionMorphism(
         src, tgt,
         identity_module_morphism(src.augmented),

@@ -260,6 +260,12 @@ class FixtureDocument:
         nerve_raw = obj.get("nerve")
         if not isinstance(opens, list) or not isinstance(nerve_raw, list):
             raise InputError(f"{where}: opens and nerve must be lists")
+        if not all(isinstance(o, str) for o in opens):
+            raise InputError(f"{where}: every open must be a name string")
+        if not all(isinstance(a, list) and all(isinstance(o, str) for o in a)
+                   for a in nerve_raw):
+            raise InputError(
+                f"{where}: every nerve entry must be a list of open names")
         nerve = [tuple(a) for a in nerve_raw]
         locals_raw = obj.get("locals", {})
         if not isinstance(locals_raw, dict):

@@ -39,7 +39,6 @@ from .graded import (
 )
 from .structures import (
     coderivation_apply,
-    compose,
     morphism_apply,
     spaces_equal,
     default_cap,
@@ -129,11 +128,10 @@ def module_apply(module, tensor_elt):
 
 def check_module_square_zero(module, max_arity=None):
     """phi o phi = 0 on surviving tensors up to the verification arity."""
-    if max_arity is None:
-        max_arity = default_cap(module.base.space)
     base_space = module.base.space
+    cap = default_cap(base_space, max_arity=max_arity)
     for word, mgen in surviving_tensors(
-            base_space, module.space, base_space.enumerate_words(max_arity)):
+            base_space, module.space, base_space.enumerate_words(cap)):
         once = module_apply(module, {(word, mgen): ONE})
         twice = module_apply(module, once)
         if twice:
@@ -185,18 +183,18 @@ def from_dg_module(base, module_generators, differential, action, label=""):
     return LInftyModule(base, space, {0: comp0, 1: comp1}, label=label)
 
 
-def module_from_morphism(morphism, max_arity=None, label=""):
+def module_from_morphism(morphism, max_arity=None):
     """The target of a morphism as a module over the source.
 
     Components phi_k(w tensor m) = pr(Q_target(F(w) v m)), the arity-one part
     of the target coderivation applied to the image word joined with m.
     """
-    cap = max_arity if max_arity is not None else max(
-        default_cap(morphism.source.space), morphism.max_arity)
+    cap = default_cap(morphism.source.space, morphism.max_arity,
+                      max_arity=max_arity)
     target = morphism.target
     comps = _joined_components(
         morphism, cap, lambda joined: coderivation_apply(target, joined))
-    return LInftyModule(morphism.source, target.space, comps, label=label)
+    return LInftyModule(morphism.source, target.space, comps)
 
 
 def _joined_components(morphism, cap, apply):
@@ -248,11 +246,10 @@ def module_morphism_apply(mm, tensor_elt):
 
 def check_module_morphism(mm, max_arity=None):
     """F phi = phi F on surviving tensors up to the verification arity."""
-    if max_arity is None:
-        max_arity = default_cap(mm.source.base.space)
     base_space = mm.source.base.space
+    cap = default_cap(base_space, max_arity=max_arity)
     for word, mgen in surviving_tensors(
-            base_space, mm.source.space, base_space.enumerate_words(max_arity)):
+            base_space, mm.source.space, base_space.enumerate_words(cap)):
         start = {(word, mgen): ONE}
         lhs = module_morphism_apply(mm, module_apply(mm.source, start))
         rhs = module_apply(mm.target, module_morphism_apply(mm, start))
@@ -263,13 +260,12 @@ def check_module_morphism(mm, max_arity=None):
     return True
 
 
-def compose_module_morphisms(outer, inner, max_arity=None):
+def compose_module_morphisms(outer, inner):
     """Composite module morphism, components from the unit-word slot."""
     if not spaces_equal(inner.target.space, outer.source.space):
         raise InputError("module morphism composition endpoints do not match")
     base_space = inner.source.base.space
-    cap = max_arity if max_arity is not None else max(
-        default_cap(base_space), inner.max_arity + outer.max_arity)
+    cap = default_cap(base_space, inner.max_arity + outer.max_arity)
     comps = {}
     for word, mgen in surviving_tensors(
             base_space, inner.source.space, base_space.enumerate_words(cap)):
@@ -286,12 +282,12 @@ def identity_module_morphism(module):
     return ModuleMorphism(module, module, {0: comp0})
 
 
-def module_morphism_from_triangle(outer, inner, max_arity=None, label=""):
+def module_morphism_from_triangle(outer, inner, source, target):
     """Module morphism induced by a factorization through a middle structure.
 
     inner: base -> middle and outer: middle -> end are structure morphisms.
-    The middle and the end are modules over the base through inner and
-    through outer o inner; the map between them has components
+    The caller passes their modules: source of inner, target of outer o inner
+    (only bases and spaces are checked here).  The map has components
 
         F_k(w tensor m) = pr(outer(inner(w) v m)),
 
@@ -299,14 +295,14 @@ def module_morphism_from_triangle(outer, inner, max_arity=None, label=""):
     """
     if not spaces_equal(inner.target.space, outer.source.space):
         raise InputError("triangle does not compose")
-    cap = max_arity if max_arity is not None else max(
-        default_cap(inner.source.space), inner.max_arity, outer.max_arity)
-    source_module = module_from_morphism(inner, max_arity=cap)
-    target_module = module_from_morphism(
-        compose(outer, inner, max_arity=cap), max_arity=cap)
+    if source.base != inner.source \
+            or not spaces_equal(source.space, inner.target.space) \
+            or not spaces_equal(target.space, outer.target.space):
+        raise InputError("triangle endpoints are not the modules of its maps")
+    cap = default_cap(inner.source.space, inner.max_arity, outer.max_arity)
     comps = _joined_components(
         inner, cap, lambda joined: morphism_apply(outer, joined))
-    return ModuleMorphism(source_module, target_module, comps, label=label)
+    return ModuleMorphism(source, target, comps)
 
 
 def twist_module(module, pi):
@@ -331,8 +327,8 @@ def check_module_twist_consistency(morphism, pi, max_arity=None):
     target only through the base wiring, so components are compared on the
     shared tables and the bases through structure equality.
     """
-    cap = max_arity if max_arity is not None else max(
-        default_cap(morphism.source.space), morphism.max_arity)
+    cap = default_cap(morphism.source.space, morphism.max_arity,
+                      max_arity=max_arity)
     route_a = twist_module(module_from_morphism(morphism, max_arity=cap), pi)
     route_b = module_from_morphism(twist_morphism(morphism, pi), max_arity=cap)
     if route_a != route_b:

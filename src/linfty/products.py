@@ -317,16 +317,16 @@ def tuple_slot(a):
     return ",".join(a)
 
 
-def build_cech_complex(cover, global_structure, global_restrictions,
-                       max_arity=None, label=""):
+def build_cech_complex(cover, global_structure, global_restrictions, label=""):
     """Resolution diagram of the cover's alternating-sum differential.
 
     global_restrictions maps each open to a morphism from the global
     structure to that chart's local structure.  The induced maps to deeper
-    overlaps must agree along every route; each level becomes a module over
-    the global structure through the assembled restriction morphism, and
-    the connecting maps are checked to be module morphisms squaring to
-    zero and killing the augmentation.
+    overlaps must agree along every route.  The augmented module is the
+    module of the identity, level k the module of the assembled restriction
+    morphism r_k, each built once; the augmentation is the triangle
+    r_0 o identity onto those two.  The connecting maps are checked to be
+    module morphisms squaring to zero and killing the augmentation.
     """
     if sorted(global_restrictions) != sorted(cover.opens):
         raise InputError("need exactly one global restriction per open")
@@ -336,7 +336,7 @@ def build_cech_complex(cover, global_structure, global_restrictions,
         if r.source != global_structure:
             raise InputError(f"global restriction at {name!r} has wrong source")
         check_morphism(r)
-    for pair, r in cover.restrictions.items():
+    for r in cover.restrictions.values():
         check_morphism(r)
     total = {}
     for a in cover.nerve:
@@ -352,25 +352,20 @@ def build_cech_complex(cover, global_structure, global_restrictions,
                     f"through {a[0]!r} and {x!r}")
         total[a] = routes[0]
 
-    products = []
     assembled_restrictions = []
     for k in range(cover.depth()):
         tuples = cover.level(k)
         product = ProductStructure(
             {tuple_slot(a): cover.local_structures[a] for a in tuples})
         family = {tuple_slot(a): total[a] for a in tuples}
-        products.append(product)
         assembled_restrictions.append(
             product_morphism(product, family, label=f"cech.{k}"))
 
+    identity = identity_morphism(global_structure)
+    augmented = module_from_morphism(identity)
+    levels = [module_from_morphism(r) for r in assembled_restrictions]
     augmentation = module_morphism_from_triangle(
-        assembled_restrictions[0], identity_morphism(global_structure),
-        max_arity=max_arity)
-    augmented = augmentation.source
-    levels = [augmentation.target]
-    for k in range(1, cover.depth()):
-        levels.append(module_from_morphism(assembled_restrictions[k],
-                                           max_arity=max_arity))
+        assembled_restrictions[0], identity, augmented, levels[0])
 
     connecting = []
     for k in range(cover.depth() - 1):
@@ -399,10 +394,10 @@ def build_cech_complex(cover, global_structure, global_restrictions,
     diagram = ResolutionDiagram(global_structure, augmented, levels,
                                 augmentation, connecting, label=label)
 
-    for k, module in enumerate(levels):
-        check_module_square_zero(module, max_arity=max_arity)
-    for k, d in enumerate(connecting):
-        check_module_morphism(d, max_arity=max_arity)
+    for module in levels:
+        check_module_square_zero(module)
+    for d in connecting:
+        check_module_morphism(d)
     maps = diagram.maps()
     for p in range(len(maps) - 1):
         if not _is_zero_module_morphism(

@@ -20,8 +20,10 @@ separately, so ill-formed examples can be built and probed.
 Components at arities beyond a materialization cap are not representable;
 derived objects (composites, inverses, conjugates) are materialized up to an
 explicit cap that callers must choose at least as large as any arity they
-later inspect.  The default cap covers the verification arity and every word
-that survives truncation when all generators sit in positive filtration.
+later inspect.  default_cap is the one rule for a cap the caller leaves open,
+in materialization and checks alike: it covers the verification arity, the
+arities of the maps involved and every word that survives truncation when
+all generators sit in positive filtration.
 """
 
 from fractions import Fraction
@@ -56,9 +58,11 @@ from .homology import (
 VERIFY_ARITY = 4
 
 
-def default_cap(space):
-    """Materialization cap: verification arity, or N-1 when that is larger."""
-    return max(VERIFY_ARITY, space.nilpotency_order - 1)
+def default_cap(space, *arities, max_arity=None):
+    """The caller's cap when given, else max(VERIFY_ARITY, N-1, *arities)."""
+    if max_arity is not None:
+        return max_arity
+    return max(VERIFY_ARITY, space.nilpotency_order - 1, *arities)
 
 
 class LInftyStructure(ComponentTable):
@@ -102,9 +106,10 @@ def coderivation_apply(structure, coelt):
     return co_canon(space, out)
 
 
-def check_square_zero(structure, max_arity=VERIFY_ARITY):
-    """Q o Q = 0 on every surviving word up to max_arity; witness on failure."""
-    for word in structure.space.enumerate_words(max_arity):
+def check_square_zero(structure, max_arity=None):
+    """Q o Q = 0 on every surviving word up to the cap; witness on failure."""
+    space = structure.space
+    for word in space.enumerate_words(default_cap(space, max_arity=max_arity)):
         once = coderivation_apply(structure, {word: ONE})
         twice = coderivation_apply(structure, once)
         if twice:
@@ -262,9 +267,10 @@ def morphism_apply(morphism, coelt):
     return co_canon(tgt, out)
 
 
-def check_morphism(morphism, max_arity=VERIFY_ARITY):
-    """F Q = Q F on every surviving word up to max_arity; witness on failure."""
-    for word in morphism.source.space.enumerate_words(max_arity):
+def check_morphism(morphism, max_arity=None):
+    """F Q = Q F on every surviving word up to the cap; witness on failure."""
+    space = morphism.source.space
+    for word in space.enumerate_words(default_cap(space, max_arity=max_arity)):
         lhs = morphism_apply(morphism, coderivation_apply(morphism.source, {word: ONE}))
         rhs = coderivation_apply(morphism.target, morphism_apply(morphism, {word: ONE}))
         if lhs != rhs:
@@ -296,8 +302,8 @@ def compose(outer, inner, max_arity=None):
     """
     if not spaces_equal(inner.target.space, outer.source.space):
         raise InputError("composition endpoints do not match")
-    cap = max_arity if max_arity is not None else max(
-        default_cap(inner.source.space), inner.max_arity, outer.max_arity)
+    cap = default_cap(inner.source.space, inner.max_arity, outer.max_arity,
+                      max_arity=max_arity)
     comps = {}
     for word in inner.source.space.enumerate_words(cap, min_arity=1):
         image = morphism_apply(outer, morphism_apply(inner, {word: ONE}))
@@ -334,8 +340,7 @@ def invert(morphism, max_arity=None):
             inverse_map[t] = {s: coords[i] for i, s in enumerate(s_names) if coords[i]}
     strict_inverse = strict_morphism(tgt, src, inverse_map)
 
-    cap = max_arity if max_arity is not None else max(
-        default_cap(src.space), morphism.max_arity)
+    cap = default_cap(src.space, morphism.max_arity, max_arity=max_arity)
     tangent = compose(strict_inverse, morphism, max_arity=cap)
 
     comps = {}
@@ -367,8 +372,7 @@ def conjugate(structure, components, target_space=None, max_arity=None):
     tspace = target_space or structure.space
     placeholder = LInftyStructure(tspace, {})
     phi = LInftyMorphism(structure, placeholder, components)
-    cap = max_arity if max_arity is not None else max(
-        default_cap(structure.space), phi.max_arity)
+    cap = default_cap(structure.space, phi.max_arity, max_arity=max_arity)
     inverse = invert(phi, max_arity=cap)
     comps = {}
     for word in tspace.enumerate_words(cap):

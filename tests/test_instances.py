@@ -1,9 +1,12 @@
 """Matrix-unit instance generators: frozen small cases and seeded sweeps."""
 
 from fractions import Fraction
+import sys
 
 import pytest
 
+from linfty import modules, structures
+from linfty.fixtures import cech_fixb_ladder
 from linfty.graded import ONE
 from linfty.structures import check_morphism, check_square_zero, compose, invert
 from linfty.twisting import mc_check, twist_structure
@@ -96,3 +99,36 @@ def test_random_ladders_satisfy_the_criterion():
         report = prop_key_pipeline(ladder, pi)
         assert report["verdict"] == "quasi-isomorphism"
         assert report["routes_agree"] and report["isomorphism"]
+
+
+# -- each module of a ladder is built once ----------------------------------------
+
+def test_ladder_verticals_are_the_diagrams_own_levels():
+    for ladder in (cech_fixb_ladder(), random_ladder(0)[0]):
+        for k, u in enumerate(ladder.level_maps):
+            assert u.source is ladder.source.levels[k]
+            assert u.target is ladder.target.levels[k]
+
+
+def count_calls(monkeypatch, function):
+    """Calls of a function, counted through every linfty module binding it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "linfty" and \
+                getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
+
+
+def test_a_ladder_builds_each_module_once(monkeypatch):
+    made = count_calls(monkeypatch, modules.module_from_morphism)
+    composed = count_calls(monkeypatch, structures.compose)
+    cech_fixb_ladder()
+    # the augmented module and two levels per diagram, nothing rebuilt
+    assert len(made) == 6
+    assert len(composed) == 16

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import load_script
-from linfty.graded import InputError, ONE
+from linfty.graded import GradedSpace, InputError, ONE
 from linfty.io import (
     FixtureWriter,
     load_document,
@@ -235,7 +235,8 @@ def test_writer_deduplicates_equal_spaces_and_structures():
     assert list(writer.raw["spaces"]) == ["one.space"]
 
 
-def test_cech_of_resolution_loads_from_a_written_cover():
+def written_cech_document():
+    """A covers + cech_of document for fix_c_diagram(), and that diagram."""
     cover = fix_c_cover()
     writer = FixtureWriter()
     writer.add_cover(cover, "cov")
@@ -248,11 +249,43 @@ def test_cech_of_resolution_loads_from_a_written_cover():
         for name in cover.opens}
     writer.raw["resolutions"] = {"fix_c": {
         "cech_of": "cov", "global": base, "restrictions": restrictions}}
-    doc = load_document(serialize_document(writer.raw))
+    return writer.raw, expected
+
+
+def test_cech_of_resolution_loads_from_a_written_cover():
+    raw, expected = written_cech_document()
+    doc = load_document(serialize_document(raw))
     assert sorted(doc.covers) == ["cov"]
     loaded = doc.resolutions["fix_c"]
     assert loaded == expected
     assert check_resolution(loaded)["ok"]
+
+
+def malformed_covers(raw):
+    """Copies of raw with one opens or nerve entry swapped for a list, an
+    object, a number and a bare string; a nerve entry's bare string runs
+    its names together, which was once read as its characters."""
+    for field in ("opens", "nerve"):
+        for slot, entry in enumerate(raw["covers"]["cov"][field]):
+            bare = "x" if field == "opens" else "".join(entry)
+            for bad in (["x"], {}, 3, bare):
+                doc = copy.deepcopy(raw)
+                doc["covers"]["cov"][field][slot] = bad
+                yield doc
+
+
+def test_malformed_cover_entries_are_input_errors(tmp_path, capsys):
+    raw, _ = written_cech_document()
+    probes = list(malformed_covers(raw))
+    assert len(probes) == 20
+    path = tmp_path / "bad.json"
+    for doc in probes:
+        with pytest.raises(InputError):
+            load_document(doc_text(doc))
+        path.write_text(doc_text(doc), encoding="utf-8")
+        code, out, err = run_cli(["validate", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -281,6 +314,40 @@ def test_cli_validate_flags_the_broken_bracket(capsys):
         ["validate", str(FIXTURES / "jacobi_violation.json")], capsys)
     assert code == 1
     assert "square to zero" in out
+
+
+def test_cli_validate_sweeps_to_the_truncation_order(tmp_path, capsys):
+    # Q o Q first fails on a^5: a sweep that stops at arity 4 passes it
+    space = GradedSpace([("a", 0, 1), ("b", 1, 3), ("c", 2, 5)], 7)
+    writer = FixtureWriter()
+    writer.add(LInftyStructure(space, {3: {("a", "a", "a"): {"b": ONE},
+                                           ("a", "a", "b"): {"c": ONE}}}), "q")
+    path = tmp_path / "quintic.json"
+    path.write_text(serialize_document(writer.raw), encoding="utf-8")
+    code, out, _ = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert "on word ('a', 'a', 'a', 'a', 'a')" in out
+    assert out.endswith("validate: FAIL\n")
+
+
+def test_module_consistency_input_errors(tmp_path, capsys):
+    pair = str(FIXTURES / "fix_b_pair.json")
+    raw = json.loads((FIXTURES / "fix_b_pair.json").read_text(encoding="utf-8"))
+    raw["spaces"]["other"] = {"generators": [["y", 0, 1]], "order": 3}
+    raw["elements"]["y"] = {"space": "other", "value": {}}
+    other = tmp_path / "other.json"
+    other.write_text(doc_text(raw), encoding="utf-8")
+    cases = [
+        ([str(FIXTURES / "fix_b.json")], "fixture declares no morphisms"),
+        ([pair], "this command needs --element <name>"),
+        ([pair, "--element", "nope"], "no element named 'nope'"),
+        ([str(other), "--element", "y"],
+         "element 'y' matches no morphism source in the fixture"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(["module-consistency"] + argv, capsys)
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 NEGATIVE_CAP_RUNS = {
@@ -382,6 +449,34 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "validate: pass" in proc.stdout
+
+
+def test_corpus_script_counts_a_crash_as_disagreement():
+    agrees = load_script("verify_corpus").agrees
+
+    def run(code):
+        return subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+
+    crash = run("import no_such_module_here")
+    assert crash.returncode == 1 and not agrees(crash, 1)
+    # what `python -m linfty.cli` prints when linfty is not on the path
+    missing = subprocess.run([sys.executable, "-m", "no_such_package.cli"],
+                             capture_output=True, text=True)
+    assert missing.returncode == 1 and not agrees(missing, 1)
+    failed = run("import sys; sys.exit('check failed: residual')")
+    assert agrees(failed, 1) and not agrees(failed, 0)
+
+
+def test_corpus_script_checks_this_checkout(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "verify_corpus.py")],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    n = len(load_script("verify_corpus").RUNS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith(f"{n}/{n} invocations agree\n")
 
 
 def test_twist_survey_script_runs():

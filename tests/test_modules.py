@@ -16,6 +16,7 @@ from linfty.structures import (
     LInftyStructure,
     check_morphism,
     coderivation_apply,
+    compose,
     conjugate,
     from_curved_lie,
     invert,
@@ -55,6 +56,13 @@ def nested_pair():
         1: {(g,): {g: ONE} for g in sp.basis},
         2: {("u", "u"): {"v": ONE}}})
     return base, transported, phi
+
+
+def triangle(outer, inner):
+    """The triangle map between its endpoint modules, each built here."""
+    return module_morphism_from_triangle(
+        outer, inner, module_from_morphism(inner),
+        module_from_morphism(compose(outer, inner)))
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -343,11 +351,29 @@ def test_triangle_produces_a_module_morphism():
     base, transported, phi = nested_pair()
     back = invert(phi)
     assert check_morphism(back)
-    mm = module_morphism_from_triangle(back, phi)
+    mm = triangle(back, phi)
     # strict slot: F_0(1 tensor m) is the arity-1 part of the outer map
     for m in transported.space.basis:
         assert mm.component(0, (), m) == {m: ONE}
     assert check_module_morphism(mm)
+
+
+def test_triangle_rejects_endpoints_that_are_not_its_modules():
+    base = fix_b()
+    inner = identity_morphism(base)
+    small = LInftyStructure(GradedSpace([("x", 0, 1)], 3), {})
+    outer = strict_morphism(base, small, {"x": {"x": ONE}, "c": {}})
+    source = module_from_morphism(inner)
+    target = module_from_morphism(outer)
+    assert check_module_morphism(
+        module_morphism_from_triangle(outer, inner, source, target))
+    with pytest.raises(InputError, match="not the modules of its maps"):
+        module_morphism_from_triangle(outer, inner, target, source)
+    # right spaces, wrong base: the module of the identity of another structure
+    foreign = module_from_morphism(identity_morphism(
+        LInftyStructure(base.space, {})))
+    with pytest.raises(InputError, match="not the modules of its maps"):
+        module_morphism_from_triangle(outer, inner, foreign, target)
 
 
 def test_nonadapted_style_module_morphism_over_curved_base():
@@ -397,8 +423,8 @@ def test_triangle_twist_consistency():
     base, transported, phi = nested_pair()
     back = invert(phi)
     pi = {"u": ONE}
-    direct = twist_module_morphism(module_morphism_from_triangle(back, phi), pi)
-    rebuilt = module_morphism_from_triangle(
+    direct = twist_module_morphism(triangle(back, phi), pi)
+    rebuilt = triangle(
         twist_morphism(back, push_mc(phi, pi)), twist_morphism(phi, pi))
     assert direct == rebuilt
 
@@ -406,7 +432,7 @@ def test_triangle_twist_consistency():
 def test_twisted_module_morphism_still_checks():
     base, transported, phi = nested_pair()
     back = invert(phi)
-    mm = module_morphism_from_triangle(back, phi)
+    mm = triangle(back, phi)
     twisted = twist_module_morphism(mm, {"u": ONE})
     assert check_module_morphism(twisted)
 

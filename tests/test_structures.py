@@ -22,6 +22,7 @@ from linfty.structures import (
     coderivation_apply,
     compose,
     conjugate,
+    default_cap,
     from_curved_lie,
     identity_morphism,
     invert,
@@ -348,6 +349,31 @@ def test_compose_with_identity_and_strictness():
     ident = identity_morphism(s)
     assert compose(ident, ident) == ident
     assert ident.is_strict()
+
+
+def quintic_failure():
+    """Q_3(a,a,a) = b and Q_3(a,a,b) = c at order 7: Q o Q first fails on a^5."""
+    space = GradedSpace([("a", 0, 1), ("b", 1, 3), ("c", 2, 5)], 7)
+    return LInftyStructure(space, {3: {("a", "a", "a"): {"b": ONE},
+                                       ("a", "a", "b"): {"c": ONE}}})
+
+
+def test_default_cap_is_the_one_cap_rule():
+    space = quintic_failure().space
+    assert default_cap(space) == 6
+    assert default_cap(space, 3, 8) == 8
+    assert default_cap(space, 8, max_arity=2) == 2
+    assert default_cap(fix_a().space) == 4
+
+
+def test_square_zero_sweeps_to_the_truncation_order_by_default():
+    # the verification arity 4 alone would pass this structure
+    q = quintic_failure()
+    with pytest.raises(MathCheckError) as err:
+        check_square_zero(q)
+    assert str(err.value).endswith(
+        "residual {('c',): Fraction(10, 1)} on word ('a', 'a', 'a', 'a', 'a')")
+    assert check_square_zero(q, max_arity=4)
 
 
 def test_an_explicit_zero_cap_materializes_no_components():
