@@ -410,9 +410,40 @@ class ComponentTable:
     tensor when key_space holds the generators.  Subclasses say through
     _ends() what else must agree for two tables to be equal; tables compare
     by value and are therefore unhashable.
+
+    Tables are immutable after construction: nothing edits their components
+    or rewires their endpoints.  The applies memoize on that.  Each table
+    keeps the image of every key it has been applied to, with coefficient
+    1, and so applies itself to a word once.  The memo sits in a slot, not
+    in vars(table), and is never part of the table's value.
     """
 
+    __slots__ = ("_images",)
     __hash__ = None
+
+    def _image(self, key, compute):
+        """compute(self, key), the image of key with coefficient 1, kept.
+
+        The stored image is shared by every later apply; no caller mutates it.
+        """
+        image = self._images.get(key)
+        if image is None:
+            image = self._images[key] = compute(self, key)
+        return image
+
+    def _apply(self, elt, compute):
+        """Sum of coeff * image over the keys of elt, in a fresh dict."""
+        out = {}
+        for key, coeff in elt.items():
+            if not coeff:
+                continue
+            image = self._image(key, compute)
+            if not out and coeff == 1:  # the common {word: ONE} call
+                out.update(image)
+                continue
+            for okey, q in image.items():
+                _accumulate(out, okey, coeff * q)
+        return out
 
     def _set_components(self, word_space, value_space, components, degree,
                         key_space=None):
@@ -474,6 +505,7 @@ class ComponentTable:
         self.key_space = key_space
         self.components = out
         self.max_arity = max(out, default=0)
+        self._images = {}
 
     def component(self, arity, word, mgen=None):
         """Value on a canonical word (tensor mgen); empty dict when absent."""

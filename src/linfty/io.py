@@ -285,8 +285,11 @@ class FixtureDocument:
             a, b = key.split("->")
             restrictions[(tuple(a.split(",")), tuple(b.split(",")))] = self._ref(
                 "morphisms", ref, f"{where}.restrictions.{key}")
-        self.covers[name] = CoverDescription(opens, nerve, locals_,
-                                             restrictions, label=name)
+        try:
+            self.covers[name] = CoverDescription(opens, nerve, locals_,
+                                                 restrictions, label=name)
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from exc
 
     def _build_resolutions(self, section, name, obj):
         if not (isinstance(obj, dict) and "cech_of" in obj):

@@ -11,7 +11,10 @@ where eps' = (-1)^(total shifted degree of the left block) is the Koszul
 cost of carrying the odd operator past that block.  Module morphisms extend
 by the same shuffle sum without eps' (they are even), and their components
 are recovered as the unit-word slot of the extension.  Both go through one
-shuffle-split loop that differs only in that sign policy.
+shuffle-split loop that differs only in that sign policy.  Each module and
+module morphism applies itself to a tensor once, keeping the image of
+w tensor m with coefficient 1; a module's Q-part is the base's own kept
+image of w.
 
 Tensors are dicts (word, module generator) -> coefficient, truncated when
 word weight plus generator level reaches the shared truncation order; module
@@ -38,6 +41,7 @@ from .graded import (
     sym_mul,
 )
 from .structures import (
+    _coderivation_image,
     coderivation_apply,
     morphism_apply,
     spaces_equal,
@@ -90,7 +94,7 @@ class LInftyModule(_TensorTable):
         return (self.base, self.space.generators, self.space.nilpotency_order)
 
 
-def _split_terms(table, word, mgen, coeff, odd):
+def _split_terms(table, word, mgen, odd):
     """Terms of sum eps (left block) tensor C(right block tensor mgen).
 
     An odd operator also carries eps' = (-1)^(degree of the left block), the
@@ -107,23 +111,25 @@ def _split_terms(table, word, mgen, coeff, odd):
         if norm is None:
             continue
         lword, lsign = norm
-        scale = coeff * (-eps if odd and left_odd else eps) * lsign
+        scale = (-eps if odd and left_odd else eps) * lsign
         for produced, q in value.items():
             yield (lword, produced), q * scale
 
 
+def _module_image(module, key):
+    """phi(w tensor m): Q(w) tensor m, then the split terms."""
+    word, mgen = key
+    # Q-part: the base's own image of the word, generator untouched
+    out = {(oword, mgen): q for oword, q
+           in module.base._image(word, _coderivation_image).items()}
+    for tkey, q in _split_terms(module, word, mgen, odd=True):
+        _accumulate(out, tkey, q)
+    return tensor_canon(module.base.space, module.space, out)
+
+
 def module_apply(module, tensor_elt):
     """Apply the full module operator to a tensor element."""
-    out = {}
-    for (word, mgen), coeff in tensor_elt.items():
-        if not coeff:
-            continue
-        # Q-part: coderivation on the word, generator untouched
-        for oword, q in coderivation_apply(module.base, {word: ONE}).items():
-            _accumulate(out, (oword, mgen), coeff * q)
-        for key, q in _split_terms(module, word, mgen, coeff, odd=True):
-            _accumulate(out, key, q)
-    return tensor_canon(module.base.space, module.space, out)
+    return module._apply(tensor_elt, _module_image)
 
 
 def check_module_square_zero(module, max_arity=None):
@@ -233,15 +239,17 @@ class ModuleMorphism(_TensorTable):
         return (self.source, self.target)
 
 
+def _module_morphism_image(mm, key):
+    """F(w tensor m): the split terms of an even map."""
+    out = {}
+    for tkey, q in _split_terms(mm, *key, odd=False):
+        _accumulate(out, tkey, q)
+    return tensor_canon(mm.word_space, mm.target.space, out)
+
+
 def module_morphism_apply(mm, tensor_elt):
     """Extend components over shuffle splittings (even map, no eps')."""
-    out = {}
-    for (word, mgen), coeff in tensor_elt.items():
-        if not coeff:
-            continue
-        for key, q in _split_terms(mm, word, mgen, coeff, odd=False):
-            _accumulate(out, key, q)
-    return tensor_canon(mm.word_space, mm.target.space, out)
+    return mm._apply(tensor_elt, _module_morphism_image)
 
 
 def check_module_morphism(mm, max_arity=None):

@@ -10,7 +10,10 @@ word by splitting off every shuffle-selected subword:
 with Sh(n,0) = Sh(0,n) = {id} and Q_0 applied to the unit word.  A morphism
 acts by cutting the word into ordered blocks of positive sizes along
 multi-shuffles, applying one component per block and dividing by p! for p
-blocks.  Both actions land in the weight-truncated coalgebra.
+blocks.  Both actions land in the weight-truncated coalgebra.  Both are
+linear, so each table applies itself to a word once: it keeps the image of
+the word with coefficient 1, and an apply sums coeff * image over the
+words of its input.
 
 Construction validates shape only: degree +1 (shifted) and filtration
 compatibility for structures, degree 0 for morphisms, matching truncation
@@ -89,21 +92,23 @@ def spaces_equal(a, b):
             and a.nilpotency_order == b.nilpotency_order)
 
 
-def coderivation_apply(structure, coelt):
-    """Apply the full coderivation to a coalgebra element."""
+def _coderivation_image(structure, word):
+    """Q(word): Q_k on the left block of every shuffle split."""
     space = structure.space
     out = {}
-    for word, coeff in coelt.items():
-        if not coeff:
-            continue
-        sizes = [k for k in range(min(len(word), structure.max_arity) + 1)
-                 if k == 0 or k in structure.components]
-        for eps, left, right, _ in shuffle_splits(space, word, sizes):
-            for produced, q in structure.value(left).items():
-                norm = space.normalize_word([produced] + right)
-                if norm is not None:
-                    _accumulate(out, norm[0], coeff * eps * q * norm[1])
+    sizes = [k for k in range(min(len(word), structure.max_arity) + 1)
+             if k == 0 or k in structure.components]
+    for eps, left, right, _ in shuffle_splits(space, word, sizes):
+        for produced, q in structure.value(left).items():
+            norm = space.normalize_word([produced] + right)
+            if norm is not None:
+                _accumulate(out, norm[0], eps * q * norm[1])
     return co_canon(space, out)
+
+
+def coderivation_apply(structure, coelt):
+    """Apply the full coderivation to a coalgebra element."""
+    return structure._apply(coelt, _coderivation_image)
 
 
 def check_square_zero(structure, max_arity=None):
@@ -232,39 +237,40 @@ def _compositions(n, parts):
             yield (first,) + rest
 
 
-def morphism_apply(morphism, coelt):
-    """Apply the induced coalgebra morphism to a coalgebra element."""
+def _morphism_image(morphism, word):
+    """F(word): one component per block of every multi-shuffle, over p!."""
     src = morphism.source.space
     tgt = morphism.target.space
+    n = len(word)
+    if n == 0:
+        return {(): ONE}
     out = {}
-    for word, coeff in coelt.items():
-        if not coeff:
-            continue
-        n = len(word)
-        if n == 0:
-            _accumulate(out, (), coeff)
-            continue
-        degrees = [src.degree(g) for g in word]
-        for p in range(1, n + 1):
-            inv_p = Fraction(1, factorial(p))
-            for sizes in _compositions(n, p):
-                if any(s > morphism.max_arity for s in sizes):
-                    continue
-                for sigma in multi_shuffles(sizes):
-                    eps = koszul_sign(sigma, degrees)
-                    blocks = []
-                    pos = 0
-                    for size in sizes:
-                        value = morphism.value([word[i] for i in sigma[pos:pos + size]])
-                        pos += size
-                        if not value:
-                            break
-                        blocks.append(value)
-                    else:
-                        scale = coeff * eps * inv_p
-                        for oword, q in expand_factors(tgt, blocks).items():
-                            _accumulate(out, oword, q * scale)
+    degrees = [src.degree(g) for g in word]
+    for p in range(1, n + 1):
+        inv_p = Fraction(1, factorial(p))
+        for sizes in _compositions(n, p):
+            if any(s > morphism.max_arity for s in sizes):
+                continue
+            for sigma in multi_shuffles(sizes):
+                eps = koszul_sign(sigma, degrees)
+                blocks = []
+                pos = 0
+                for size in sizes:
+                    value = morphism.value([word[i] for i in sigma[pos:pos + size]])
+                    pos += size
+                    if not value:
+                        break
+                    blocks.append(value)
+                else:
+                    scale = eps * inv_p
+                    for oword, q in expand_factors(tgt, blocks).items():
+                        _accumulate(out, oword, q * scale)
     return co_canon(tgt, out)
+
+
+def morphism_apply(morphism, coelt):
+    """Apply the induced coalgebra morphism to a coalgebra element."""
+    return morphism._apply(coelt, _morphism_image)
 
 
 def check_morphism(morphism, max_arity=None):

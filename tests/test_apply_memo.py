@@ -1,0 +1,451 @@
+"""The four applies against uncached oracles, and the memo they share.
+
+coderivation_apply, morphism_apply, module_apply and module_morphism_apply
+keep each table's image of a word (or tensor) with coefficient 1 and sum
+coeff * image.  The oracles below are the uncached loops they replaced,
+kept verbatim as the reference: every apply must equal its oracle on a
+cold table and on a warm one, and no caller may reach the stored images.
+The memo rests on tables being immutable after construction, which the
+last tests check on the ladders, instances and fixtures the suite ships.
+"""
+
+import copy
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from linfty import fixtures, structures
+from linfty.graded import (
+    ComponentTable,
+    GradedSpace,
+    ONE,
+    _accumulate,
+    co_canon,
+    el_scale,
+    expand_factors,
+    koszul_sign,
+    multi_shuffles,
+    shuffle_splits,
+)
+from linfty.instances import (
+    matrix_structure,
+    random_conjugation,
+    random_instance,
+    random_ladder,
+    random_weights,
+)
+from linfty.modules import (
+    LInftyModule,
+    ModuleMorphism,
+    check_module_twist_consistency,
+    module_apply,
+    module_from_morphism,
+    module_morphism_apply,
+    module_morphism_from_triangle,
+    surviving_tensors,
+    tensor_canon,
+)
+from linfty.resolutions import prop_key_pipeline
+from linfty.structures import (
+    LInftyMorphism,
+    LInftyStructure,
+    _compositions,
+    check_morphism,
+    check_square_zero,
+    coderivation_apply,
+    compose,
+    conjugate,
+    invert,
+    morphism_apply,
+)
+from linfty.twisting import (
+    check_morphism_twist_identities,
+    check_pushforward_functoriality,
+    check_structure_twist_identities,
+    mc_preservation,
+    twist_morphism,
+    twist_structure,
+)
+
+
+# -- oracles: the uncached apply loops -----------------------------------------
+
+def oracle_coderivation_apply(structure, coelt):
+    space = structure.space
+    out = {}
+    for word, coeff in coelt.items():
+        if not coeff:
+            continue
+        sizes = [k for k in range(min(len(word), structure.max_arity) + 1)
+                 if k == 0 or k in structure.components]
+        for eps, left, right, _ in shuffle_splits(space, word, sizes):
+            for produced, q in structure.value(left).items():
+                norm = space.normalize_word([produced] + right)
+                if norm is not None:
+                    _accumulate(out, norm[0], coeff * eps * q * norm[1])
+    return co_canon(space, out)
+
+
+def oracle_morphism_apply(morphism, coelt):
+    src = morphism.source.space
+    tgt = morphism.target.space
+    out = {}
+    for word, coeff in coelt.items():
+        if not coeff:
+            continue
+        n = len(word)
+        if n == 0:
+            _accumulate(out, (), coeff)
+            continue
+        degrees = [src.degree(g) for g in word]
+        for p in range(1, n + 1):
+            inv_p = Fraction(1, factorial(p))
+            for sizes in _compositions(n, p):
+                if any(s > morphism.max_arity for s in sizes):
+                    continue
+                for sigma in multi_shuffles(sizes):
+                    eps = koszul_sign(sigma, degrees)
+                    blocks = []
+                    pos = 0
+                    for size in sizes:
+                        value = morphism.value([word[i] for i in sigma[pos:pos + size]])
+                        pos += size
+                        if not value:
+                            break
+                        blocks.append(value)
+                    else:
+                        scale = coeff * eps * inv_p
+                        for oword, q in expand_factors(tgt, blocks).items():
+                            _accumulate(out, oword, q * scale)
+    return co_canon(tgt, out)
+
+
+def _oracle_split_terms(table, word, mgen, coeff, odd):
+    space = table.word_space
+    n = len(word)
+    sizes = range(max(0, n - table.max_arity), n + 1)
+    for eps, left, right, left_odd in shuffle_splits(space, word, sizes):
+        value = table.value(right, mgen)
+        if not value:
+            continue
+        norm = space.normalize_word(left)
+        if norm is None:
+            continue
+        lword, lsign = norm
+        scale = coeff * (-eps if odd and left_odd else eps) * lsign
+        for produced, q in value.items():
+            yield (lword, produced), q * scale
+
+
+def oracle_module_apply(module, tensor_elt):
+    out = {}
+    for (word, mgen), coeff in tensor_elt.items():
+        if not coeff:
+            continue
+        for oword, q in oracle_coderivation_apply(module.base, {word: ONE}).items():
+            _accumulate(out, (oword, mgen), coeff * q)
+        for key, q in _oracle_split_terms(module, word, mgen, coeff, odd=True):
+            _accumulate(out, key, q)
+    return tensor_canon(module.base.space, module.space, out)
+
+
+def oracle_module_morphism_apply(mm, tensor_elt):
+    out = {}
+    for (word, mgen), coeff in tensor_elt.items():
+        if not coeff:
+            continue
+        for key, q in _oracle_split_terms(mm, word, mgen, coeff, odd=False):
+            _accumulate(out, key, q)
+    return tensor_canon(mm.word_space, mm.target.space, out)
+
+
+# -- tables under test ---------------------------------------------------------
+
+def random_table(rng, word_space, value_space, arities, degree):
+    """Admissible random values on every word of the given arities."""
+    cap = word_space.nilpotency_order
+    comps = {}
+    for k in arities:
+        row = {}
+        for word in word_space.enumerate_words(k, min_arity=k):
+            want = word_space.word_degree(word) + degree
+            weight = word_space.word_weight(word)
+            value = {g: Fraction(rng.choice((-2, -1, 1, 2)))
+                     for g in value_space.basis
+                     if value_space.degree(g) == want
+                     and weight <= value_space.filtration(g) < cap
+                     and rng.random() < 0.5}
+            if value:
+                row[word] = value
+        if row:
+            comps[k] = row
+    return comps
+
+
+def odd_space(seed):
+    """Six generators of mixed parity, three of them odd, order 4."""
+    rng = random.Random(seed)
+    gens = [("a", 0, 1), ("b", 1, 1), ("c", -1, 0), ("d", 1, 2),
+            ("e", 0, rng.choice((2, 3))), ("f", 2, rng.choice((2, 3)))]
+    return GradedSpace(gens, 4, label=f"odd{seed}")
+
+
+# seeds of matrix_structure(4) whose random_conjugation has an arity-2 part
+MATRIX_SEEDS = (1, 3, 10)
+
+
+@lru_cache(maxsize=None)
+def matrix_case(seed):
+    """A 4 x 4 matrix structure, two conjugations in a row and the maps."""
+    rng = random.Random(seed)
+    base, _ = matrix_structure(4, random_weights(rng, 4))
+    middle, inner = random_conjugation(rng, base)
+    end, outer = random_conjugation(rng, middle)
+    return base, middle, end, inner, outer
+
+
+@lru_cache(maxsize=None)
+def odd_case(seed):
+    """Random tables on odd_space(seed): two structures, a map between them
+    and a conjugation of the first with parts of arity 2 and 3."""
+    rng = random.Random(seed)
+    space = odd_space(seed)
+    src, tgt = (LInftyStructure(space, random_table(rng, space, space,
+                                                    range(4), 1))
+                for _ in range(2))
+    shape = {1: {(g,): {g: ONE} for g in space.basis},
+             **random_table(rng, space, space, (2, 3), 0)}
+    return (src, tgt,
+            LInftyMorphism(src, tgt,
+                           random_table(rng, space, space, range(1, 4), 0)),
+            conjugate(src, shape)[1])
+
+
+@lru_cache(maxsize=None)
+def structures_under_test():
+    out = [random_instance(0)["base"]]
+    for seed in MATRIX_SEEDS:
+        out += matrix_case(seed)[:3]
+    for seed in range(3):
+        out += odd_case(seed)[:2]
+    return out
+
+
+@lru_cache(maxsize=None)
+def morphisms_under_test():
+    """random_conjugation maps, their composites, odd random maps and
+    odd conjugations."""
+    out = []
+    for seed in MATRIX_SEEDS:
+        _, _, _, inner, outer = matrix_case(seed)
+        out += [inner, outer, compose(outer, inner)]
+    for seed in range(3):
+        out += odd_case(seed)[2:]
+    return out
+
+
+@lru_cache(maxsize=None)
+def modules_under_test():
+    return [module_from_morphism(m) for m in morphisms_under_test()[::2]]
+
+
+@lru_cache(maxsize=None)
+def triangles_under_test():
+    out = []
+    for seed in MATRIX_SEEDS:
+        _, _, _, inner, outer = matrix_case(seed)
+        out.append(module_morphism_from_triangle(
+            outer, inner, module_from_morphism(inner),
+            module_from_morphism(compose(outer, inner))))
+    return out
+
+
+def fresh(table):
+    """An equal table, with its own memo and its base's, both empty."""
+    if isinstance(table, LInftyStructure):
+        return LInftyStructure(table.space, table.components)
+    if isinstance(table, LInftyMorphism):
+        return LInftyMorphism(table.source, table.target, table.components)
+    if isinstance(table, LInftyModule):
+        return LInftyModule(fresh(table.base), table.space, table.components)
+    return ModuleMorphism(table.source, table.target, table.components)
+
+
+def words_of(table):
+    return list(table.word_space.enumerate_words(3))
+
+
+def keys_of(table):
+    module_space = table.space if isinstance(table, LInftyModule) \
+        else table.source.space
+    return list(surviving_tensors(table.word_space, module_space,
+                                  words_of(table)))
+
+
+COEFFS = st.sampled_from([Fraction(0), ONE, ONE, Fraction(-1), Fraction(2),
+                          Fraction(-3, 2), Fraction(1, 3)])
+
+CASES = {
+    "coderivation": (structures_under_test, words_of,
+                     coderivation_apply, oracle_coderivation_apply),
+    "morphism": (morphisms_under_test, words_of,
+                 morphism_apply, oracle_morphism_apply),
+    "module": (modules_under_test, keys_of,
+               module_apply, oracle_module_apply),
+    "module_morphism": (triangles_under_test, keys_of,
+                        module_morphism_apply, oracle_module_morphism_apply),
+}
+
+
+@st.composite
+def table_and_element(draw, case):
+    pool, keys, _, _ = CASES[case]
+    table = draw(st.sampled_from(pool()))
+    chosen = draw(st.lists(st.sampled_from(keys(table)), min_size=1,
+                           max_size=5))
+    return table, {key: draw(COEFFS) for key in chosen}
+
+
+def assert_matches_oracle(case, table, elt):
+    _, _, apply, oracle = CASES[case]
+    expected = oracle(table, elt)
+    cold = fresh(table)
+    assert apply(cold, elt) == expected
+    warm = apply(cold, elt)
+    assert warm == expected
+    # a caller that edits its result must not reach the stored images
+    for key in list(warm):
+        warm[key] += 1
+    warm[next(iter(elt))] = Fraction(7)
+    assert apply(cold, elt) == expected
+    # a table warmed by other applies, one key at a time, agrees too
+    for key in elt:
+        apply(table, {key: ONE}).clear()
+    assert apply(table, elt) == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_apply_equals_uncached_oracle(case):
+    @settings(max_examples=40, deadline=None)
+    @given(table_and_element(case))
+    def check(drawn):
+        assert_matches_oracle(case, *drawn)
+
+    check()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_single_key_results_are_fresh_dicts(case):
+    """The one-key apply copies its image: editing it changes nothing."""
+    pool, keys, apply, oracle = CASES[case]
+    for table in pool()[:2]:
+        for key in keys(table):
+            expected = oracle(table, {key: ONE})
+            got = apply(table, {key: ONE})
+            assert got == expected
+            got.clear()
+            got[key] = ONE
+            assert apply(table, {key: ONE}) == expected
+
+
+def test_pools_cover_odd_generators_and_every_arity():
+    for case, (pool, _, _, _) in CASES.items():
+        tables = pool()
+        assert any(table.word_space.degree(g) % 2
+                   for table in tables for g in table.word_space.basis), case
+    assert {m.max_arity for m in morphisms_under_test()} >= {2, 3}
+    assert {m.max_arity for m in modules_under_test()} >= {1, 2}
+    assert all(mm.max_arity >= 1 for mm in triangles_under_test())
+
+
+# -- the memo is not part of the value ------------------------------------------
+
+def dict_attributes(table):
+    return {name: copy.deepcopy(value) for name, value in vars(table).items()
+            if isinstance(value, dict)}
+
+
+def test_memo_stays_out_of_vars_and_equality():
+    """Applies leave vars(table) as it was; a warm and a cold table are equal."""
+    for case, (pool, keys, apply, _) in sorted(CASES.items()):
+        table = fresh(pool()[0])
+        names, dicts = set(vars(table)), dict_attributes(table)
+        for key in keys(table):
+            apply(table, {key: ONE})
+        assert set(vars(table)) == names, case
+        assert dict_attributes(table) == dicts, case
+        cold = fresh(table)
+        assert cold == table and table == cold
+
+
+def test_each_table_applies_itself_to_a_key_once(monkeypatch):
+    calls = []
+    image = structures._coderivation_image
+
+    def counting(table, word):
+        calls.append(word)
+        return image(table, word)
+
+    monkeypatch.setattr(structures, "_coderivation_image", counting)
+    table = fresh(structures_under_test()[1])
+    words = words_of(table)
+    for _ in range(3):
+        coderivation_apply(table, {word: ONE for word in words})
+    assert sorted(calls) == sorted(words)
+
+
+# -- immutability: no component dict changes after construction -----------------
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """Every table built in the test, with a snapshot taken at construction."""
+    built = []
+    set_components = ComponentTable._set_components
+
+    def recording(self, *args, **kwargs):
+        set_components(self, *args, **kwargs)
+        built.append((self, dict(vars(self)), copy.deepcopy(self.components)))
+
+    monkeypatch.setattr(ComponentTable, "_set_components", recording)
+    return built
+
+
+def assert_unchanged(built):
+    assert built
+    for table, attributes, components in built:
+        assert table.components == components
+        now = vars(table)
+        assert now.keys() == attributes.keys()
+        assert all(now[name] is value for name, value in attributes.items())
+
+
+def test_ladders_leave_every_table_unchanged(built_tables):
+    for seed in range(3):
+        ladder, xi = random_ladder(seed)
+        assert prop_key_pipeline(ladder, xi)["verdict"] == "quasi-isomorphism"
+    assert_unchanged(built_tables)
+
+
+def test_instances_leave_every_table_unchanged(built_tables):
+    for seed in range(6):
+        inst = random_instance(seed)
+        base, pi, f = inst["base"], inst["pi"], inst["morphism"]
+        assert check_square_zero(twist_structure(base, pi))
+        assert mc_preservation(f, pi) == inst["pi_pushed"]
+        assert check_morphism(twist_morphism(f, pi))
+        second = el_scale(pi, 2)
+        assert check_structure_twist_identities(base, pi, second)
+        assert check_morphism_twist_identities(f, pi, second)
+        assert check_pushforward_functoriality(invert(f), f, pi)
+        assert check_module_twist_consistency(f, pi)
+    assert_unchanged(built_tables)
+
+
+def test_fixture_builders_leave_every_table_unchanged(built_tables):
+    for build in fixtures.REGISTRY.values():
+        build()
+    assert_unchanged(built_tables)

@@ -288,6 +288,17 @@ def test_malformed_cover_entries_are_input_errors(tmp_path, capsys):
         assert err.startswith("error: ")
 
 
+def test_cover_errors_name_the_cover():
+    raw, _ = written_cech_document()
+    doc = copy.deepcopy(raw)
+    opens = doc["covers"]["cov"]["opens"]
+    opens[opens.index("U")] = "W"
+    with pytest.raises(InputError) as info:
+        load_document(doc_text(doc))
+    assert str(info.value) == (
+        "covers.cov: nerve tuple ('U',) mentions an unknown open")
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
