@@ -445,6 +445,23 @@ class ComponentTable:
                 _accumulate(out, okey, coeff * q)
         return out
 
+    def _corestrict(self, elt):
+        """Arity-one part of an apply: sum of coeff * C_{|w|}(u) over keys u.
+
+        u is a canonical word w, or a tensor (w, m) read at the unit-word
+        slot.  Exactly one split of u lands in arity one: the whole word as
+        Q's left block, F's single block (p = 1), or an even module map's
+        empty left block; so one component lookup per key replaces the full
+        image.
+        """
+        tensor = self.key_space is not None
+        out = {}
+        for key, coeff in elt.items():
+            word, mgen = key if tensor else (key, None)
+            for g, q in self.component(len(word), word, mgen).items():
+                _accumulate(out, g, coeff * q)
+        return out
+
     def _set_components(self, word_space, value_space, components, degree,
                         key_space=None):
         """Normalize keys, fold signs, validate degrees and filtration.
@@ -518,7 +535,10 @@ class ComponentTable:
         if norm is None:
             return {}
         word, sign = norm
-        return el_scale(self.component(len(word), word, mgen), sign)
+        component = self.component(len(word), word, mgen)
+        if sign > 0:
+            return dict(component)
+        return {g: -q for g, q in component.items()}
 
     def keys_over(self, words):
         """(word, generator) keys over words; generator None for word keys."""

@@ -10,11 +10,11 @@ phi_k: L^vk tensor M -> M of degree +1.  The full operator acts by
 where eps' = (-1)^(total shifted degree of the left block) is the Koszul
 cost of carrying the odd operator past that block.  Module morphisms extend
 by the same shuffle sum without eps' (they are even), and their components
-are recovered as the unit-word slot of the extension.  Both go through one
-shuffle-split loop that differs only in that sign policy.  Each module and
-module morphism applies itself to a tensor once, keeping the image of
-w tensor m with coefficient 1; a module's Q-part is the base's own kept
-image of w.
+are recovered as the unit-word slot of the extension, read by corestriction
+without building the extension.  Both go through one shuffle-split loop that
+differs only in that sign policy.  Each module and module morphism applies
+itself to a tensor once, keeping the image of w tensor m with coefficient 1;
+a module's Q-part is the base's own kept image of w.
 
 Tensors are dicts (word, module generator) -> coefficient, truncated when
 word weight plus generator level reaches the shared truncation order; module
@@ -34,7 +34,6 @@ from .graded import (
     MathCheckError,
     ONE,
     _accumulate,
-    co_linear_part,
     el_scale,
     exact_element,
     shuffle_splits,
@@ -42,7 +41,6 @@ from .graded import (
 )
 from .structures import (
     _coderivation_image,
-    coderivation_apply,
     morphism_apply,
     spaces_equal,
     default_cap,
@@ -133,7 +131,7 @@ def module_apply(module, tensor_elt):
 
 
 def check_module_square_zero(module, max_arity=None):
-    """phi o phi = 0 on surviving tensors up to the verification arity."""
+    """phi o phi = 0 on surviving tensors up to the cap (default_cap)."""
     base_space = module.base.space
     cap = default_cap(base_space, max_arity=max_arity)
     for word, mgen in surviving_tensors(
@@ -198,16 +196,16 @@ def module_from_morphism(morphism, max_arity=None):
     cap = default_cap(morphism.source.space, morphism.max_arity,
                       max_arity=max_arity)
     target = morphism.target
-    comps = _joined_components(
-        morphism, cap, lambda joined: coderivation_apply(target, joined))
+    comps = _joined_components(morphism, cap, target._corestrict)
     return LInftyModule(morphism.source, target.space, comps)
 
 
-def _joined_components(morphism, cap, apply):
-    """Components pr(apply(F(w) v m)) on surviving tensors w tensor m.
+def _joined_components(morphism, cap, corestrict):
+    """Components corestrict(F(w) v m) on surviving tensors w tensor m.
 
-    F is the morphism, m runs over the target's generators, and pr takes
-    the arity-1 part; F(w) is computed once per word.
+    F is the morphism, m runs over the target's generators, and corestrict
+    is the outer table's _corestrict, which reads the arity-1 part of that
+    table's image by corestriction; F(w) is computed once per word.
     """
     space = morphism.source.space
     tensors = surviving_tensors(space, morphism.target.space,
@@ -217,7 +215,7 @@ def _joined_components(morphism, cap, apply):
         image = morphism_apply(morphism, {word: ONE})
         for key in keys:
             joined = sym_mul(morphism.target.space, image, {(key[1],): ONE})
-            value = co_linear_part(apply(joined))
+            value = corestrict(joined)
             if value:
                 comps.setdefault(len(word), {})[key] = value
     return comps
@@ -253,7 +251,7 @@ def module_morphism_apply(mm, tensor_elt):
 
 
 def check_module_morphism(mm, max_arity=None):
-    """F phi = phi F on surviving tensors up to the verification arity."""
+    """F phi = phi F on surviving tensors up to the cap (default_cap)."""
     base_space = mm.source.base.space
     cap = default_cap(base_space, max_arity=max_arity)
     for word, mgen in surviving_tensors(
@@ -277,9 +275,8 @@ def compose_module_morphisms(outer, inner):
     comps = {}
     for word, mgen in surviving_tensors(
             base_space, inner.source.space, base_space.enumerate_words(cap)):
-        mid = module_morphism_apply(inner, {(word, mgen): ONE})
-        end = module_morphism_apply(outer, mid)
-        value = {g: q for (w, g), q in end.items() if not w}
+        value = outer._corestrict(
+            module_morphism_apply(inner, {(word, mgen): ONE}))
         if value:
             comps.setdefault(len(word), {})[(word, mgen)] = value
     return ModuleMorphism(inner.source, outer.target, comps)
@@ -308,8 +305,7 @@ def module_morphism_from_triangle(outer, inner, source, target):
             or not spaces_equal(target.space, outer.target.space):
         raise InputError("triangle endpoints are not the modules of its maps")
     cap = default_cap(inner.source.space, inner.max_arity, outer.max_arity)
-    comps = _joined_components(
-        inner, cap, lambda joined: morphism_apply(outer, joined))
+    comps = _joined_components(inner, cap, outer._corestrict)
     return ModuleMorphism(source, target, comps)
 
 

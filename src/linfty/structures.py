@@ -13,7 +13,9 @@ multi-shuffles, applying one component per block and dividing by p! for p
 blocks.  Both actions land in the weight-truncated coalgebra.  Both are
 linear, so each table applies itself to a word once: it keeps the image of
 the word with coefficient 1, and an apply sums coeff * image over the
-words of its input.
+words of its input.  Where only the arity-one part of an image is wanted (a
+component of a composite or a conjugate), it is read by corestriction: one
+component lookup per word of the input, with no image built.
 
 Construction validates shape only: degree +1 (shifted) and filtration
 compatibility for structures, degree 0 for morphisms, matching truncation
@@ -312,8 +314,7 @@ def compose(outer, inner, max_arity=None):
                       max_arity=max_arity)
     comps = {}
     for word in inner.source.space.enumerate_words(cap, min_arity=1):
-        image = morphism_apply(outer, morphism_apply(inner, {word: ONE}))
-        value = co_linear_part(image)
+        value = outer._corestrict(morphism_apply(inner, {word: ONE}))
         if value:
             comps.setdefault(len(word), {})[word] = value
     return LInftyMorphism(inner.source, outer.target, comps)
@@ -328,10 +329,11 @@ def _strict_blocks(morphism):
 def invert(morphism, max_arity=None):
     """Inverse of a morphism whose arity-1 part is bijective.
 
-    Strategy: E := inverse of the strict part, K := E o F (tangent to the
-    identity).  K differs from the identity by a strictly arity-lowering map,
-    so its inverse is the finite Neumann series; components are read off by
-    projecting to arity one.  Returns K^{-1} o E.
+    Strategy: E := inverse of the strict part, solved degree by degree.  A
+    strict map is inverted by E alone.  Otherwise K := E o F is tangent to the
+    identity and differs from it by a strictly arity-lowering map, so its
+    inverse is the Neumann series, which ends within the word's arity;
+    components are read off by projecting to arity one.  Returns K^{-1} o E.
     """
     src = morphism.source
     tgt = morphism.target
@@ -347,18 +349,26 @@ def invert(morphism, max_arity=None):
     strict_inverse = strict_morphism(tgt, src, inverse_map)
 
     cap = default_cap(src.space, morphism.max_arity, max_arity=max_arity)
+    if morphism.is_strict() and cap >= 1:
+        return strict_inverse
     tangent = compose(strict_inverse, morphism, max_arity=cap)
 
     comps = {}
     for word in src.space.enumerate_words(cap, min_arity=1):
-        # Neumann series for (id + nu)^{-1} applied to the word
+        # Neumann series for (id + nu)^{-1} applied to the word; nu lowers
+        # arity, so the term vanishes after at most len(word) steps
         total = {}
         term = {word: ONE}
         sign = 1
-        while term:
+        for _ in range(len(word) + 1):
+            if not term:
+                break
             total = el_add(total, term) if sign > 0 else el_sub(total, term)
             term = el_sub(morphism_apply(tangent, term), term)
             sign = -sign
+        if term:
+            raise MathCheckError(
+                f"Neumann series of the tangent map does not end on word {word}")
         value = co_linear_part(total)
         if value:
             comps.setdefault(len(word), {})[word] = value
@@ -384,8 +394,7 @@ def conjugate(structure, components, target_space=None, max_arity=None):
     for word in tspace.enumerate_words(cap):
         pulled = morphism_apply(inverse, {word: ONE})
         derived = coderivation_apply(structure, pulled)
-        pushed = morphism_apply(phi, derived)
-        value = co_linear_part(pushed)
+        value = phi._corestrict(derived)
         if value:
             comps.setdefault(len(word), {})[word] = value
     transported = LInftyStructure(tspace, comps)

@@ -5,6 +5,9 @@ keep each table's image of a word (or tensor) with coefficient 1 and sum
 coeff * image.  The oracles below are the uncached loops they replaced,
 kept verbatim as the reference: every apply must equal its oracle on a
 cold table and on a warm one, and no caller may reach the stored images.
+The arity-one readouts are checked the same way: a table's _corestrict
+against the arity-one part of its full apply, and the strict inverse
+against the tangent + Neumann route that invert takes for non-strict maps.
 The memo rests on tables being immutable after construction, which the
 last tests check on the ladders, instances and fixtures the suite ships.
 """
@@ -25,17 +28,22 @@ from linfty.graded import (
     ONE,
     _accumulate,
     co_canon,
+    co_linear_part,
+    el_add,
     el_scale,
+    el_sub,
     expand_factors,
     koszul_sign,
     multi_shuffles,
     shuffle_splits,
 )
+from linfty.homology import is_isomorphism, linear_blocks, solve
 from linfty.instances import (
     matrix_structure,
     random_conjugation,
     random_instance,
     random_ladder,
+    random_strict_transport,
     random_weights,
 )
 from linfty.modules import (
@@ -59,8 +67,10 @@ from linfty.structures import (
     coderivation_apply,
     compose,
     conjugate,
+    identity_morphism,
     invert,
     morphism_apply,
+    strict_morphism,
 )
 from linfty.twisting import (
     check_morphism_twist_identities,
@@ -360,6 +370,138 @@ def test_pools_cover_odd_generators_and_every_arity():
     assert {m.max_arity for m in morphisms_under_test()} >= {2, 3}
     assert {m.max_arity for m in modules_under_test()} >= {1, 2}
     assert all(mm.max_arity >= 1 for mm in triangles_under_test())
+
+
+# -- arity-one readouts ----------------------------------------------------------
+
+def unit_slot(tensor_elt):
+    """The unit-word slot of a tensor element, as an element of the module."""
+    return {g: q for (w, g), q in tensor_elt.items() if not w}
+
+
+def arity_one_part(case, table, elt):
+    _, _, apply, _ = CASES[case]
+    image = apply(table, elt)
+    return unit_slot(image) if table.key_space is not None \
+        else co_linear_part(image)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_corestriction_equals_the_arity_one_part_of_the_apply(case):
+    """On every key over words of arity 0-3 (the unit word too), and on
+    their sum with mixed coefficients."""
+    pool, keys, _, _ = CASES[case]
+    coeffs = [Fraction(0), ONE, Fraction(-1), Fraction(2), Fraction(-3, 2)]
+    for table in pool():
+        every = keys(table)
+        for key in every:
+            assert table._corestrict({key: ONE}) \
+                == arity_one_part(case, table, {key: ONE}), key
+        mixed = {key: coeffs[i % len(coeffs)] for i, key in enumerate(every)}
+        assert table._corestrict(mixed) == arity_one_part(case, table, mixed)
+
+
+def oracle_invert(morphism, max_arity=None):
+    """invert by the tangent + Neumann route for every map, strict or not."""
+    src = morphism.source
+    tgt = morphism.target
+    inverse_map = {}
+    blocks = linear_blocks(src.space, tgt.space,
+                           lambda s: morphism.component(1, (s,)))
+    for block, s_names, t_names in blocks.values():
+        assert len(s_names) == len(t_names) and is_isomorphism(block)
+        for j, t in enumerate(t_names):
+            unit = [ONE if i == j else Fraction(0) for i in range(len(t_names))]
+            coords = solve(block, unit)
+            inverse_map[t] = {s: coords[i] for i, s in enumerate(s_names) if coords[i]}
+    strict_inverse = strict_morphism(tgt, src, inverse_map)
+    cap = structures.default_cap(src.space, morphism.max_arity,
+                                 max_arity=max_arity)
+    tangent = compose(strict_inverse, morphism, max_arity=cap)
+    comps = {}
+    for word in src.space.enumerate_words(cap, min_arity=1):
+        total = {}
+        term = {word: ONE}
+        sign = 1
+        while term:
+            total = el_add(total, term) if sign > 0 else el_sub(total, term)
+            term = el_sub(morphism_apply(tangent, term), term)
+            sign = -sign
+        value = co_linear_part(total)
+        if value:
+            comps.setdefault(len(word), {})[word] = value
+    tangent_inverse = LInftyMorphism(src, src, comps)
+    return compose(tangent_inverse, strict_inverse, max_arity=cap)
+
+
+@lru_cache(maxsize=None)
+def strict_maps():
+    """A random_strict_transport out of every structure under test."""
+    rng = random.Random(5)
+    return [random_strict_transport(rng, s)[1] for s in structures_under_test()]
+
+
+def nonstrict_maps():
+    """The random_conjugation maps and odd conjugations, arities 2 and 3."""
+    return ([m for seed in MATRIX_SEEDS for m in matrix_case(seed)[3:]]
+            + [odd_case(seed)[3] for seed in range(3)])
+
+
+def test_strict_inverse_equals_the_neumann_route():
+    maps = strict_maps()
+    assert any(m.components[1] != identity_morphism(m.source).components[1]
+               for m in maps)
+    for m in maps:
+        assert m.is_strict()
+        got = invert(m)
+        assert got.is_strict() and got.source is m.target and got.target is m.source
+        assert got == oracle_invert(m)
+        assert invert(m, max_arity=2) == oracle_invert(m, max_arity=2)
+
+
+def test_invert_is_two_sided_on_strict_and_conjugation_maps():
+    maps = nonstrict_maps()
+    assert {m.max_arity for m in maps} == {2, 3}
+    for m in strict_maps() + maps:
+        inverse = invert(m)
+        assert compose(inverse, m) == identity_morphism(m.source)
+        assert compose(m, inverse) == identity_morphism(m.target)
+
+
+def test_nonstrict_invert_still_equals_the_neumann_route():
+    for m in nonstrict_maps():
+        assert invert(m) == oracle_invert(m)
+
+
+# -- values are fresh dicts ---------------------------------------------------------
+
+def test_mutating_a_value_leaves_the_table_unchanged():
+    """value() returns a fresh dict under either Koszul sign."""
+    seen = set()
+    for table in structures_under_test():
+        space = table.word_space
+        for arity, row in table.components.items():
+            for word in row:
+                odd = [g for g in word if space.degree(g) % 2]
+                if len(set(odd)) < 2:
+                    continue
+                a, b = word.index(odd[0]), word.index(odd[-1])
+                swapped = list(word)
+                swapped[a], swapped[b] = swapped[b], swapped[a]
+                for factors, sign in ((list(word), 1), (swapped, -1)):
+                    assert space.normalize_word(factors) == (word, sign)
+                    before = copy.deepcopy(table.components)
+                    expected = el_scale(table.component(arity, word), sign)
+                    got = table.value(factors)
+                    assert got == expected
+                    assert all(type(q) is Fraction for q in got.values())
+                    for g in list(got):
+                        got[g] += 1
+                    got["extra"] = ONE
+                    assert table.components == before
+                    assert table.value(factors) == expected
+                    seen.add(sign)
+    assert seen == {1, -1}
 
 
 # -- the memo is not part of the value ------------------------------------------

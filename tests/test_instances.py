@@ -131,4 +131,5 @@ def test_a_ladder_builds_each_module_once(monkeypatch):
     cech_fixb_ladder()
     # the augmented module and two levels per diagram, nothing rebuilt
     assert len(made) == 6
-    assert len(composed) == 16
+    # a strict map inverts by its strict part, with no compose of its own
+    assert len(composed) == 8

@@ -413,6 +413,20 @@ def test_invert_nonstrict_produces_two_sided_inverse():
     assert right.components == {1: {(g,): {g: ONE} for g in sp.basis}}
 
 
+def test_invert_bounds_its_neumann_series(monkeypatch):
+    # an apply that doubles its input lowers no arity, so the series never
+    # ends on its own; invert must stop after the word's arity and raise
+    sp = nested_space()
+    phi = LInftyMorphism(LInftyStructure(sp, {}), LInftyStructure(sp, {}), {
+        1: {(g,): {g: ONE} for g in sp.basis},
+        2: {("u", "u"): {"v": ONE}}})
+    monkeypatch.setattr("linfty.structures.morphism_apply",
+                        lambda morphism, coelt: {w: 2 * q for w, q in coelt.items()})
+    with pytest.raises(MathCheckError,
+                       match=r"Neumann series .* does not end on word \('u',\)"):
+        invert(phi)
+
+
 def test_invert_rejects_degenerate_strict_part():
     qb = fix_b()
     target = abelian(GradedSpace([("x", 0, 1)], 3))
