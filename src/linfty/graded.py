@@ -346,8 +346,9 @@ def expand_factors(space, factors):
 
     factors is a list of elements (dicts).  Returns dict word -> Fraction
     with canonical words and Koszul signs folded in.  No weight truncation:
-    this is the expansion used to feed arguments to multilinear components,
-    where heavy words are annihilated by filtration compatibility instead.
+    heavy words are left for filtration compatibility to annihilate.
+    Morphism images no longer use it (they multiply by sym_mul); it stays
+    for perfbench, whose graded.expand_factors.* metrics read it.
     """
     out = {}
     for combo in itertools.product(*[list(el.items()) for el in factors]):
@@ -374,17 +375,6 @@ def sym_mul(space, a, b):
             if norm is not None:
                 _accumulate(out, norm[0], qa * qb * norm[1])
     return out
-
-
-def sym_power(space, el, k):
-    """k-th symmetric power of an element, as a coalgebra element."""
-    acc = {(): ONE}
-    word = co_from_element(el)
-    for _ in range(k):
-        acc = sym_mul(space, acc, word)
-        if not acc:
-            break
-    return acc
 
 
 # -- component tables -------------------------------------------------------

@@ -221,7 +221,7 @@ class ChainComplex:
     of each degree is computed once and kept.
     """
 
-    def __init__(self, dims, differentials, check=True):
+    def __init__(self, dims, differentials):
         for n in [*dims, *dims.values(), *differentials]:
             if not isinstance(n, int) or isinstance(n, bool):
                 raise InputError(
@@ -240,8 +240,7 @@ class ChainComplex:
             if not m.is_zero():
                 self.differentials[k] = m
         self._homology = {}  # degree -> (betti, reps, boundary basis rows)
-        if check:
-            self.check_complex()
+        self.check_complex()
 
     def dim(self, k):
         return self.dims.get(k, 0)

@@ -143,7 +143,7 @@ def _raising_linear_part(rng, space):
     return table
 
 
-def random_conjugation(rng, structure, arity_two=True):
+def random_conjugation(rng, structure):
     """Random invertible coordinate change: identity plus raising terms.
 
     The linear part adds filtration-raising same-degree terms, the
@@ -152,25 +152,24 @@ def random_conjugation(rng, structure, arity_two=True):
     """
     space = structure.space
     comps = {1: _raising_linear_part(rng, space)}
-    if arity_two:
-        table = {}
-        for idx, a in enumerate(space.basis):
-            for b in space.basis[idx:]:
-                word = space.normalize_word([a, b])
-                if word is None:
-                    continue
-                word, _ = word
-                want = space.word_degree(word)
-                floor = space.word_weight(word)
-                value = {}
-                for t in space.basis:
-                    if space.degree(t) == want and space.filtration(t) >= floor \
-                            and rng.random() < 0.3:
-                        value[t] = Fraction(rng.choice((-1, 1)))
-                if value:
-                    table[word] = value
-        if table:
-            comps[2] = table
+    table = {}
+    for idx, a in enumerate(space.basis):
+        for b in space.basis[idx:]:
+            word = space.normalize_word([a, b])
+            if word is None:
+                continue
+            word, _ = word
+            want = space.word_degree(word)
+            floor = space.word_weight(word)
+            value = {}
+            for t in space.basis:
+                if space.degree(t) == want and space.filtration(t) >= floor \
+                        and rng.random() < 0.3:
+                    value[t] = Fraction(rng.choice((-1, 1)))
+            if value:
+                table[word] = value
+    if table:
+        comps[2] = table
     return conjugate(structure, comps)
 
 

@@ -158,9 +158,8 @@ def _sequence_report(complexes, blocks):
             mats[p] = induced_map(complexes[p], complexes[p + 1], blocks[p], d)
         induced[d] = mats
         dims = {p: betti[p][d] for p in range(len(complexes))}
-        seq = ChainComplex(dims, mats, check=False)
         try:
-            seq.check_complex()
+            seq = ChainComplex(dims, mats)
             for p in range(len(complexes)):
                 exact_at[(d, p)] = seq.is_exact_at(p)
         except MathCheckError:

@@ -8,14 +8,20 @@ word by splitting off every shuffle-selected subword:
         eps(sigma) Q_k(left block) v (right block)
 
 with Sh(n,0) = Sh(0,n) = {id} and Q_0 applied to the unit word.  A morphism
-acts by cutting the word into ordered blocks of positive sizes along
-multi-shuffles, applying one component per block and dividing by p! for p
-blocks.  Both actions land in the weight-truncated coalgebra.  Both are
-linear, so each table applies itself to a word once: it keeps the image of
-the word with coefficient 1, and an apply sums coeff * image over the
-words of its input.  Where only the arity-one part of an image is wanted (a
-component of a composite or a conjugate), it is read by corestriction: one
-component lookup per word of the input, with no image built.
+acts on a word through the block that holds its first letter:
+
+    F(g_1 v ... v g_n) = sum over k, sigma in Sh(k-1, n-k) on g_2..g_n of
+        eps(sigma) F_k(g_1 v left block) v F(right block)
+
+so each set partition of the word is visited once, with no 1/p!, and a
+strict map takes one split per word.  Both actions land in the
+weight-truncated coalgebra.  Both are linear, so each table applies itself
+to a word once: it keeps the image of the word with coefficient 1, and an
+apply sums coeff * image over the words of its input; F(right block) is
+the table's own kept image of a shorter word.  Where only the arity-one
+part of an image is wanted (a component of a composite or a conjugate), it
+is read by corestriction: one component lookup per word of the input, with
+no image built.
 
 Construction validates shape only: degree +1 (shifted) and filtration
 compatibility for structures, degree 0 for morphisms, matching truncation
@@ -31,9 +37,6 @@ arities of the maps involved and every word that survives truncation when
 all generators sit in positive filtration.
 """
 
-from fractions import Fraction
-from math import factorial
-
 from .graded import (
     ComponentTable,
     InputError,
@@ -42,15 +45,16 @@ from .graded import (
     ZERO,
     _accumulate,
     co_canon,
+    co_from_element,
     co_linear_part,
     el_add,
     el_scale,
     el_sub,
     exact_element,
-    expand_factors,
     koszul_sign,
     multi_shuffles,
     shuffle_splits,
+    sym_mul,
 )
 from .homology import (
     induced_maps,
@@ -229,18 +233,8 @@ class LInftyMorphism(ComponentTable):
                 tgt.generators, tgt.nilpotency_order)
 
 
-def _compositions(n, parts):
-    """Ordered compositions of n into exactly `parts` positive integers."""
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(1, n - parts + 2):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
-
-
 def _morphism_image(morphism, word):
-    """F(word): one component per block of every multi-shuffle, over p!."""
+    """F(word): F on each block holding the first letter, times F(rest)."""
     src = morphism.source.space
     tgt = morphism.target.space
     n = len(word)
@@ -248,26 +242,18 @@ def _morphism_image(morphism, word):
         return {(): ONE}
     out = {}
     degrees = [src.degree(g) for g in word]
-    for p in range(1, n + 1):
-        inv_p = Fraction(1, factorial(p))
-        for sizes in _compositions(n, p):
-            if any(s > morphism.max_arity for s in sizes):
+    for k in range(1, min(n, morphism.max_arity) + 1):
+        for tail in multi_shuffles((k - 1, n - k)):
+            sigma = (0, *(i + 1 for i in tail))
+            value = morphism.value([word[i] for i in sigma[:k]])
+            if not value:
                 continue
-            for sigma in multi_shuffles(sizes):
-                eps = koszul_sign(sigma, degrees)
-                blocks = []
-                pos = 0
-                for size in sizes:
-                    value = morphism.value([word[i] for i in sigma[pos:pos + size]])
-                    pos += size
-                    if not value:
-                        break
-                    blocks.append(value)
-                else:
-                    scale = eps * inv_p
-                    for oword, q in expand_factors(tgt, blocks).items():
-                        _accumulate(out, oword, q * scale)
-    return co_canon(tgt, out)
+            rest = morphism._image(tuple(word[i] for i in sigma[k:]),
+                                   _morphism_image)
+            eps = koszul_sign(sigma, degrees)
+            for oword, q in sym_mul(tgt, co_from_element(value), rest).items():
+                _accumulate(out, oword, eps * q)
+    return out
 
 
 def morphism_apply(morphism, coelt):
@@ -376,28 +362,28 @@ def invert(morphism, max_arity=None):
     return compose(tangent_inverse, strict_inverse, max_arity=cap)
 
 
-def conjugate(structure, components, target_space=None, max_arity=None):
+def conjugate(structure, components, max_arity=None):
     """Transport a structure along a coalgebra isomorphism: Phi Q Phi^{-1}.
 
-    components describe any coalgebra isomorphism out of the structure's
-    space (raw morphism tables; the target structure cannot be wired in
+    components describe any coalgebra automorphism of the structure's space
+    (raw morphism tables; the target structure cannot be wired in
     advance because conjugation is what computes it).  Returns the unique
     structure making the map an isomorphism of structures, together with
     that map, properly wired and ready for check_morphism.
     """
-    tspace = target_space or structure.space
-    placeholder = LInftyStructure(tspace, {})
+    space = structure.space
+    placeholder = LInftyStructure(space, {})
     phi = LInftyMorphism(structure, placeholder, components)
-    cap = default_cap(structure.space, phi.max_arity, max_arity=max_arity)
+    cap = default_cap(space, phi.max_arity, max_arity=max_arity)
     inverse = invert(phi, max_arity=cap)
     comps = {}
-    for word in tspace.enumerate_words(cap):
+    for word in space.enumerate_words(cap):
         pulled = morphism_apply(inverse, {word: ONE})
         derived = coderivation_apply(structure, pulled)
         value = phi._corestrict(derived)
         if value:
             comps.setdefault(len(word), {})[word] = value
-    transported = LInftyStructure(tspace, comps)
+    transported = LInftyStructure(space, comps)
     return transported, LInftyMorphism(structure, transported, components)
 
 

@@ -5,6 +5,9 @@ keep each table's image of a word (or tensor) with coefficient 1 and sum
 coeff * image.  The oracles below are the uncached loops they replaced,
 kept verbatim as the reference: every apply must equal its oracle on a
 cold table and on a warm one, and no caller may reach the stored images.
+The morphism oracle is also the ordered-composition expansion, over p!,
+that the first-letter expansion replaced; the two are compared on every
+word of each pooled map's default sweep and on arity-5 words.
 The arity-one readouts are checked the same way: a table's _corestrict
 against the arity-one part of its full apply, and the strict inverse
 against the tangent + Neumann route that invert takes for non-strict maps.
@@ -61,7 +64,6 @@ from linfty.resolutions import prop_key_pipeline
 from linfty.structures import (
     LInftyMorphism,
     LInftyStructure,
-    _compositions,
     check_morphism,
     check_square_zero,
     coderivation_apply,
@@ -100,7 +102,18 @@ def oracle_coderivation_apply(structure, coelt):
     return co_canon(space, out)
 
 
+def _compositions(n, parts):
+    """Ordered compositions of n into exactly `parts` positive integers."""
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(1, n - parts + 2):
+        for rest in _compositions(n - first, parts - 1):
+            yield (first,) + rest
+
+
 def oracle_morphism_apply(morphism, coelt):
+    """Every ordered composition into p blocks along multi-shuffles, over p!."""
     src = morphism.source.space
     tgt = morphism.target.space
     out = {}
@@ -370,6 +383,52 @@ def test_pools_cover_odd_generators_and_every_arity():
     assert {m.max_arity for m in morphisms_under_test()} >= {2, 3}
     assert {m.max_arity for m in modules_under_test()} >= {1, 2}
     assert all(mm.max_arity >= 1 for mm in triangles_under_test())
+
+
+# -- the first-letter expansion against the ordered compositions ---------------
+
+def assert_images_match_oracle(morphism, words):
+    """Each word's image equals the oracle's, read off a cold table."""
+    cold = fresh(morphism)
+    for word in words:
+        assert morphism_apply(cold, {word: ONE}) \
+            == oracle_morphism_apply(morphism, {word: ONE}), word
+
+
+def test_every_swept_word_matches_the_composition_oracle():
+    """Every word a default sweep reaches, arity 4 included, on every
+    pooled map."""
+    arities = set()
+    for m in morphisms_under_test():
+        space = m.source.space
+        words = list(space.enumerate_words(
+            structures.default_cap(space, m.max_arity)))
+        arities.update(map(len, words))
+        assert_images_match_oracle(m, words)
+    assert max(arities) >= 4
+
+
+def deep_space():
+    """Filtration-0 generators of both parities, so words of any arity
+    survive order 6."""
+    return GradedSpace([("a", 0, 0), ("e", 0, 0), ("c", -1, 0), ("b", 1, 0),
+                        ("d", 0, 1), ("f", 1, 1)], 6, label="deep")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_deep_words_match_the_composition_oracle(seed):
+    """A non-strict map with random parts of arity 1-3 on words up to
+    arity 5, where the oracle visits each partition into p blocks p! times."""
+    rng = random.Random(seed)
+    space = deep_space()
+    ends = LInftyStructure(space, {})
+    m = LInftyMorphism(ends, ends, random_table(rng, space, space,
+                                                range(1, 4), 0))
+    assert m.max_arity == 3 and 2 in m.components
+    words = list(space.enumerate_words(5, min_arity=1))
+    assert sum(len(w) == 5 and any(space.degree(g) % 2 for g in w)
+               for w in words) > 0
+    assert_images_match_oracle(m, words)
 
 
 # -- arity-one readouts ----------------------------------------------------------

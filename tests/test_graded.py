@@ -15,6 +15,7 @@ from linfty.graded import (
     GradedSpace,
     InputError,
     co_canon,
+    co_from_element,
     el_add,
     el_scale,
     element_degree,
@@ -26,7 +27,6 @@ from linfty.graded import (
     parse_scalar,
     shuffles,
     sym_mul,
-    sym_power,
 )
 
 
@@ -323,12 +323,18 @@ def test_sym_mul_truncates():
 
 
 def test_sym_power_of_odd_element_vanishes():
+    """The square of an odd element is zero; the unit word is the 0th power."""
     sp = GradedSpace([("p", 1, 0)], 2)
-    assert sym_power(sp, {"p": Fraction(1)}, 2) == {}
-    assert sym_power(sp, {"p": Fraction(1)}, 0) == {(): Fraction(1)}
+    unit = {(): Fraction(1)}
+    pw = co_from_element({"p": Fraction(1)})
+    assert sym_mul(sp, sym_mul(sp, unit, pw), pw) == {}
+    assert sym_mul(sp, pw, pw) == {}
+    assert sym_mul(sp, unit, unit) == unit
 
 
 def test_sym_power_collects_multiplicity():
+    """Chained products of one even element collect into one word."""
     sp = GradedSpace([("x", 0, 1)], 4)
-    got = sym_power(sp, {"x": Fraction(1, 2)}, 3)
+    xw = co_from_element({"x": Fraction(1, 2)})
+    got = sym_mul(sp, sym_mul(sp, sym_mul(sp, {(): Fraction(1)}, xw), xw), xw)
     assert got == {("x", "x", "x"): Fraction(1, 8)}
