@@ -43,9 +43,24 @@ ONE = Fraction(1)
 _FORBIDDEN_NAME_CHARS = set("|@ \t\n")
 
 
+def _is_int(value):
+    """An int proper: bools, floats and strings are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_arity(max_arity):
+    """A cap on word arity: a nonnegative int, else InputError."""
+    if not _is_int(max_arity):
+        raise InputError(
+            f"max_arity must be an integer, got {type(max_arity).__name__}")
+    if max_arity < 0:
+        raise InputError(f"max_arity must be nonnegative, got {max_arity}")
+    return max_arity
+
+
 def parse_scalar(text):
     """Parse "p" or "p/q" into a Fraction.  Bare ints pass through."""
-    if isinstance(text, int) and not isinstance(text, bool):
+    if _is_int(text):
         return Fraction(text)
     if isinstance(text, Fraction):
         return text
@@ -152,7 +167,7 @@ class GradedSpace:
     """
 
     def __init__(self, generators, nilpotency_order, label=""):
-        if nilpotency_order < 1:
+        if not _is_int(nilpotency_order) or nilpotency_order < 1:
             raise InputError("nilpotency order must be a positive integer")
         gens = []
         for name, degree, filt in generators:
@@ -160,9 +175,9 @@ class GradedSpace:
                 raise InputError(f"generator name must be a nonempty string, got {name!r}")
             if _FORBIDDEN_NAME_CHARS & set(name):
                 raise InputError(f"generator name {name!r} uses a reserved character")
-            if not isinstance(degree, int) or isinstance(degree, bool):
+            if not _is_int(degree):
                 raise InputError(f"generator {name}: degree must be an integer")
-            if not isinstance(filt, int) or filt < 0 or filt >= nilpotency_order:
+            if not _is_int(filt) or filt < 0 or filt >= nilpotency_order:
                 raise InputError(
                     f"generator {name}: filtration level must lie in [0, {nilpotency_order})")
             gens.append((name, degree, filt))
@@ -245,11 +260,11 @@ class GradedSpace:
 
         Words whose total filtration weight reaches the nilpotency order are
         zero and are skipped.  Deterministic order: by arity, then
-        lexicographically in basis indices.  A negative max_arity is an
-        input error, not an empty sweep that would pass every check.
+        lexicographically in basis indices.  A max_arity that is negative
+        or not an int (a bool, a float, a string) is an input error, not an
+        empty or silently rounded sweep that would pass every check.
         """
-        if max_arity < 0:
-            raise InputError(f"max_arity must be nonnegative, got {max_arity}")
+        _check_arity(max_arity)
         names = self.basis
         for arity in range(min_arity, max_arity + 1):
             for combo in itertools.combinations_with_replacement(names, arity):

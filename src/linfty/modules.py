@@ -40,7 +40,9 @@ from .graded import (
     sym_mul,
 )
 from .structures import (
+    _bounded,
     _coderivation_image,
+    _square_zero_through,
     morphism_apply,
     spaces_equal,
     default_cap,
@@ -131,9 +133,25 @@ def module_apply(module, tensor_elt):
 
 
 def check_module_square_zero(module, max_arity=None):
-    """phi o phi = 0 on surviving tensors up to the cap (default_cap)."""
-    base_space = module.base.space
+    """phi o phi = 0 on surviving tensors up to the cap (default_cap).
+
+    Over a base with Q o Q = 0, phi o phi is a comodule map, so its
+    unit-word slot decides.  pr phi(phi(w tensor m)) reads phi on words of
+    arity |w| - a + 1 (the Q-part) or on both blocks of a split, so the
+    first pass stops at max(m_phi + m_Q - 1, 2 m_phi); it runs only when
+    the base passes its own first pass up to the cap.
+    """
+    base = module.base
+    base_space = base.space
     cap = default_cap(base_space, max_arity=max_arity)
+    m_phi = module.max_arity
+    bound = max(m_phi + base.max_arity - 1, 2 * m_phi)
+    if _square_zero_through(base, cap) and not any(
+            module._corestrict(module_apply(module, {key: ONE}))
+            for key in surviving_tensors(
+                base_space, module.space,
+                base_space.enumerate_words(_bounded(cap, bound)))):
+        return True
     for word, mgen in surviving_tensors(
             base_space, module.space, base_space.enumerate_words(cap)):
         once = module_apply(module, {(word, mgen): ONE})
@@ -192,30 +210,34 @@ def module_from_morphism(morphism, max_arity=None):
 
     Components phi_k(w tensor m) = pr(Q_target(F(w) v m)), the arity-one part
     of the target coderivation applied to the image word joined with m.
+    They vanish on words above m_F (m_Q' - 1), where the sweep stops.
     """
     cap = default_cap(morphism.source.space, morphism.max_arity,
                       max_arity=max_arity)
     target = morphism.target
-    comps = _joined_components(morphism, cap, target._corestrict)
+    comps = _joined_components(morphism, cap, target)
     return LInftyModule(morphism.source, target.space, comps)
 
 
-def _joined_components(morphism, cap, corestrict):
-    """Components corestrict(F(w) v m) on surviving tensors w tensor m.
+def _joined_components(morphism, cap, outer):
+    """Components outer._corestrict(F(w) v m) on surviving tensors w tensor m.
 
-    F is the morphism, m runs over the target's generators, and corestrict
-    is the outer table's _corestrict, which reads the arity-1 part of that
-    table's image by corestriction; F(w) is computed once per word.
+    F is the morphism, m runs over the target's generators, and the outer
+    table's _corestrict reads the arity-1 part of its image by
+    corestriction; F(w) is computed once per word.  F(w) v m has arity at
+    least |w| / m_F + 1 and the outer table reads arities up to m_outer, so
+    the sweep stops at m_F (m_outer - 1).
     """
     space = morphism.source.space
+    bound = morphism.max_arity * max(0, outer.max_arity - 1)
     tensors = surviving_tensors(space, morphism.target.space,
-                                space.enumerate_words(cap))
+                                space.enumerate_words(_bounded(cap, bound)))
     comps = {}
     for word, keys in groupby(tensors, key=itemgetter(0)):
         image = morphism_apply(morphism, {word: ONE})
         for key in keys:
             joined = sym_mul(morphism.target.space, image, {(key[1],): ONE})
-            value = corestrict(joined)
+            value = outer._corestrict(joined)
             if value:
                 comps.setdefault(len(word), {})[key] = value
     return comps
@@ -251,9 +273,27 @@ def module_morphism_apply(mm, tensor_elt):
 
 
 def check_module_morphism(mm, max_arity=None):
-    """F phi = phi F on surviving tensors up to the cap (default_cap)."""
-    base_space = mm.source.base.space
+    """F phi = phi' F on surviving tensors up to the cap (default_cap).
+
+    F phi - phi' F is a comodule map, so its unit-word slot decides.
+    pr F(phi(w tensor m)) reads F on words of arity |w| - a + 1 or on the
+    left block of a split, and pr phi'(F(w tensor m)) reads phi' on the left
+    block of one; so the first pass stops at
+    max(m_F + m_Q - 1, m_F + m_phi, m_F + m_phi').
+    """
+    source, target = mm.source, mm.target
+    base_space = source.base.space
     cap = default_cap(base_space, max_arity=max_arity)
+    m_f = mm.max_arity
+    bound = max(m_f + source.base.max_arity - 1, m_f + source.max_arity,
+                m_f + target.max_arity)
+    if not any(
+            mm._corestrict(module_apply(source, {key: ONE}))
+            != target._corestrict(module_morphism_apply(mm, {key: ONE}))
+            for key in surviving_tensors(
+                base_space, source.space,
+                base_space.enumerate_words(_bounded(cap, bound)))):
+        return True
     for word, mgen in surviving_tensors(
             base_space, mm.source.space, base_space.enumerate_words(cap)):
         start = {(word, mgen): ONE}
@@ -267,14 +307,19 @@ def check_module_morphism(mm, max_arity=None):
 
 
 def compose_module_morphisms(outer, inner):
-    """Composite module morphism, components from the unit-word slot."""
+    """Composite module morphism, components from the unit-word slot.
+
+    inner(w tensor m) puts a block of arity at most m_inner beside m, and
+    outer reads the rest at arity at most m_outer, so words stop at
+    m_inner + m_outer.
+    """
     if not spaces_equal(inner.target.space, outer.source.space):
         raise InputError("module morphism composition endpoints do not match")
     base_space = inner.source.base.space
-    cap = default_cap(base_space, inner.max_arity + outer.max_arity)
     comps = {}
     for word, mgen in surviving_tensors(
-            base_space, inner.source.space, base_space.enumerate_words(cap)):
+            base_space, inner.source.space,
+            base_space.enumerate_words(inner.max_arity + outer.max_arity)):
         value = outer._corestrict(
             module_morphism_apply(inner, {(word, mgen): ONE}))
         if value:
@@ -296,7 +341,8 @@ def module_morphism_from_triangle(outer, inner, source, target):
 
         F_k(w tensor m) = pr(outer(inner(w) v m)),
 
-    in particular F_0(1 tensor m) is the strict part of outer on m.
+    in particular F_0(1 tensor m) is the strict part of outer on m.  They
+    vanish on words above m_inner (m_outer - 1), where the sweep stops.
     """
     if not spaces_equal(inner.target.space, outer.source.space):
         raise InputError("triangle does not compose")
@@ -305,7 +351,7 @@ def module_morphism_from_triangle(outer, inner, source, target):
             or not spaces_equal(target.space, outer.target.space):
         raise InputError("triangle endpoints are not the modules of its maps")
     cap = default_cap(inner.source.space, inner.max_arity, outer.max_arity)
-    comps = _joined_components(inner, cap, outer._corestrict)
+    comps = _joined_components(inner, cap, outer)
     return ModuleMorphism(source, target, comps)
 
 

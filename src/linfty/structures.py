@@ -34,7 +34,19 @@ explicit cap that callers must choose at least as large as any arity they
 later inspect.  default_cap is the one rule for a cap the caller leaves open,
 in materialization and checks alike: it covers the verification arity, the
 arities of the maps involved and every word that survives truncation when
-all generators sit in positive filtration.
+all generators sit in positive filtration.  Sweeps stop at min(cap, bound),
+where the bound is derived from the max_arity of the tables involved:
+beyond it a construction's components vanish, and so does the arity-one
+part of a check's residual.
+
+A check's residual is a coderivation (Q o Q), a coderivation along F
+(F Q - Q' F), or a comodule map (phi o phi over a base with Q o Q = 0, and
+f phi - phi' f), so it vanishes on words up to a cap exactly when its
+arity-one part does.
+Each check therefore reads that part by corestriction on words up to
+min(cap, bound) first; only True comes from this pass.  Any nonzero
+residual sends the check to its full loop over the cap, which picks the
+verdict, the first failing word and the error text.
 """
 
 from .graded import (
@@ -44,6 +56,7 @@ from .graded import (
     ONE,
     ZERO,
     _accumulate,
+    _check_arity,
     co_canon,
     co_from_element,
     co_linear_part,
@@ -70,8 +83,14 @@ VERIFY_ARITY = 4
 def default_cap(space, *arities, max_arity=None):
     """The caller's cap when given, else max(VERIFY_ARITY, N-1, *arities)."""
     if max_arity is not None:
-        return max_arity
+        return _check_arity(max_arity)
     return max(VERIFY_ARITY, space.nilpotency_order - 1, *arities)
+
+
+def _bounded(cap, bound):
+    """The arity a sweep stops at: the smaller of the cap and the bound,
+    with the bound clamped at 0."""
+    return min(cap, max(0, bound))
 
 
 class LInftyStructure(ComponentTable):
@@ -117,10 +136,29 @@ def coderivation_apply(structure, coelt):
     return structure._apply(coelt, _coderivation_image)
 
 
-def check_square_zero(structure, max_arity=None):
-    """Q o Q = 0 on every surviving word up to the cap; witness on failure."""
+def _square_zero_through(structure, cap):
+    """pr1 Q(Q(w)) = 0 on every word w up to min(cap, 2 m_Q - 1).
+
+    pr1 Q_b(Q_a(w)) needs a, b <= m_Q and |w| = a + b - 1.
+    """
     space = structure.space
-    for word in space.enumerate_words(default_cap(space, max_arity=max_arity)):
+    return not any(
+        structure._corestrict(coderivation_apply(structure, {word: ONE}))
+        for word in space.enumerate_words(
+            _bounded(cap, 2 * structure.max_arity - 1)))
+
+
+def check_square_zero(structure, max_arity=None):
+    """Q o Q = 0 on every surviving word up to the cap; witness on failure.
+
+    Q o Q is a coderivation, so its arity-one part decides; that part
+    vanishes on words above 2 m_Q - 1, the bound of the first pass.
+    """
+    space = structure.space
+    cap = default_cap(space, max_arity=max_arity)
+    if _square_zero_through(structure, cap):
+        return True
+    for word in space.enumerate_words(cap):
         once = coderivation_apply(structure, {word: ONE})
         twice = coderivation_apply(structure, once)
         if twice:
@@ -262,9 +300,24 @@ def morphism_apply(morphism, coelt):
 
 
 def check_morphism(morphism, max_arity=None):
-    """F Q = Q F on every surviving word up to the cap; witness on failure."""
-    space = morphism.source.space
-    for word in space.enumerate_words(default_cap(space, max_arity=max_arity)):
+    """F Q = Q' F on every surviving word up to the cap; witness on failure.
+
+    F Q - Q' F is a coderivation along F, so its arity-one part decides.
+    pr1 F(Q w) reads F on words of arity |w| - a + 1 <= m_F, and
+    pr1 Q'(F w) reads Q' on words of arity >= |w| / m_F; so the first pass
+    stops at max(m_F + m_Q - 1, m_Q' m_F).
+    """
+    source, target = morphism.source, morphism.target
+    space = source.space
+    cap = default_cap(space, max_arity=max_arity)
+    m_f = morphism.max_arity
+    bound = max(m_f + source.max_arity - 1, target.max_arity * m_f)
+    if not any(
+            morphism._corestrict(coderivation_apply(source, {word: ONE}))
+            != target._corestrict(morphism_apply(morphism, {word: ONE}))
+            for word in space.enumerate_words(_bounded(cap, bound))):
+        return True
+    for word in space.enumerate_words(cap):
         lhs = morphism_apply(morphism, coderivation_apply(morphism.source, {word: ONE}))
         rhs = coderivation_apply(morphism.target, morphism_apply(morphism, {word: ONE}))
         if lhs != rhs:
@@ -292,14 +345,17 @@ def compose(outer, inner, max_arity=None):
     caller's business (identity tests compare derived structures on purpose).
     Components beyond the cap are dropped, so pick the cap at least as large
     as any arity later inspected; the default covers verification arity and,
-    for positively filtered spaces, every surviving word.
+    for positively filtered spaces, every surviving word.  The sweep stops
+    at m_outer m_inner: inner(w) has arity at least |w| / m_inner, and
+    outer's corestriction reads arities up to m_outer.
     """
     if not spaces_equal(inner.target.space, outer.source.space):
         raise InputError("composition endpoints do not match")
     cap = default_cap(inner.source.space, inner.max_arity, outer.max_arity,
                       max_arity=max_arity)
     comps = {}
-    for word in inner.source.space.enumerate_words(cap, min_arity=1):
+    for word in inner.source.space.enumerate_words(
+            _bounded(cap, outer.max_arity * inner.max_arity), min_arity=1):
         value = outer._corestrict(morphism_apply(inner, {word: ONE}))
         if value:
             comps.setdefault(len(word), {})[word] = value
@@ -369,15 +425,17 @@ def conjugate(structure, components, max_arity=None):
     (raw morphism tables; the target structure cannot be wired in
     advance because conjugation is what computes it).  Returns the unique
     structure making the map an isomorphism of structures, together with
-    that map, properly wired and ready for check_morphism.
+    that map, properly wired and ready for check_morphism.  A strict map
+    transports Q_k to arity k alone, so its sweep stops at m_Q.
     """
     space = structure.space
     placeholder = LInftyStructure(space, {})
     phi = LInftyMorphism(structure, placeholder, components)
     cap = default_cap(space, phi.max_arity, max_arity=max_arity)
     inverse = invert(phi, max_arity=cap)
+    bound = structure.max_arity if phi.is_strict() else cap
     comps = {}
-    for word in space.enumerate_words(cap):
+    for word in space.enumerate_words(_bounded(cap, bound)):
         pulled = morphism_apply(inverse, {word: ONE})
         derived = coderivation_apply(structure, pulled)
         value = phi._corestrict(derived)

@@ -215,6 +215,13 @@ def test_space_sorts_basis_and_validates():
         GradedSpace([("a", 0, 0)], 0)
 
 
+@pytest.mark.parametrize("order", [2.5, "2", None, True])
+def test_space_rejects_an_order_that_is_not_an_int(order):
+    # a float order would truncate at a fractional weight, a bool pass as 1
+    with pytest.raises(InputError, match="nilpotency order must be a positive integer"):
+        GradedSpace([("a", 0, 0)], order)
+
+
 def test_normalize_word_sorts_with_sign():
     sp = two_gen_space()
     assert sp.normalize_word(["a", "b"]) == (("a", "b"), 1)
@@ -265,6 +272,14 @@ def test_enumerate_words_rejects_a_negative_arity_cap():
     sp = GradedSpace([("a", 0, 0)], 2)
     with pytest.raises(InputError, match="max_arity must be nonnegative"):
         list(sp.enumerate_words(-1))
+
+
+@pytest.mark.parametrize("cap", [1.5, "2", True, None])
+def test_enumerate_words_rejects_a_cap_that_is_not_an_int(cap):
+    # True would sweep as if the cap were 1
+    sp = GradedSpace([("a", 0, 0)], 2)
+    with pytest.raises(InputError, match="max_arity must be an integer"):
+        list(sp.enumerate_words(cap))
 
 
 # -- element and coalgebra helpers --------------------------------------------------

@@ -366,6 +366,18 @@ def test_default_cap_is_the_one_cap_rule():
     assert default_cap(fix_a().space) == 4
 
 
+@pytest.mark.parametrize("cap", [2.5, "2", True])
+def test_checks_and_constructions_reject_a_cap_that_is_not_an_int(cap):
+    # a cap is compared with the derived bound before any sweep starts
+    t = morphism_t()
+    with pytest.raises(InputError, match="max_arity must be an integer"):
+        check_square_zero(t.source, max_arity=cap)
+    with pytest.raises(InputError, match="max_arity must be an integer"):
+        check_morphism(t, max_arity=cap)
+    with pytest.raises(InputError, match="max_arity must be an integer"):
+        compose(t, identity_morphism(t.source), max_arity=cap)
+
+
 def test_square_zero_sweeps_to_the_truncation_order_by_default():
     # the verification arity 4 alone would pass this structure
     q = quintic_failure()
