@@ -7,7 +7,6 @@ alongside the objects that use them.
 """
 
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from linfty.fixtures import REGISTRY, morphism_t
@@ -33,7 +32,7 @@ def _attach_elements(writer, name, space):
         if space.degree(g) == 0 and space.filtration(g) >= 1:
             writer.add_element(space, {g: ONE}, g)
     if name in ("fix_b", "fix_b2"):
-        writer.add_element(space, {"x": Fraction(2)}, "2x")
+        writer.add_element(space, {"x": 2}, "2x")
 
 
 def pair_document():

@@ -15,8 +15,6 @@ Naming scheme, kept stable because frozen test values refer to it:
                with the doubling morphism as the fiber on every chart
 """
 
-from fractions import Fraction
-
 from .graded import GradedSpace, ONE
 from .structures import LInftyStructure, from_curved_lie, strict_morphism
 from .modules import LInftyModule, ModuleMorphism, identity_module_morphism
@@ -35,23 +33,23 @@ def fix_b():
         [("x", 1, 1), ("c", 2, 2)], 3,
         curvature={"c": ONE},
         differential={},
-        bracket={("x", "x"): {"c": Fraction(2)}},
+        bracket={("x", "x"): {"c": 2}},
         label="fix_b")
 
 
 def fix_b2():
     return from_curved_lie(
         [("x", 1, 1), ("c", 2, 2)], 3,
-        curvature={"c": Fraction(2)},
+        curvature={"c": 2},
         differential={},
-        bracket={("x", "x"): {"c": Fraction(4)}},
+        bracket={("x", "x"): {"c": 4}},
         label="fix_b2")
 
 
 def morphism_t():
     """Strict isomorphism fix_b -> fix_b2 doubling the curvature generator."""
     return strict_morphism(fix_b(), fix_b2(),
-                           {"x": {"x": ONE}, "c": {"c": Fraction(2)}},
+                           {"x": {"x": ONE}, "c": {"c": 2}},
                            label="t")
 
 
@@ -150,7 +148,7 @@ def nonadapted_diagram():
     augmentation = ModuleMorphism(empty, m0, {}, label="aug")
     d0 = ModuleMorphism(m0, m1, {
         0: {((), "u"): {"v": ONE}},
-        1: {(("x",), "u"): {"v": Fraction(-1)}},
+        1: {(("x",), "u"): {"v": -1}},
     }, label="d0")
     return ResolutionDiagram(base, empty, [m0, m1], augmentation, [d0],
                              label="nonadapted")

@@ -2,7 +2,11 @@
 
 Conventions used by every other module:
 
-* Scalars are exact rationals (fractions.Fraction).  No floats anywhere.
+* Scalars are exact rationals: an int when integral, else a
+  fractions.Fraction with denominator > 1; never a float.  Integral
+  arithmetic then stays in machine ints, and a Fraction is built only
+  where a division happens (the 1/l! of a twist, the pivots of an
+  elimination).
 * All stored degrees are degrees in the shifted space L[1].  An element of
   unshifted degree d sits in shifted degree d - 1.  Constructors that accept
   unshifted data (curved Lie algebras, dg modules) do the shift themselves;
@@ -36,8 +40,8 @@ class MathCheckError(LinftyError):
     """A mathematical validation failed (CLI exit code 1)."""
 
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 # Characters reserved by the fixture format for word and tensor keys.
 _FORBIDDEN_NAME_CHARS = set("|@ \t\n")
@@ -48,39 +52,46 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_arity(max_arity):
-    """A cap on word arity: a nonnegative int, else InputError."""
-    if not _is_int(max_arity):
+def _check_arity(arity, name="max_arity"):
+    """A bound on word arity: a nonnegative int, else InputError."""
+    if not _is_int(arity):
         raise InputError(
-            f"max_arity must be an integer, got {type(max_arity).__name__}")
-    if max_arity < 0:
-        raise InputError(f"max_arity must be nonnegative, got {max_arity}")
-    return max_arity
+            f"{name} must be an integer, got {type(arity).__name__}")
+    if arity < 0:
+        raise InputError(f"{name} must be nonnegative, got {arity}")
+    return arity
 
 
 def parse_scalar(text):
-    """Parse "p" or "p/q" into a Fraction.  Bare ints pass through."""
+    """The one coercion to an exact scalar: an int when integral, else a Fraction.
+
+    Takes an int, a Fraction, or a "p" or "p/q" string; a Fraction or
+    "p/q" with denominator 1 becomes its numerator.  Floats, bools and
+    anything else are input errors.
+    """
     if _is_int(text):
-        return Fraction(text)
-    if isinstance(text, Fraction):
         return text
-    if not isinstance(text, str):
+    if isinstance(text, Fraction):
+        q = text
+    elif isinstance(text, str):
+        s = text.strip()
+        try:
+            if "/" not in s:
+                return int(s)
+            p, d = s.split("/")
+            q = Fraction(int(p), int(d))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad scalar literal {text!r}") from exc
+    else:
         raise InputError(f"exact scalars required, got {type(text).__name__}")
-    s = text.strip()
-    try:
-        if "/" in s:
-            p, q = s.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad scalar literal {text!r}") from exc
+    return q.numerator if q.denominator == 1 else q
 
 
 def format_scalar(q):
-    """Canonical form: "p" when the denominator is 1, else "p/q"."""
-    q = Fraction(q)
+    """Canonical form: "p" when integral, else "p/q"; floats are rejected."""
+    q = parse_scalar(q)
     if q.denominator == 1:
-        return str(q.numerator)
+        return str(q)
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -260,11 +271,13 @@ class GradedSpace:
 
         Words whose total filtration weight reaches the nilpotency order are
         zero and are skipped.  Deterministic order: by arity, then
-        lexicographically in basis indices.  A max_arity that is negative
-        or not an int (a bool, a float, a string) is an input error, not an
-        empty or silently rounded sweep that would pass every check.
+        lexicographically in basis indices.  A max_arity or min_arity that
+        is negative or not an int (a bool, a float, a string) is an input
+        error, not an empty or silently rounded sweep that would pass every
+        check.
         """
         _check_arity(max_arity)
+        _check_arity(min_arity, "min_arity")
         names = self.basis
         for arity in range(min_arity, max_arity + 1):
             for combo in itertools.combinations_with_replacement(names, arity):
@@ -278,10 +291,12 @@ class GradedSpace:
 
 # -- sparse vectors ---------------------------------------------------------
 #
-# Elements (generator -> Fraction), coalgebra elements (canonical word ->
-# Fraction) and module tensors ((word, generator) -> Fraction) are plain
-# dicts without zero entries; they share one add, one scale and one
-# accumulator.
+# Elements (generator -> scalar), coalgebra elements (canonical word ->
+# scalar) and module tensors ((word, generator) -> scalar) are plain dicts
+# without zero entries; they share one add, one scale and one accumulator.
+# A scalar is an int when integral, else a Fraction, never a float; stored
+# values pass through parse_scalar, while sums and products inside a loop
+# may hold a Fraction that happens to be integral.
 
 def _accumulate(out, key, q):
     """Add q at key in place, dropping the key when the sum vanishes.
@@ -310,6 +325,14 @@ def el_scale(a, q):
     if not q:
         return {}
     return {key: c * q for key, c in a.items()}
+
+def _fraction_repr(terms):
+    """repr of a sparse vector with every value shown as a Fraction.
+
+    Residuals in error texts are quoted this way, so the text reads the same
+    whether a value is held as an int or as a Fraction.
+    """
+    return repr({key: Fraction(q) for key, q in terms.items()})
 
 def exact_element(element):
     """Element with exact coefficients and no zero terms.
@@ -340,7 +363,7 @@ def filtration_weight(space, el):
     return min(space.filtration(g) for g in el)
 
 
-# -- coalgebra elements (dicts canonical word -> Fraction) ------------------
+# -- coalgebra elements (dicts canonical word -> scalar) --------------------
 
 def co_canon(space, terms):
     """Drop zero coefficients and words of filtration weight >= N."""
@@ -359,7 +382,7 @@ def co_linear_part(coelt):
 def expand_factors(space, factors):
     """Multilinear expansion of a formal product of elements into words.
 
-    factors is a list of elements (dicts).  Returns dict word -> Fraction
+    factors is a list of elements (dicts).  Returns dict word -> scalar
     with canonical words and Koszul signs folded in.  No weight truncation:
     heavy words are left for filtration compatibility to annihilate.
     Morphism images no longer use it (they multiply by sym_mul); it stays

@@ -2,8 +2,9 @@
 
 Two independent elimination routines are kept on purpose: ranks come from
 fraction-free Bareiss elimination on integer-scaled rows, while reduced row
-echelon form over Fraction supplies deterministic kernel bases, solutions and
-cohomology representatives.  cohomology() audits the two against each other
+echelon form over the rationals supplies deterministic kernel bases,
+solutions and cohomology representatives; its pivot reciprocals are the only
+divisions in the package.  cohomology() audits the two against each other
 through rank-nullity, so a bug in either one surfaces as a hard error rather
 than a silent wrong Betti number.
 
@@ -12,6 +13,7 @@ Zero-dimensional degrees are fully supported (shape-checked empty matrices);
 resolution diagrams rely on that for their virtual zero ends.
 """
 
+from fractions import Fraction
 from math import gcd
 
 from .graded import InputError, MathCheckError, ZERO, ONE, parse_scalar
@@ -146,7 +148,8 @@ def rref(m):
         if piv is None:
             continue
         rows[row], rows[piv] = rows[piv], rows[row]
-        inv = ONE / rows[row][col]
+        p = rows[row][col]
+        inv = p if p in (1, -1) else Fraction(1) / p  # +-1 is its own inverse
         rows[row] = [x * inv for x in rows[row]]
         for i in range(len(rows)):
             if i != row and rows[i][col] != 0:

@@ -21,7 +21,7 @@ from the seed alone.
 from fractions import Fraction
 import random
 
-from .graded import ONE, _accumulate, el_add
+from .graded import ONE, _accumulate, el_add, parse_scalar
 from .structures import (
     compose,
     conjugate,
@@ -87,7 +87,7 @@ def matrix_structure(n, weights=None, xi=None, label=""):
             if deg[(i, j)] != 1:
                 raise ValueError(f"xi entry {unit_name(i, j)} has degree "
                                  f"{deg[(i, j)]}, needs 1")
-            xi_mat[(i, j)] = Fraction(q)
+            xi_mat[(i, j)] = parse_scalar(q)
 
     def commutator(a, b, par_a, par_b):
         ab = _multiply(n, a, b)
@@ -99,7 +99,7 @@ def matrix_structure(n, weights=None, xi=None, label=""):
         return out
 
     def as_element(mat):
-        return {unit_name(i, j): Fraction(q) for (i, j), q in mat.items() if q}
+        return {unit_name(i, j): parse_scalar(q) for (i, j), q in mat.items() if q}
 
     bracket = {}
     for a in pairs:
@@ -138,7 +138,7 @@ def _raising_linear_part(rng, space):
             if t != g and space.degree(t) == space.degree(g) \
                     and space.filtration(t) > space.filtration(g) \
                     and rng.random() < 0.5:
-                value[t] = Fraction(rng.choice((-2, -1, 1, 2)))
+                value[t] = rng.choice((-2, -1, 1, 2))
         table[(g,)] = value
     return table
 
@@ -165,7 +165,7 @@ def random_conjugation(rng, structure):
             for t in space.basis:
                 if space.degree(t) == want and space.filtration(t) >= floor \
                         and rng.random() < 0.3:
-                    value[t] = Fraction(rng.choice((-1, 1)))
+                    value[t] = rng.choice((-1, 1))
             if value:
                 table[word] = value
     if table:
@@ -184,7 +184,7 @@ def random_instance(seed):
     pi = dict(xi)
     if candidates and rng.random() < 0.7:
         extra = rng.choice(candidates)
-        pi = el_add(pi, {extra: Fraction(rng.choice((-2, -1, 1, 2)))})
+        pi = el_add(pi, {extra: rng.choice((-2, -1, 1, 2))})
     if not mc_check(base, pi):
         raise AssertionError(f"seed {seed}: constructed datum is not Maurer-Cartan")
     transported, morphism = random_conjugation(rng, base)

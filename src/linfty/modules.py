@@ -34,6 +34,7 @@ from .graded import (
     MathCheckError,
     ONE,
     _accumulate,
+    _fraction_repr,
     el_scale,
     exact_element,
     shuffle_splits,
@@ -158,8 +159,8 @@ def check_module_square_zero(module, max_arity=None):
         twice = module_apply(module, once)
         if twice:
             raise MathCheckError(
-                f"module operator does not square to zero: residual {twice} "
-                f"on {word} tensor {mgen}")
+                "module operator does not square to zero: residual "
+                f"{_fraction_repr(twice)} on {word} tensor {mgen}")
     return True
 
 

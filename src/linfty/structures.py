@@ -57,6 +57,7 @@ from .graded import (
     ZERO,
     _accumulate,
     _check_arity,
+    _fraction_repr,
     co_canon,
     co_from_element,
     co_linear_part,
@@ -163,7 +164,8 @@ def check_square_zero(structure, max_arity=None):
         twice = coderivation_apply(structure, once)
         if twice:
             raise MathCheckError(
-                f"coderivation does not square to zero: residual {twice} on word {word}")
+                "coderivation does not square to zero: residual "
+                f"{_fraction_repr(twice)} on word {word}")
     return True
 
 
@@ -323,7 +325,8 @@ def check_morphism(morphism, max_arity=None):
         if lhs != rhs:
             diff = el_sub(lhs, rhs)
             raise MathCheckError(
-                f"morphism does not intertwine coderivations: residual {diff} on word {word}")
+                "morphism does not intertwine coderivations: residual "
+                f"{_fraction_repr(diff)} on word {word}")
     return True
 
 

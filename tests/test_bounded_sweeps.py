@@ -15,6 +15,7 @@ lower fails.  Each bounded construction equals the same construction swept
 to default_cap.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 import random
 
@@ -58,6 +59,11 @@ from linfty.twisting import twist_morphism, twist_structure
 
 # -- oracles: the full loops ------------------------------------------------------
 
+def as_fractions(terms):
+    """Residual values as Fractions, as the texts have always quoted them."""
+    return {key: Fraction(q) for key, q in terms.items()}
+
+
 def oracle_check_square_zero(structure, max_arity=None):
     space = structure.space
     for word in space.enumerate_words(default_cap(space, max_arity=max_arity)):
@@ -65,7 +71,8 @@ def oracle_check_square_zero(structure, max_arity=None):
         twice = coderivation_apply(structure, once)
         if twice:
             raise MathCheckError(
-                f"coderivation does not square to zero: residual {twice} on word {word}")
+                f"coderivation does not square to zero: residual {as_fractions(twice)} "
+                f"on word {word}")
     return True
 
 
@@ -77,7 +84,8 @@ def oracle_check_morphism(morphism, max_arity=None):
         if lhs != rhs:
             diff = el_sub(lhs, rhs)
             raise MathCheckError(
-                f"morphism does not intertwine coderivations: residual {diff} on word {word}")
+                f"morphism does not intertwine coderivations: residual {as_fractions(diff)} "
+                f"on word {word}")
     return True
 
 
@@ -90,7 +98,7 @@ def oracle_check_module_square_zero(module, max_arity=None):
         twice = module_apply(module, once)
         if twice:
             raise MathCheckError(
-                f"module operator does not square to zero: residual {twice} "
+                f"module operator does not square to zero: residual {as_fractions(twice)} "
                 f"on {word} tensor {mgen}")
     return True
 

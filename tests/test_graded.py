@@ -93,6 +93,14 @@ def test_scalar_round_trip():
     assert parse_scalar(format_scalar(Fraction(22, 7))) == Fraction(22, 7)
 
 
+def test_parse_scalar_gives_an_int_when_integral():
+    for given, want in [(3, 3), ("-4", -4), (" 6/3 ", 2), (Fraction(10, 5), 2),
+                        ("1/2", Fraction(1, 2)), (Fraction(-3, 6), Fraction(-1, 2))]:
+        got = parse_scalar(given)
+        assert got == want and type(got) is type(want)
+    assert format_scalar(2) == format_scalar(Fraction(2)) == "2"
+
+
 def test_scalar_rejects_floats_and_garbage():
     with pytest.raises(InputError):
         parse_scalar(1.5)
@@ -102,6 +110,10 @@ def test_scalar_rejects_floats_and_garbage():
         parse_scalar("1/0")
     with pytest.raises(InputError):
         parse_scalar(None)
+    # writing a scalar takes the same door: a float is not rounded into p/q
+    for bad in (0.5, True):
+        with pytest.raises(InputError):
+            format_scalar(bad)
 
 
 # -- koszul sign ---------------------------------------------------------------
@@ -280,6 +292,18 @@ def test_enumerate_words_rejects_a_cap_that_is_not_an_int(cap):
     sp = GradedSpace([("a", 0, 0)], 2)
     with pytest.raises(InputError, match="max_arity must be an integer"):
         list(sp.enumerate_words(cap))
+
+
+@pytest.mark.parametrize("floor, message", [
+    (-1, "min_arity must be nonnegative, got -1"),
+    (1.5, "min_arity must be an integer, got float"),
+    ("1", "min_arity must be an integer, got str"),
+    (True, "min_arity must be an integer, got bool"),  # not a floor of 1
+])
+def test_enumerate_words_rejects_a_bad_arity_floor(floor, message):
+    sp = GradedSpace([("a", 0, 0)], 2)
+    with pytest.raises(InputError, match=message):
+        list(sp.enumerate_words(2, min_arity=floor))
 
 
 # -- element and coalgebra helpers --------------------------------------------------
