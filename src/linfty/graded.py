@@ -43,6 +43,9 @@ class MathCheckError(LinftyError):
 ZERO = 0
 ONE = 1
 
+# A memo lookup's default, told apart from a stored None (a zero word).
+_UNSEEN = object()
+
 # Characters reserved by the fixture format for word and tensor keys.
 _FORBIDDEN_NAME_CHARS = set("|@ \t\n")
 
@@ -69,7 +72,7 @@ def parse_scalar(text):
     "p/q" with denominator 1 becomes its numerator.  Floats, bools and
     anything else are input errors.
     """
-    if _is_int(text):
+    if type(text) is int or _is_int(text):
         return text
     if isinstance(text, Fraction):
         q = text
@@ -156,17 +159,13 @@ def shuffle_splits(space, word, sizes):
     Yields (eps, left, right, left_odd): the Koszul sign of the shuffle, the
     left block of k generator names and the right block of the rest, and
     whether the left block has odd total degree.  Callers choose their own
-    sign policy from these.
+    sign policy from these.  The signs and index blocks depend only on the
+    parities of the word's degrees and on sizes, so each space builds that
+    plan once per (parities, sizes) and every later split reads it.
     """
-    degrees = [space.degree(g) for g in word]
-    n = len(word)
-    for k in sizes:
-        for sigma in shuffles(k, n - k):
-            left = sigma[:k]
-            yield (koszul_sign(sigma, degrees),
-                   [word[i] for i in left],
-                   [word[i] for i in sigma[k:]],
-                   sum(degrees[i] for i in left) % 2)
+    for eps, left, right, left_odd in space._split_plan(word, sizes):
+        yield (eps, [word[i] for i in left], [word[i] for i in right],
+               left_odd)
 
 
 class GradedSpace:
@@ -175,7 +174,16 @@ class GradedSpace:
     The basis is sorted into canonical (degree, name) order on construction.
     nilpotency_order N declares the truncation: generator levels are < N and
     total filtration weight >= N counts as zero.
+
+    A space is immutable after construction: nothing edits its generators,
+    degrees or levels.  Its word kernels memoize on that: each space keeps
+    the canonical form and the weight of every word it was asked about,
+    every sweep of enumerate_words, and every shuffle-split plan.  The memos
+    sit in slots, not in vars(space), and are never part of the space's
+    value; a failed lookup (an unknown generator) is never stored.
     """
+
+    __slots__ = ("_norms", "_words", "_weights", "_splits", "__dict__")
 
     def __init__(self, generators, nilpotency_order, label=""):
         if not _is_int(nilpotency_order) or nilpotency_order < 1:
@@ -202,6 +210,10 @@ class GradedSpace:
         self._degree = {g[0]: g[1] for g in gens}
         self._filtration = {g[0]: g[2] for g in gens}
         self._index = {g[0]: i for i, g in enumerate(gens)}
+        self._norms = {}    # tuple of factors -> (word, sign) or None
+        self._weights = {}  # tuple of factors -> total filtration weight
+        self._words = {}    # (max_arity, min_arity) -> tuple of words
+        self._splits = {}   # (parities, sizes) -> shuffle-split plan
 
     @property
     def basis(self):
@@ -243,6 +255,13 @@ class GradedSpace:
         The Koszul sign of sorting into (degree, name) order is returned
         separately; a repeated odd generator makes the word zero.
         """
+        factors = tuple(factors)
+        norm = self._norms.get(factors, _UNSEEN)
+        if norm is _UNSEEN:
+            norm = self._norms[factors] = self._normalize(factors)
+        return norm
+
+    def _normalize(self, factors):
         for f in factors:
             if f not in self._degree:
                 raise InputError(f"unknown generator {f!r} in word")
@@ -264,7 +283,17 @@ class GradedSpace:
         return sum(self._degree[f] for f in word)
 
     def word_weight(self, word):
-        return sum(self._filtration[f] for f in word)
+        """Total filtration level of the factors of a word."""
+        key = tuple(word)
+        weight = self._weights.get(key)
+        if weight is None:
+            try:
+                weight = sum(self._filtration[f] for f in key)
+            except KeyError as exc:
+                raise InputError(
+                    f"unknown generator {exc.args[0]!r} in word") from None
+            self._weights[key] = weight
+        return weight
 
     def enumerate_words(self, max_arity, min_arity=0):
         """All canonical nonzero words with arity in [min_arity, max_arity].
@@ -273,11 +302,21 @@ class GradedSpace:
         zero and are skipped.  Deterministic order: by arity, then
         lexicographically in basis indices.  A max_arity or min_arity that
         is negative or not an int (a bool, a float, a string) is an input
-        error, not an empty or silently rounded sweep that would pass every
-        check.
+        error, raised at call time, not an empty or silently rounded sweep
+        that would pass every check.  The sweep is built once per
+        (max_arity, min_arity) and returned as a tuple shared by every
+        caller.
         """
         _check_arity(max_arity)
         _check_arity(min_arity, "min_arity")
+        key = (max_arity, min_arity)
+        words = self._words.get(key)
+        if words is None:
+            words = tuple(self._build_words(max_arity, min_arity))
+            self._words[key] = words
+        return words
+
+    def _build_words(self, max_arity, min_arity):
         names = self.basis
         for arity in range(min_arity, max_arity + 1):
             for combo in itertools.combinations_with_replacement(names, arity):
@@ -287,6 +326,30 @@ class GradedSpace:
                 if self.word_weight(combo) >= self.nilpotency_order:
                     continue
                 yield combo
+
+    def _split_plan(self, word, sizes):
+        """(eps, left indices, right indices, left_odd) per split of word.
+
+        eps is the Koszul sign of the (k, n-k)-shuffle for each k in sizes,
+        and left_odd the parity of the left block's degree; both depend only
+        on the parities of the word's degrees, which with sizes key the plan.
+        """
+        try:
+            parities = tuple([self._degree[g] % 2 for g in word])
+        except KeyError as exc:
+            raise InputError(f"unknown generator {exc.args[0]!r}") from None
+        sizes = tuple(sizes)
+        plan = self._splits.get((parities, sizes))
+        if plan is None:
+            n = len(parities)
+            plan = []
+            for k in sizes:
+                for sigma in shuffles(k, n - k):
+                    left = sigma[:k]
+                    plan.append((koszul_sign(sigma, parities), left, sigma[k:],
+                                 sum(parities[i] for i in left) % 2))
+            self._splits[parities, sizes] = plan
+        return plan
 
 
 # -- sparse vectors ---------------------------------------------------------

@@ -16,7 +16,8 @@ resolution diagrams rely on that for their virtual zero ends.
 from fractions import Fraction
 from math import gcd
 
-from .graded import InputError, MathCheckError, ZERO, ONE, parse_scalar
+from .graded import (
+    InputError, MathCheckError, ZERO, ONE, _check_arity, parse_scalar)
 
 
 class Matrix:
@@ -25,15 +26,16 @@ class Matrix:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows, ncols, rows=None):
-        if nrows < 0 or ncols < 0:
-            raise InputError("matrix shape must be nonnegative")
+        _check_arity(nrows, "nrows")
+        _check_arity(ncols, "ncols")
         if rows is None:
             rows = [[ZERO] * ncols for _ in range(nrows)]
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise InputError(f"matrix rows do not match shape {nrows}x{ncols}")
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = tuple(tuple(parse_scalar(x) for x in r) for r in rows)
+        self.rows = tuple(tuple(x if type(x) is int else parse_scalar(x)
+                                for x in r) for r in rows)
 
     @classmethod
     def from_rows(cls, rows, ncols=None):

@@ -11,8 +11,9 @@ word of each pooled map's default sweep and on arity-5 words.
 The arity-one readouts are checked the same way: a table's _corestrict
 against the arity-one part of its full apply, and the strict inverse
 against the tangent + Neumann route that invert takes for non-strict maps.
-The memo rests on tables being immutable after construction, which the
-last tests check on the ladders, instances and fixtures the suite ships.
+The memo rests on tables being immutable after construction, as the word
+kernels' memos rest on spaces being so; the last tests check both on the
+ladders, instances and fixtures the suite ships.
 """
 
 import copy
@@ -41,6 +42,7 @@ from linfty.graded import (
     shuffle_splits,
 )
 from linfty.homology import is_isomorphism, linear_blocks, solve
+from linfty.io import FixtureWriter, space_json
 from linfty.instances import (
     matrix_structure,
     random_conjugation,
@@ -72,6 +74,7 @@ from linfty.structures import (
     identity_morphism,
     invert,
     morphism_apply,
+    spaces_equal,
     strict_morphism,
 )
 from linfty.twisting import (
@@ -602,29 +605,63 @@ def test_each_table_applies_itself_to_a_key_once(monkeypatch):
     assert sorted(calls) == sorted(words)
 
 
-# -- immutability: no component dict changes after construction -----------------
+def test_space_memos_stay_out_of_vars_equality_and_fixtures():
+    """A space warmed by a ladder check keeps vars(space) as it was built;
+    it equals a cold copy and the fixture writer stores the two once."""
+    ladder, xi = random_ladder(0)
+    space = ladder.source.base.space
+    cold = GradedSpace(space.generators, space.nilpotency_order, space.label)
+    before = copy.deepcopy(vars(space))
+    assert prop_key_pipeline(ladder, xi)["verdict"] == "quasi-isomorphism"
+    assert all((space._norms, space._weights, space._words, space._splits))
+    assert vars(space) == before == vars(cold)
+    assert spaces_equal(space, cold) and spaces_equal(cold, space)
+    writer = FixtureWriter()
+    assert writer.add(space, "warm") == writer.add(cold, "cold") == "warm"
+    assert writer.raw["spaces"] == {"warm": space_json(cold)}
+
+
+# -- immutability: nothing changes after construction ---------------------------
+
+def attributes(obj):
+    """Every attribute binding of obj: vars(obj) and its slots."""
+    slots = [name for cls in type(obj).__mro__
+             for name in getattr(cls, "__slots__", ()) if name != "__dict__"]
+    return {**vars(obj), **{name: getattr(obj, name) for name in slots}}
+
+
+def content(obj):
+    """What a table or space is: its components, or a space's attributes."""
+    return obj.components if isinstance(obj, ComponentTable) else vars(obj)
+
 
 @pytest.fixture
 def built_tables(monkeypatch):
-    """Every table built in the test, with a snapshot taken at construction."""
+    """Every table and space built in the test, with a snapshot taken at
+    construction."""
     built = []
-    set_components = ComponentTable._set_components
 
-    def recording(self, *args, **kwargs):
-        set_components(self, *args, **kwargs)
-        built.append((self, dict(vars(self)), copy.deepcopy(self.components)))
+    def recording(build):
+        def record(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            built.append((self, attributes(self), copy.deepcopy(content(self))))
+        return record
 
-    monkeypatch.setattr(ComponentTable, "_set_components", recording)
+    monkeypatch.setattr(ComponentTable, "_set_components",
+                        recording(ComponentTable._set_components))
+    monkeypatch.setattr(GradedSpace, "__init__",
+                        recording(GradedSpace.__init__))
     return built
 
 
 def assert_unchanged(built):
-    assert built
-    for table, attributes, components in built:
-        assert table.components == components
-        now = vars(table)
-        assert now.keys() == attributes.keys()
-        assert all(now[name] is value for name, value in attributes.items())
+    # both spaces and tables were built
+    assert {type(obj) is GradedSpace for obj, _, _ in built} == {True, False}
+    for obj, attrs, snapshot in built:
+        assert content(obj) == snapshot
+        now = attributes(obj)
+        assert now.keys() == attrs.keys()
+        assert all(now[name] is value for name, value in attrs.items())
 
 
 def test_ladders_leave_every_table_unchanged(built_tables):

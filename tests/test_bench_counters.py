@@ -1,0 +1,67 @@
+"""The benchmark's traced counters stay defined on the current library.
+
+perfbench/run.py --trace 1 wraps the library's public functions and reads
+the per-layer metrics that BENCHMARK.json promises.  A metric reads a
+function by name, and a ratio is left undefined when its denominator is 0
+(a fast path that skips the work it divides by), either of which makes a
+traced run malformed.  This test runs one op of each workload under the
+tracer, in memory, and checks that every metric is there and defined and
+that each op's output still matches perfbench/golden.json.  It reads
+perfbench/ and writes nothing there.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+# Cheap ops: a 3-generator ladder and instance, and a prop-key corpus run.
+LADDER_SEED = 28
+INSTANCE_SEED = 1
+CLI_INDEX = 22
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench's tracing and workloads modules, imported without bytecode."""
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        import tracing
+        import workloads
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(PERFBENCH))
+    return tracing, workloads
+
+
+def test_one_traced_op_per_workload_defines_every_metric(bench, tmp_path,
+                                                          monkeypatch):
+    tracing, workloads = bench
+    monkeypatch.chdir(ROOT)  # the corpus names its fixtures from the root
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    assert workloads.CLI_RUNS[CLI_INDEX][0][0] == "prop-key"
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer, names):
+        with tracer.op_span(0):
+            ladder, _ = workloads.ladder_op(LADDER_SEED)
+        with tracer.op_span(1):
+            instance, _ = workloads.instance_op(INSTANCE_SEED)
+        with tracer.op_span(2):
+            cli, _ = workloads.cli_op(CLI_INDEX, str(tmp_path / "report.json"))
+    metrics, undefined = tracing.layer_metrics(tracer, untraced_s=1.0,
+                                               traced_s=1.0)
+    assert undefined == []
+    assert sorted(metrics) == sorted(names)
+    golden = workloads.load_golden()
+    assert [ladder.digest, instance.digest, cli.digest] == [
+        golden["ladders"][str(LADDER_SEED)]["digest"],
+        golden["instances"][str(INSTANCE_SEED)]["digest"],
+        golden["cli-corpus"][str(CLI_INDEX)]["digest"]]
+    assert ladder.ok and instance.ok and cli.ok

@@ -266,6 +266,14 @@ def test_normalize_word_consistent_with_koszul_sign(data):
     assert permuted == (base[0], base[1] * sign)
 
 
+def test_word_weight_of_an_unknown_generator_is_an_input_error():
+    sp = GradedSpace([("a", 0, 1), ("b", 1, 0)], 3)
+    for _ in range(2):  # the failure is not memoized
+        with pytest.raises(InputError, match="unknown generator 'c' in word"):
+            sp.word_weight(("a", "c"))
+    assert sp.word_weight(("a", "b")) == 1
+
+
 def test_enumerate_words_respects_weight_and_odd_squares():
     # x at level 1, c at level 2, truncation order 3: (x,c) and (c,c) vanish
     sp = GradedSpace([("x", 0, 1), ("c", 1, 2)], 3)

@@ -72,6 +72,14 @@ def test_matrix_shape_checks():
     assert (a * b).ncols == 3 and (a * b).nrows == 0
 
 
+@pytest.mark.parametrize("shape", [(True, 1), (1, False), (2.0, 2), ("a", 1),
+                                   (1, None), (-1, 0), (0, -2)])
+def test_matrix_rejects_a_shape_that_is_not_a_count(shape):
+    """A shape follows the arity rule: an int, not a bool, and >= 0."""
+    with pytest.raises(InputError):
+        Matrix(*shape)
+
+
 def test_matrix_identity_and_apply():
     i3 = Matrix.identity(3)
     assert i3.apply((Fraction(1), Fraction(2), Fraction(3))) == \
