@@ -178,12 +178,15 @@ class GradedSpace:
     A space is immutable after construction: nothing edits its generators,
     degrees or levels.  Its word kernels memoize on that: each space keeps
     the canonical form and the weight of every word it was asked about,
-    every sweep of enumerate_words, and every shuffle-split plan.  The memos
-    sit in slots, not in vars(space), and are never part of the space's
-    value; a failed lookup (an unknown generator) is never stored.
+    every sweep of enumerate_words, and every shuffle-split plan; the twist
+    layer keeps there the weighted powers pi^l / l! of each twist datum.
+    The memos sit in slots, not in vars(space), and are never part of the
+    space's value; a failed lookup (an unknown generator, an invalid
+    datum) is never stored.
     """
 
-    __slots__ = ("_norms", "_words", "_weights", "_splits", "__dict__")
+    __slots__ = ("_norms", "_words", "_weights", "_splits", "_powers",
+                 "__dict__")
 
     def __init__(self, generators, nilpotency_order, label=""):
         if not _is_int(nilpotency_order) or nilpotency_order < 1:
@@ -214,6 +217,7 @@ class GradedSpace:
         self._weights = {}  # tuple of factors -> total filtration weight
         self._words = {}    # (max_arity, min_arity) -> tuple of words
         self._splits = {}   # (parities, sizes) -> shuffle-split plan
+        self._powers = {}   # twist datum -> ((l, pi^l / l!), ...)
 
     @property
     def basis(self):
@@ -280,7 +284,11 @@ class GradedSpace:
         return word, sign
 
     def word_degree(self, word):
-        return sum(self._degree[f] for f in word)
+        try:
+            return sum(self._degree[f] for f in word)
+        except KeyError as exc:
+            raise InputError(
+                f"unknown generator {exc.args[0]!r} in word") from None
 
     def word_weight(self, word):
         """Total filtration level of the factors of a word."""
@@ -503,13 +511,16 @@ class ComponentTable:
     by value and are therefore unhashable.
 
     Tables are immutable after construction: nothing edits their components
-    or rewires their endpoints.  The applies memoize on that.  Each table
-    keeps the image of every key it has been applied to, with coefficient
-    1, and so applies itself to a word once.  The memo sits in a slot, not
-    in vars(table), and is never part of the table's value.
+    or rewires their endpoints.  The applies and twists memoize on that.
+    Each table keeps the image of every key it has been applied to, with
+    coefficient 1, and so applies itself to a word once.  It also keeps,
+    per twist datum, each twisted row and the twisted structure or
+    morphism built from it, and so twists itself by a datum once.  The
+    memos sit in slots, not in vars(table), and are never part of the
+    table's value.
     """
 
-    __slots__ = ("_images",)
+    __slots__ = ("_images", "_twists")
     __hash__ = None
 
     def _image(self, key, compute):
@@ -614,6 +625,7 @@ class ComponentTable:
         self.components = out
         self.max_arity = max(out, default=0)
         self._images = {}
+        self._twists = {}  # datum -> twisted table; (datum, k) -> row k
 
     def component(self, arity, word, mgen=None):
         """Value on a canonical word (tensor mgen); empty dict when absent."""

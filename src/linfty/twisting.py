@@ -14,6 +14,14 @@ the pushforward is the k = 0 value of F's table, and modules and their maps
 are twisted by the same loop over (word, generator) keys.  The loop returns
 bare tables; callers wire them to endpoints they have twisted once.
 
+Tables and spaces are immutable, so each twist is computed once per table
+and datum and kept, keyed by the validated datum: a table keeps each
+twisted row (so the pushforward, the Maurer-Cartan series and the full
+twist share row 0) and its twisted structure or morphism, and a space keeps
+the tuple of weighted powers pi^l / l! of each datum.  The datum is
+validated before any lookup, so an invalid one raises every time and is
+never kept, and twist_table hands out fresh dicts.
+
 Maurer-Cartan has one definition, the curvature of the twisted structure
 (the k = 0 case of the second line); the full-coderivation route
 Q(exp pi) = 0 is computed independently and mc_check enforces that the two
@@ -21,7 +29,6 @@ routes agree before answering.
 """
 
 from fractions import Fraction
-from itertools import islice
 
 from .graded import (
     InputError,
@@ -55,24 +62,67 @@ def validate_twist_datum(space, pi):
     return pi
 
 
+def _datum_key(pi):
+    """Memo key of a validated datum: equal data give one key."""
+    return frozenset(pi.items())
+
+
 def weighted_powers(space, pi):
-    """Yield (l, pi^l / l!) as coalgebra elements until the power dies."""
-    power = {(): ONE}
-    ell = 0
-    while power:
-        yield ell, power
-        ell += 1
-        power = sym_mul(space, power, co_from_element(pi))
-        power = el_scale(power, Fraction(1, ell))
+    """The tuple of (l, pi^l / l!) as coalgebra elements until the power dies.
+
+    Built once per space and datum; the tuple and its powers are shared by
+    every caller, and no caller mutates them.
+    """
+    pi = validate_twist_datum(space, pi)
+    key = _datum_key(pi)
+    powers = space._powers.get(key)
+    if powers is None:
+        powers = []
+        power = {(): ONE}
+        ell = 0
+        while power:
+            powers.append((ell, power))
+            ell += 1
+            power = sym_mul(space, power, co_from_element(pi))
+            power = el_scale(power, Fraction(1, ell))
+        powers = space._powers[key] = tuple(powers)
+    return powers
 
 
 def exp_element(space, pi):
     """exp(pi) in the truncated coalgebra; a finite sum by weight."""
-    pi = validate_twist_datum(space, pi)
     total = {}
     for _, power in weighted_powers(space, pi):
         total = el_add(total, power)
     return total
+
+
+def _twisted_row(table, pi, k):
+    """Row k of the twist: sum (1/l!) C_{k+l}(pi^l v w) on each key of arity k."""
+    space = table.word_space
+    powers = weighted_powers(space, pi)[:max(0, table.max_arity + 1 - k)]
+    row = {}
+    for word, mgen in table.keys_over(space.enumerate_words(k, min_arity=k)):
+        total = {}
+        for _, power in powers:
+            for pword, pcoeff in power.items():
+                for g, q in table.value(pword + word, mgen).items():
+                    _accumulate(total, g, q * pcoeff)
+        if total:
+            row[word if mgen is None else (word, mgen)] = total
+    return row
+
+
+def _kept_row(table, pi, k):
+    """Row k of the twist of table by the validated datum pi, kept.
+
+    The kept row is shared by every later call; no caller mutates it.
+    """
+    key = (_datum_key(pi), k)
+    row = table._twists.get(key)
+    if row is None:
+        row = table._twists[key] = _twisted_row(table, pi, k)
+    return row
 
 
 def twist_table(table, pi, arities=None):
@@ -81,28 +131,17 @@ def twist_table(table, pi, arities=None):
     table is any component table (structure, morphism, module or module
     morphism); pi lives on its word space.  Returns raw components for the
     given arities (default: every arity of the table), ready to be wired to
-    twisted endpoints by the caller.
+    twisted endpoints by the caller.  Each row is computed once per table
+    and datum; the returned dicts are fresh copies of the kept rows.
     """
-    space = table.word_space
-    pi = validate_twist_datum(space, pi)
-    powers = list(islice(weighted_powers(space, pi), table.max_arity + 1))
+    pi = validate_twist_datum(table.word_space, pi)
     if arities is None:
         arities = range(table.max_arity + 1)
     comps = {}
     for k in arities:
-        row = {}
-        for word, mgen in table.keys_over(space.enumerate_words(k, min_arity=k)):
-            total = {}
-            for ell, power in powers:
-                if k + ell > table.max_arity:
-                    break
-                for pword, pcoeff in power.items():
-                    for g, q in table.value(pword + word, mgen).items():
-                        _accumulate(total, g, q * pcoeff)
-            if total:
-                row[word if mgen is None else (word, mgen)] = total
+        row = _kept_row(table, pi, k)
         if row:
-            comps[k] = row
+            comps[k] = {key: dict(value) for key, value in row.items()}
     return comps
 
 
@@ -111,10 +150,23 @@ def _unit_value(table, pi):
     return twist_table(table, pi, (0,)).get(0, {}).get((), {})
 
 
+def _kept_twist(table, pi, build):
+    """build(), the twist of table by the validated datum pi, kept."""
+    key = _datum_key(pi)
+    twisted = table._twists.get(key)
+    if twisted is None:
+        twisted = table._twists[key] = build()
+    return twisted
+
+
 def twist_structure(structure, pi):
-    """Structure with components Q^pi_k(w) = sum (1/l!) Q_{k+l}(pi^l v w)."""
-    return LInftyStructure(structure.space, twist_table(structure, pi),
-                           label=structure.label)
+    """Structure with components Q^pi_k(w) = sum (1/l!) Q_{k+l}(pi^l v w).
+
+    Kept per datum: a repeated call returns the same twisted structure.
+    """
+    pi = validate_twist_datum(structure.space, pi)
+    return _kept_twist(structure, pi, lambda: LInftyStructure(
+        structure.space, twist_table(structure, pi), label=structure.label))
 
 
 def maurer_cartan_series(structure, pi):
@@ -148,12 +200,16 @@ def push_mc(morphism, pi):
 
 
 def twist_morphism(morphism, pi):
-    """Morphism F^pi between the twisted source and the pi_F-twisted target."""
-    comps = twist_table(morphism, pi, range(1, morphism.max_arity + 1))
-    return LInftyMorphism(
+    """Morphism F^pi between the twisted source and the pi_F-twisted target.
+
+    Kept per datum: a repeated call returns the same twisted morphism.
+    """
+    pi = validate_twist_datum(morphism.word_space, pi)
+    return _kept_twist(morphism, pi, lambda: LInftyMorphism(
         twist_structure(morphism.source, pi),
         twist_structure(morphism.target, push_mc(morphism, pi)),
-        comps, label=morphism.label)
+        twist_table(morphism, pi, range(1, morphism.max_arity + 1)),
+        label=morphism.label))
 
 
 def mc_preservation(morphism, pi):

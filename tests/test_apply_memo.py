@@ -25,10 +25,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linfty import fixtures, structures
+from linfty import fixtures, structures, twisting
 from linfty.graded import (
     ComponentTable,
     GradedSpace,
+    InputError,
     ONE,
     _accumulate,
     co_canon,
@@ -81,9 +82,15 @@ from linfty.twisting import (
     check_morphism_twist_identities,
     check_pushforward_functoriality,
     check_structure_twist_identities,
+    exp_element,
+    maurer_cartan_series,
+    mc_check,
     mc_preservation,
+    push_mc,
     twist_morphism,
     twist_structure,
+    twist_table,
+    weighted_powers,
 )
 
 
@@ -571,22 +578,44 @@ def test_mutating_a_value_leaves_the_table_unchanged():
 
 # -- the memo is not part of the value ------------------------------------------
 
+def memo_slots(cls):
+    """Every memo a class keeps: its slots other than __dict__."""
+    return tuple(name for name in cls.__slots__ if name != "__dict__")
+
+
+TABLE_MEMOS = memo_slots(ComponentTable)
+SPACE_MEMOS = memo_slots(GradedSpace)
+
+
 def dict_attributes(table):
     return {name: copy.deepcopy(value) for name, value in vars(table).items()
             if isinstance(value, dict)}
 
 
+def a_datum(space):
+    """{g: 1} for the first generator a twist can use: degree 0, level >= 1."""
+    return {next(g for g, degree, level in space.generators
+                 if degree == 0 and level >= 1): ONE}
+
+
 def test_memo_stays_out_of_vars_and_equality():
-    """Applies leave vars(table) as it was; a warm and a cold table are equal."""
+    """Applies and twists leave vars(table) as it was; a warm and a cold
+    table are equal and are written as the same fixture."""
     for case, (pool, keys, apply, _) in sorted(CASES.items()):
         table = fresh(pool()[0])
         names, dicts = set(vars(table)), dict_attributes(table)
         for key in keys(table):
             apply(table, {key: ONE})
+        twist_table(table, a_datum(table.word_space))
+        assert all(getattr(table, memo) for memo in TABLE_MEMOS), case
         assert set(vars(table)) == names, case
+        assert names.isdisjoint(TABLE_MEMOS), case
         assert dict_attributes(table) == dicts, case
         cold = fresh(table)
         assert cold == table and table == cold
+        warm_writer, cold_writer = FixtureWriter(), FixtureWriter()
+        assert warm_writer.add(table, case) == cold_writer.add(cold, case)
+        assert warm_writer.raw == cold_writer.raw, case
 
 
 def test_each_table_applies_itself_to_a_key_once(monkeypatch):
@@ -613,12 +642,96 @@ def test_space_memos_stay_out_of_vars_equality_and_fixtures():
     cold = GradedSpace(space.generators, space.nilpotency_order, space.label)
     before = copy.deepcopy(vars(space))
     assert prop_key_pipeline(ladder, xi)["verdict"] == "quasi-isomorphism"
-    assert all((space._norms, space._weights, space._words, space._splits))
+    assert all(getattr(space, memo) for memo in SPACE_MEMOS)
     assert vars(space) == before == vars(cold)
+    assert set(vars(space)).isdisjoint(SPACE_MEMOS)
     assert spaces_equal(space, cold) and spaces_equal(cold, space)
     writer = FixtureWriter()
     assert writer.add(space, "warm") == writer.add(cold, "cold") == "warm"
     assert writer.raw["spaces"] == {"warm": space_json(cold)}
+
+
+# -- the twist memo: fresh answers, no invalid data, each row once ---------------
+
+def vandalize(terms):
+    """Change every value of a nested dict of scalars and add a key."""
+    for key, value in list(terms.items()):
+        if isinstance(value, dict):
+            vandalize(value)
+        else:
+            terms[key] = value + 1
+    terms["extra"] = ONE
+
+
+def test_twists_hand_out_fresh_dicts():
+    inst = random_instance(0)
+    base, pi, f = fresh(inst["base"]), inst["pi"], fresh(inst["morphism"])
+    second = el_scale(pi, 2)
+
+    def answers():
+        return (twist_table(base, pi), twist_table(f, second),
+                push_mc(f, pi), maurer_cartan_series(base, second))
+
+    expected = copy.deepcopy(answers())
+    assert all(expected)
+    for _ in range(2):
+        for got in answers():
+            vandalize(got)
+        assert answers() == expected
+        assert twist_structure(base, pi).components == expected[0]
+
+
+INVALID_DATA = (({"w": ONE}, "unknown generator 'w'"),
+                ({"c": ONE}, "shifted degree 0"),
+                ({"z": ONE}, "positive filtration"),
+                ({"x": 0.5}, "exact scalars required, got float"),
+                ({"x": True}, "exact scalars required, got bool"))
+
+
+@pytest.mark.parametrize("pi, message", INVALID_DATA)
+def test_an_invalid_datum_raises_each_time_and_is_never_kept(pi, message):
+    space = GradedSpace([("x", 0, 1), ("z", 0, 0), ("c", 1, 2)], 3)
+    structure = LInftyStructure(space, {2: {("x", "x"): {"c": ONE}}})
+    morphism = identity_morphism(structure)
+    calls = (lambda: twist_table(structure, pi),
+             lambda: twist_structure(structure, pi),
+             lambda: maurer_cartan_series(structure, pi),
+             lambda: mc_check(structure, pi),
+             lambda: push_mc(morphism, pi),
+             lambda: twist_morphism(morphism, pi),
+             lambda: exp_element(space, pi),
+             lambda: weighted_powers(space, pi))
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(InputError, match=message):
+                call()
+    assert structure._twists == morphism._twists == space._powers == {}
+
+
+def test_each_table_computes_each_twisted_row_once(monkeypatch):
+    """Across the instance checks, a table twists a row by a datum once."""
+    rows = []
+    twisted_row = twisting._twisted_row
+
+    def counting(table, pi, k):
+        rows.append((table, frozenset(pi.items()), k))
+        return twisted_row(table, pi, k)
+
+    monkeypatch.setattr(twisting, "_twisted_row", counting)
+    for seed in range(3):
+        inst = random_instance(seed)
+        base, pi, f = inst["base"], inst["pi"], inst["morphism"]
+        twisted = twist_structure(base, pi)
+        assert mc_preservation(f, pi) == inst["pi_pushed"]
+        assert check_square_zero(twisted) and twisted.is_flat()
+        assert check_morphism(twist_morphism(f, pi))
+        second = el_scale(pi, 2)
+        assert check_structure_twist_identities(base, pi, second)
+        assert check_morphism_twist_identities(f, pi, second)
+        assert check_pushforward_functoriality(invert(f), f, pi)
+        assert check_module_twist_consistency(f, pi)
+    computed = [(id(table), datum, k) for table, datum, k in rows]
+    assert computed and len(computed) == len(set(computed))
 
 
 # -- immutability: nothing changes after construction ---------------------------

@@ -274,6 +274,14 @@ def test_word_weight_of_an_unknown_generator_is_an_input_error():
     assert sp.word_weight(("a", "b")) == 1
 
 
+def test_word_degree_of_an_unknown_generator_is_an_input_error():
+    sp = GradedSpace([("a", 0, 1), ("b", 1, 0)], 3)
+    for _ in range(2):
+        with pytest.raises(InputError, match="unknown generator 'c' in word"):
+            sp.word_degree(("a", "c"))
+    assert sp.word_degree(("a", "b")) == 1
+
+
 def test_enumerate_words_respects_weight_and_odd_squares():
     # x at level 1, c at level 2, truncation order 3: (x,c) and (c,c) vanish
     sp = GradedSpace([("x", 0, 1), ("c", 1, 2)], 3)
