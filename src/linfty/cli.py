@@ -21,9 +21,14 @@ Machine-readable reports (--report PATH, and stdout for twist) carry no
 timestamps and are byte-identical across repeated runs with the same
 arguments.  --seed adds a reproducible randomized suite to the commands
 that have one.
+
+main() can be called again and again in one process: the parser is built
+on the first call and reused, and no state is kept between calls.
 """
 
 import argparse
+import functools
+import os.path
 import sys
 
 from .graded import InputError, MathCheckError, el_scale
@@ -59,7 +64,6 @@ from .io import (
 
 
 def _read_document(path):
-    import os.path
     if not os.path.exists(path) and os.path.exists(path + ".json"):
         path = path + ".json"
     try:
@@ -332,9 +336,12 @@ def build_parser():
     return parser
 
 
+# Built on the first main() call, not at import; parse_args keeps no state.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.max_arity is not None and args.max_arity < 0:
             raise InputError(f"max_arity must be nonnegative, got {args.max_arity}")

@@ -179,7 +179,8 @@ class GradedSpace:
     degrees or levels.  Its word kernels memoize on that: each space keeps
     the canonical form and the weight of every word it was asked about,
     every sweep of enumerate_words, and every shuffle-split plan; the twist
-    layer keeps there the weighted powers pi^l / l! of each twist datum.
+    layer keeps there the weighted powers pi^l / l! of each twist datum
+    built so far.
     The memos sit in slots, not in vars(space), and are never part of the
     space's value; a failed lookup (an unknown generator, an invalid
     datum) is never stored.
@@ -217,7 +218,7 @@ class GradedSpace:
         self._weights = {}  # tuple of factors -> total filtration weight
         self._words = {}    # (max_arity, min_arity) -> tuple of words
         self._splits = {}   # (parities, sizes) -> shuffle-split plan
-        self._powers = {}   # twist datum -> ((l, pi^l / l!), ...)
+        self._powers = {}   # twist datum -> [(l, pi^l / l!), ..., None if dead]
 
     @property
     def basis(self):

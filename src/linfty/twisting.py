@@ -18,7 +18,9 @@ Tables and spaces are immutable, so each twist is computed once per table
 and datum and kept, keyed by the validated datum: a table keeps each
 twisted row (so the pushforward, the Maurer-Cartan series and the full
 twist share row 0) and its twisted structure or morphism, and a space keeps
-the tuple of weighted powers pi^l / l! of each datum.  The datum is
+the weighted powers pi^l / l! of each datum, built only as far as a caller
+has read them: a twist row reads at most max_arity + 1 of them, and only
+exp_element, on the full Maurer-Cartan route, reads them all.  The datum is
 validated before any lookup, so an invalid one raises every time and is
 never kept, and twist_table hands out fresh dicts.
 
@@ -67,26 +69,25 @@ def _datum_key(pi):
     return frozenset(pi.items())
 
 
-def weighted_powers(space, pi):
-    """The tuple of (l, pi^l / l!) as coalgebra elements until the power dies.
+def weighted_powers(space, pi, limit=None):
+    """The first limit (default: all) of (l, pi^l / l!) until the power dies.
 
-    Built once per space and datum; the tuple and its powers are shared by
-    every caller, and no caller mutates them.
+    The space keeps the powers of each datum built so far and extends them
+    only when a caller asks for more, so a twist row builds only the powers
+    it reads.  The powers are shared by every caller; no caller mutates them.
     """
     pi = validate_twist_datum(space, pi)
     key = _datum_key(pi)
     powers = space._powers.get(key)
     if powers is None:
-        powers = []
-        power = {(): ONE}
-        ell = 0
-        while power:
-            powers.append((ell, power))
-            ell += 1
-            power = sym_mul(space, power, co_from_element(pi))
-            power = el_scale(power, Fraction(1, ell))
-        powers = space._powers[key] = tuple(powers)
-    return powers
+        powers = space._powers[key] = [(0, {(): ONE})]
+    while powers[-1] is not None and (limit is None or len(powers) < limit):
+        ell, power = powers[-1]
+        power = el_scale(sym_mul(space, power, co_from_element(pi)),
+                         Fraction(1, ell + 1))
+        powers.append((ell + 1, power) if power else None)
+    live = powers[:-1] if powers[-1] is None else powers
+    return tuple(live[:limit])
 
 
 def exp_element(space, pi):
@@ -100,7 +101,7 @@ def exp_element(space, pi):
 def _twisted_row(table, pi, k):
     """Row k of the twist: sum (1/l!) C_{k+l}(pi^l v w) on each key of arity k."""
     space = table.word_space
-    powers = weighted_powers(space, pi)[:max(0, table.max_arity + 1 - k)]
+    powers = weighted_powers(space, pi, max(0, table.max_arity + 1 - k))
     row = {}
     for word, mgen in table.keys_over(space.enumerate_words(k, min_arity=k)):
         total = {}

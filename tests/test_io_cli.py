@@ -500,3 +500,183 @@ def test_twist_survey_script_runs():
          "--seeds", "2"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "all laws hold" in proc.stdout
+
+
+# -- one parser per process ----------------------------------------------------
+
+HELP = Path(__file__).resolve().parent / "data" / "help"
+LADDER = str(FIXTURES / "cech_fixb_ladder.json")
+FIX_B = str(FIXTURES / "fix_b.json")
+JACOBI = str(FIXTURES / "jacobi_violation.json")
+
+# Each call sets flags that the call after it leaves unset, so a value kept
+# by the reused parser shows as a changed exit code, output or report.  Two
+# calls end in argparse's own exit 2; "{report}" stands for a fresh path.
+REUSE_SEQUENCE = [
+    ["prop-key", LADDER, "--mc", "x", "--max-arity", "2",
+     "--ladder", "cech_fixb_ladder", "--report", "{report}"],
+    ["prop-key", LADDER],
+    ["prop-key", LADDER, "--element", "x", "--seed", "0"],
+    ["prop-key", LADDER, "--element", "x"],
+    ["no-such-command", FIX_B],
+    ["validate", JACOBI, "--max-arity", "1", "--report", "{report}"],
+    ["validate", JACOBI],
+    ["mc", FIX_B, "--element", "x", "--structure", "fix_b",
+     "--report", "{report}"],
+    ["mc"],
+    ["mc", FIX_B, "--element", "2x"],
+    ["prop-key", LADDER, "--mc", "x"],
+]
+
+
+def in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def fresh_process(argv):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "linfty.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def with_report(argv, path):
+    return [str(path) if arg == "{report}" else arg for arg in argv]
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    """No flag value, report path or parse error carries into the next call."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines by it
+    inside = tmp_path / "inside"
+    fresh = tmp_path / "fresh"
+    inside.mkdir()
+    fresh.mkdir()
+    runs = []
+    for i, argv in enumerate(REUSE_SEQUENCE):
+        report = inside / f"{i}.json"
+        got = in_process(with_report(argv, report), capsys)
+        runs.append((argv, got, report.read_bytes() if report.exists() else None))
+    for i, (argv, got, report) in enumerate(runs):
+        path = fresh / f"{i}.json"
+        want = fresh_process(with_report(argv, path))
+        assert got == want, argv
+        assert report == (path.read_bytes() if path.exists() else None), argv
+        # a later call that kept this --report path would have rewritten it
+        assert (report is None) == ("{report}" not in argv)
+        if report is not None:
+            assert (inside / f"{i}.json").read_bytes() == report
+    codes = [code for _, (code, _, _), _ in runs]
+    assert codes == [0, 2, 0, 0, 2, 0, 1, 0, 2, 1, 0]
+    assert "this command needs --element <name>" in runs[1][1][2]
+    assert "random ladder (seed 0)" in runs[2][1][1]
+    assert "random ladder" not in runs[3][1][1]
+    assert sorted(p.name for p in inside.iterdir()) == ["0.json", "5.json", "7.json"]
+
+
+@pytest.mark.parametrize("command", [None] + list(cli._COMMANDS))
+def test_help_text_is_pinned(command, monkeypatch, capsys):
+    """--help is byte-identical to the text pinned in tests/data/help.
+
+    The pinned files are the output of `COLUMNS=80 linfty --help` and of
+    `COLUMNS=80 linfty <command> --help`; each is asked for twice, so the
+    second read comes from the reused parser.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command is None else [command, "--help"]
+    pinned = (HELP / f"{command or 'linfty'}.txt").read_text(encoding="utf-8")
+    for _ in range(2):
+        assert in_process(argv, capsys) == (0, pinned, "")
+
+
+def test_every_help_text_is_pinned():
+    assert sorted(p.stem for p in HELP.glob("*.txt")) == sorted(
+        ["linfty", *cli._COMMANDS])
+    lines = (HELP / "prop-key.txt").read_text(encoding="utf-8").splitlines()
+    element = lines.index(
+        "  --element ELEMENT     named element used as twist datum")
+    assert lines[element + 1] == "  --mc ELEMENT          alias for --element"
+
+
+# -- malformed input sweep -----------------------------------------------------
+
+BAD_VALUES = [None, True, 1.5, -1, "", "x", [], {}, 10 ** 40]
+SWEPT = {
+    "fix_b_pair.json": ["validate", "--max-arity", "2"],
+    "fix_c.json": ["resolution-check", "--max-arity", "2"],
+    "cech_fixb_ladder.json": ["prop-key", "--mc", "x", "--max-arity", "2"],
+}
+
+
+def swept_slots(node, path=()):
+    """Path of every field of every object and of every list entry."""
+    if isinstance(node, dict):
+        entries = node.items()
+    elif isinstance(node, list):
+        entries = enumerate(node)
+    else:
+        return
+    for key, value in entries:
+        yield path + (key,)
+        yield from swept_slots(value, path + (key,))
+
+
+def malformed_texts(raw):
+    """raw with one slot swapped for each bad value, then removed.
+
+    Mutates raw in place and restores it after each slot; keys are sorted,
+    so a removed and restored field does not change later texts.
+    """
+    for path in list(swept_slots(raw)):
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        kept = parent[key]
+        for value in BAD_VALUES:
+            parent[key] = value
+            yield json.dumps(raw, sort_keys=True)
+        del parent[key]
+        yield json.dumps(raw, sort_keys=True)
+        if isinstance(parent, list):
+            parent.insert(key, kept)
+        else:
+            parent[key] = kept
+
+
+def test_malformed_documents_load_or_raise_input_errors(tmp_path, capsys):
+    """Every probe loads or raises InputError; every 50th also runs the CLI."""
+    probe = tmp_path / "probe.json"
+    outcomes = {"loaded": 0, "InputError": 0}
+    cli_codes = set()
+    n = 0
+    for name, flags in SWEPT.items():
+        raw = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+        slots = len(list(swept_slots(raw)))
+        before = n
+        for text in malformed_texts(raw):
+            try:
+                load_document(text)
+                outcomes["loaded"] += 1
+            except InputError:
+                outcomes["InputError"] += 1
+            if n % 50 == 0:
+                probe.write_text(text, encoding="utf-8")
+                code, _, err = in_process([flags[0], str(probe), *flags[1:]],
+                                          capsys)
+                assert code in (0, 1, 2) and "Traceback" not in err, (name, n)
+                cli_codes.add(code)
+            n += 1
+        assert n - before == slots * (len(BAD_VALUES) + 1), name
+        assert serialize_document(raw) == (FIXTURES / name).read_text(
+            encoding="utf-8"), name
+    assert sum(outcomes.values()) == n > 3000
+    assert outcomes["loaded"] and outcomes["InputError"]
+    assert 2 in cli_codes

@@ -2,12 +2,13 @@
 
 twist_table keeps each row of a table's twist under (datum, k),
 twist_structure and twist_morphism keep the twisted object under the
-datum, and a space keeps the weighted powers pi^l / l! of each datum.  The
-oracle below is the uncached loop, kept verbatim as the reference: every
-row must equal it on a cold table and on a warm one, for the random
-instances and ladders and for a hand-built datum whose powers carry
-non-integral coefficients.  Equal data spelled differently share one memo
-entry.
+datum, and a space keeps the weighted powers pi^l / l! of each datum,
+built only as far as some caller has read them.  The oracle below is the
+uncached loop, kept verbatim as the reference: every row must equal it on
+a cold table and on a warm one, for the random instances and ladders and
+for a hand-built datum whose powers carry non-integral coefficients.
+Equal data spelled differently share one memo entry, and a twist builds
+only the powers its rows read.
 """
 
 from fractions import Fraction
@@ -23,7 +24,7 @@ from linfty.graded import (
     el_scale,
     sym_mul,
 )
-from linfty.instances import random_instance, random_ladder
+from linfty.instances import matrix_structure, random_instance, random_ladder
 from linfty.structures import LInftyMorphism, LInftyStructure, identity_morphism
 from linfty.twisting import (
     exp_element,
@@ -178,3 +179,38 @@ def test_a_zero_coefficient_is_no_term():
     assert twist_table(structure, {"x": ONE, "y": Fraction(0)}) == \
         oracle_twist_table(structure, {"x": ONE})
     assert data_kept(structure) == {frozenset({("x", ONE)})}
+
+
+# -- powers built on demand ------------------------------------------------------
+
+def powers_built(space, pi):
+    """How many powers pi^l / l! the space keeps for the datum."""
+    kept = space._powers[frozenset(validate_twist_datum(space, pi).items())]
+    return sum(entry is not None for entry in kept)
+
+
+def test_a_twist_builds_only_the_powers_it_reads():
+    # xi^l / l! dies only at l = 8, but a twist row reads l <= max_arity
+    structure, xi = matrix_structure(8)
+    twisted = twist_structure(structure, xi)
+    assert maurer_cartan_series(structure, xi) == {}
+    assert powers_built(structure.space, xi) <= structure.max_arity + 1
+    assert twisted.components == oracle_twist_table(structure, xi)
+
+
+@pytest.mark.parametrize("limits", [(None,), (2, 0, 1, 5, None, 3, 100),
+                                    (100, 1), (1, 2, 3, 4, 5, 6, 7)])
+def test_powers_extend_on_demand_to_the_oracle(limits):
+    cases = [(curved_square(), {"x": ONE, "y": Fraction(-1, 2)}),
+             matrix_structure(4)]
+    for structure, pi in cases:
+        space = GradedSpace(structure.space.generators,
+                            structure.space.nilpotency_order)
+        expected = tuple(oracle_weighted_powers(space, pi))
+        built = 1  # pi^0 is kept on the first read
+        for limit in limits:
+            assert weighted_powers(space, pi, limit) == expected[:limit]
+            built = max(built, len(expected[:limit]))
+            assert powers_built(space, pi) == built
+        assert weighted_powers(space, pi) == expected
+        assert powers_built(space, pi) == len(expected)
