@@ -161,7 +161,9 @@ def shuffle_splits(space, word, sizes):
     whether the left block has odd total degree.  Callers choose their own
     sign policy from these.  The signs and index blocks depend only on the
     parities of the word's degrees and on sizes, so each space builds that
-    plan once per (parities, sizes) and every later split reads it.
+    plan once per (parities, sizes) and every later split reads it.  The
+    blocks of a canonical word are canonical, with sign +1: read them by
+    ComponentTable.component.
     """
     for eps, left, right, left_odd in space._split_plan(word, sizes):
         yield (eps, [word[i] for i in left], [word[i] for i in right],
@@ -514,7 +516,9 @@ class ComponentTable:
     Tables are immutable after construction: nothing edits their components
     or rewires their endpoints.  The applies and twists memoize on that.
     Each table keeps the image of every key it has been applied to, with
-    coefficient 1, and so applies itself to a word once.  It also keeps,
+    coefficient 1, and so applies itself to a word once.  Images are
+    computed only on canonical words, whose split blocks are read by
+    component.  It also keeps,
     per twist datum, each twisted row and the twisted structure or
     morphism built from it, and so twists itself by a datum once.  The
     memos sit in slots, not in vars(table), and are never part of the
@@ -527,11 +531,23 @@ class ComponentTable:
     def _image(self, key, compute):
         """compute(self, key), the image of key with coefficient 1, kept.
 
+        On a miss compute sees only a canonical word: a zero word's image is
+        {} and any other word's is +- the image of its canonical word.
         The stored image is shared by every later apply; no caller mutates it.
         """
         image = self._images.get(key)
         if image is None:
-            image = self._images[key] = compute(self, key)
+            word, mgen = key if self.key_space is not None else (key, None)
+            try:
+                norm = self.word_space.normalize_word(word)
+            except InputError:  # an unknown generator: compute raises its text
+                norm = (word, 1)
+            if norm is None or norm == (word, 1):
+                image = {} if norm is None else compute(self, key)
+            else:
+                canonical = norm[0] if mgen is None else (norm[0], mgen)
+                image = el_scale(self._image(canonical, compute), norm[1])
+            self._images[key] = image
         return image
 
     def _apply(self, elt, compute):
@@ -560,8 +576,8 @@ class ComponentTable:
         tensor = self.key_space is not None
         out = {}
         for key, coeff in elt.items():
-            word, mgen = key if tensor else (key, None)
-            for g, q in self.component(len(word), word, mgen).items():
+            arity = len(key[0] if tensor else key)
+            for g, q in self.components.get(arity, {}).get(key, {}).items():
                 _accumulate(out, g, coeff * q)
         return out
 
@@ -572,12 +588,17 @@ class ComponentTable:
         A value lives in value_space and has the key's degree plus `degree`
         (+1 for structures and modules, 0 for maps); its filtration is at
         least the key's weight, which stays below the truncation order.
+        Arities are ints.  The first key on a canonical word keeps its own
+        exact_element dict (negated for sign -1); later keys add into it.
         """
         tensor = key_space is not None
         bad_arity, place, lowers, vanishing = _MESSAGES[tensor]
+        norms, key_degree, degrees = (
+            word_space._norms, word_space._degree, value_space._degree)
         out = {}
         for arity, table in components.items():
-            arity = int(arity)
+            if not _is_int(arity):
+                raise InputError(f"component arity {arity!r} is not an integer")
             if arity < 0:
                 raise InputError(bad_arity)
             canon = {}
@@ -588,34 +609,35 @@ class ComponentTable:
                     raise InputError(f"word {word} filed under arity {arity}")
                 if tensor and mgen not in key_space:
                     raise InputError(f"unknown module generator {mgen!r}")
-                norm = word_space.normalize_word(list(word))
+                norm = norms.get(word) or word_space.normalize_word(word)
                 element = exact_element(element)
                 if norm is None:
                     if element:
                         raise InputError(f"nonzero value on the zero word {word}")
                     continue
-                cword, sign = norm
-                if element:
-                    value = canon.setdefault((cword, mgen) if tensor else cword, {})
+                ckey = (norm[0], mgen) if tensor else norm[0]
+                if element and ckey not in canon:
+                    canon[ckey] = element if norm[1] > 0 else el_scale(element, -1)
+                else:
                     for g, q in element.items():
-                        _accumulate(value, g, q * sign)
+                        _accumulate(canon[ckey], g, q * norm[1])
             for key, value in list(canon.items()):
                 if not value:
                     del canon[key]
                     continue
                 cword, mgen = key if tensor else (key, None)
-                want = word_space.word_degree(cword) + degree
+                want = sum([key_degree[f] for f in cword]) + degree
                 weight = word_space.word_weight(cword)
                 if tensor:
                     want += key_space.degree(mgen)
                     weight += key_space.filtration(mgen)
                 for g in value:
-                    if value_space.degree(g) != want:
+                    if degrees.get(g) != want:
                         where = place.format(arity=arity, word=cword, mgen=mgen)
                         raise InputError(
                             f"{where} has degree {value_space.degree(g)} at {g}, "
                             f"expected {want}")
-                if filtration_weight(value_space, value) < weight:
+                if min(map(value_space._filtration.__getitem__, value)) < weight:
                     raise InputError(lowers.format(word=cword, mgen=mgen))
                 if weight >= word_space.nilpotency_order:
                     raise InputError(vanishing.format(word=cword, mgen=mgen))

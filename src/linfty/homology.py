@@ -6,7 +6,8 @@ echelon form over the rationals supplies deterministic kernel bases,
 solutions and cohomology representatives; its pivot reciprocals are the only
 divisions in the package.  cohomology() audits the two against each other
 through rank-nullity, so a bug in either one surfaces as a hard error rather
-than a silent wrong Betti number.
+than a silent wrong Betti number.  Each linear system takes one elimination:
+solve_columns reduces [m | B] once for all its right-hand sides.
 
 Complexes are cochain complexes: d(k) maps degree k to degree k + 1.
 Zero-dimensional degrees are fully supported (shape-checked empty matrices);
@@ -34,8 +35,8 @@ class Matrix:
             raise InputError(f"matrix rows do not match shape {nrows}x{ncols}")
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = tuple(tuple(x if type(x) is int else parse_scalar(x)
-                                for x in r) for r in rows)
+        self.rows = tuple([tuple([x if type(x) is int else parse_scalar(x)
+                                  for x in r]) for r in rows])
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
@@ -178,31 +179,37 @@ def nullspace(m):
     return basis
 
 
+def solve_columns(m, columns):
+    """Exact solutions of m x = b, one per column b, from one rref of [m | B].
+
+    None when any column is inconsistent: then a pivot lands past m.ncols.
+    """
+    if any(len(b) != m.nrows for b in columns):
+        raise InputError("right-hand side length does not match matrix rows")
+    if not columns:
+        return []
+    red, pivots = rref(Matrix(m.nrows, m.ncols + len(columns), [
+        r + b for r, b in zip(m.rows, zip(*columns))]))
+    if pivots and pivots[-1] >= m.ncols:
+        return None
+    at = dict(zip(pivots, red.rows))
+    return [tuple(at[i][j] if i in at else ZERO for i in range(m.ncols))
+            for j in range(m.ncols, m.ncols + len(columns))]
+
+
 def solve(m, b):
     """One exact solution of m x = b, or None when inconsistent."""
-    if len(b) != m.nrows:
-        raise InputError("right-hand side length does not match matrix rows")
-    aug = Matrix(m.nrows, m.ncols + 1,
-                 [list(r) + [bi] for r, bi in zip(m.rows, b)])
-    red, pivots = rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [ZERO] * m.ncols
-    for r, p in enumerate(pivots):
-        x[p] = red.rows[r][m.ncols]
-    return tuple(x)
+    xs = solve_columns(m, [b])
+    return None if xs is None else xs[0]
 
 
 def solve_matrix(a, b):
     """X with a * X = b, columnwise; None when any column is inconsistent."""
     if a.nrows != b.nrows:
         raise InputError("row counts disagree in matrix solve")
-    cols = []
-    for j in range(b.ncols):
-        x = solve(a, b.column(j))
-        if x is None:
-            return None
-        cols.append(x)
+    cols = solve_columns(a, [b.column(j) for j in range(b.ncols)])
+    if cols is None:
+        return None
     return Matrix(a.ncols, b.ncols,
                   [[cols[j][i] for j in range(b.ncols)] for i in range(a.ncols)])
 
@@ -245,6 +252,7 @@ class ChainComplex:
             if not m.is_zero():
                 self.differentials[k] = m
         self._homology = {}  # degree -> (betti, reps, boundary basis rows)
+        self._zeros = {}  # degree -> zero matrix, for degrees without d
         self.check_complex()
 
     def dim(self, k):
@@ -257,9 +265,10 @@ class ChainComplex:
         return sorted(support)
 
     def d(self, k):
-        if k in self.differentials:
-            return self.differentials[k]
-        return Matrix(self.dim(k + 1), self.dim(k))
+        m = self.differentials.get(k) or self._zeros.get(k)
+        if m is None:
+            m = self._zeros[k] = Matrix(self.dim(k + 1), self.dim(k))
+        return m
 
     def check_complex(self):
         for k in list(self.differentials):
@@ -280,9 +289,7 @@ class ChainComplex:
         """
         if k not in self._homology:
             cycles = self.cycle_basis(k)
-            bred, bpivots = rref(Matrix.from_rows(
-                [self.d(k - 1).column(j) for j in range(self.dim(k - 1))],
-                ncols=self.dim(k)))
+            bred, bpivots = rref(self.d(k - 1).transpose())
             boundary = bred.rows[:len(bpivots)]
             reduced = [reduce_against(v, boundary, bpivots) for v in cycles]
             if reduced:
@@ -333,7 +340,7 @@ def check_chain_map(src, dst, maps):
             raise InputError(f"chain map at degree {k} has wrong shape")
         mats[k] = m
     for k in sorted(degrees):
-        f_next = mats.get(k + 1, Matrix(dst.dim(k + 1), src.dim(k + 1)))
+        f_next = mats.get(k + 1) or Matrix(dst.dim(k + 1), src.dim(k + 1))
         lhs = f_next * src.d(k)
         rhs = dst.d(k) * mats[k]
         if lhs != rhs:
@@ -350,25 +357,18 @@ def induced_map(src, dst, maps, k):
     """
     _, src_reps = src.cohomology(k)
     betti_dst, dst_reps = dst.cohomology(k)
-    f = maps.get(k, Matrix(dst.dim(k), src.dim(k)))
+    f = maps[k] if k in maps else Matrix(dst.dim(k), src.dim(k))
     if not isinstance(f, Matrix):
         f = Matrix.from_rows(f, ncols=src.dim(k))
     basis_cols = dst_reps + list(dst.boundary_basis(k))
-    basis = Matrix.from_rows(
-        [[basis_cols[j][i] for j in range(len(basis_cols))]
-         for i in range(dst.dim(k))] if basis_cols else [],
-        ncols=len(basis_cols)) if dst.dim(k) else Matrix(0, len(basis_cols))
-    cols = []
-    for rep in src_reps:
-        image = f.apply(rep)
-        coords = solve(basis, image)
-        if coords is None:
-            raise MathCheckError(
-                f"image of a cycle is not a cycle at degree {k}; not a chain map")
-        cols.append(coords[:betti_dst])
+    basis = Matrix(dst.dim(k), len(basis_cols),
+                   [[c[i] for c in basis_cols] for i in range(dst.dim(k))])
+    cols = solve_columns(basis, [f.apply(rep) for rep in src_reps])
+    if cols is None:
+        raise MathCheckError(
+            f"image of a cycle is not a cycle at degree {k}; not a chain map")
     return Matrix(betti_dst, len(src_reps),
-                  [[cols[j][i] for j in range(len(src_reps))]
-                   for i in range(betti_dst)])
+                  [[c[i] for c in cols] for i in range(betti_dst)])
 
 
 def induced_maps(src, dst, blocks):

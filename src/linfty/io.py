@@ -59,7 +59,7 @@ def parse_fixture_text(text):
     try:
         doc = json.loads(text, parse_float=_reject_float,
                          parse_constant=_reject_float)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise InputError(f"not valid fixture JSON: {e}") from None
     if not isinstance(doc, dict):
         raise InputError("fixture document must be a JSON object")

@@ -100,19 +100,16 @@ def _split_terms(table, word, mgen, odd):
 
     An odd operator also carries eps' = (-1)^(degree of the left block), the
     Koszul cost of moving it past that block; even maps carry no eps'.
+    word is canonical, and so are both blocks.
     """
-    space = table.word_space
     n = len(word)
     sizes = range(max(0, n - table.max_arity), n + 1)
-    for eps, left, right, left_odd in shuffle_splits(space, word, sizes):
-        value = table.value(right, mgen)
+    for eps, left, right, left_odd in shuffle_splits(table.word_space, word, sizes):
+        value = table.component(len(right), right, mgen)
         if not value:
             continue
-        norm = space.normalize_word(left)
-        if norm is None:
-            continue
-        lword, lsign = norm
-        scale = (-eps if odd and left_odd else eps) * lsign
+        scale = -eps if odd and left_odd else eps
+        lword = tuple(left)
         for produced, q in value.items():
             yield (lword, produced), q * scale
 

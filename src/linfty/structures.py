@@ -54,7 +54,6 @@ from .graded import (
     InputError,
     MathCheckError,
     ONE,
-    ZERO,
     _accumulate,
     _check_arity,
     _fraction_repr,
@@ -71,11 +70,12 @@ from .graded import (
     sym_mul,
 )
 from .homology import (
+    Matrix,
     induced_maps,
     is_isomorphism,
     linear_blocks,
     operator_complex,
-    solve,
+    solve_columns,
 )
 
 VERIFY_ARITY = 4
@@ -119,13 +119,13 @@ def spaces_equal(a, b):
 
 
 def _coderivation_image(structure, word):
-    """Q(word): Q_k on the left block of every shuffle split."""
+    """Q(word): Q_k on the left block of each shuffle split of a canonical word."""
     space = structure.space
     out = {}
     sizes = [k for k in range(min(len(word), structure.max_arity) + 1)
              if k == 0 or k in structure.components]
     for eps, left, right, _ in shuffle_splits(space, word, sizes):
-        for produced, q in structure.value(left).items():
+        for produced, q in structure.component(len(left), left).items():
             norm = space.normalize_word([produced] + right)
             if norm is not None:
                 _accumulate(out, norm[0], eps * q * norm[1])
@@ -285,7 +285,7 @@ def _morphism_image(morphism, word):
     for k in range(1, min(n, morphism.max_arity) + 1):
         for tail in multi_shuffles((k - 1, n - k)):
             sigma = (0, *(i + 1 for i in tail))
-            value = morphism.value([word[i] for i in sigma[:k]])
+            value = morphism.component(k, [word[i] for i in sigma[:k]])
             if not value:
                 continue
             rest = morphism._image(tuple(word[i] for i in sigma[k:]),
@@ -387,9 +387,8 @@ def invert(morphism, max_arity=None):
         if len(s_names) != len(t_names) or not is_isomorphism(block):
             raise MathCheckError(
                 f"strict part is not invertible in degree {deg}")
-        for j, t in enumerate(t_names):
-            unit = [ONE if i == j else ZERO for i in range(len(t_names))]
-            coords = solve(block, unit)
+        units = Matrix.identity(len(t_names)).rows
+        for t, coords in zip(t_names, solve_columns(block, units)):
             inverse_map[t] = {s: coords[i] for i, s in enumerate(s_names) if coords[i]}
     strict_inverse = strict_morphism(tgt, src, inverse_map)
 
@@ -429,7 +428,8 @@ def conjugate(structure, components, max_arity=None):
     advance because conjugation is what computes it).  Returns the unique
     structure making the map an isomorphism of structures, together with
     that map, properly wired and ready for check_morphism.  A strict map
-    transports Q_k to arity k alone, so its sweep stops at m_Q.
+    transports Q_k to arity k alone: its sweep stops at m_Q and reads Phi_1
+    of the corestriction of Q.
     """
     space = structure.space
     placeholder = LInftyStructure(space, {})
@@ -440,8 +440,9 @@ def conjugate(structure, components, max_arity=None):
     comps = {}
     for word in space.enumerate_words(_bounded(cap, bound)):
         pulled = morphism_apply(inverse, {word: ONE})
-        derived = coderivation_apply(structure, pulled)
-        value = phi._corestrict(derived)
+        value = phi._corestrict(
+            co_from_element(structure._corestrict(pulled)) if phi.is_strict()
+            else coderivation_apply(structure, pulled))
         if value:
             comps.setdefault(len(word), {})[word] = value
     transported = LInftyStructure(space, comps)

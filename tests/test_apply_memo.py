@@ -25,7 +25,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linfty import fixtures, structures, twisting
+from linfty import fixtures, instances, structures, twisting
 from linfty.graded import (
     ComponentTable,
     GradedSpace,
@@ -45,6 +45,7 @@ from linfty.graded import (
 from linfty.homology import is_isomorphism, linear_blocks, solve
 from linfty.io import FixtureWriter, space_json
 from linfty.instances import (
+    _raising_linear_part,
     matrix_structure,
     random_conjugation,
     random_instance,
@@ -56,6 +57,7 @@ from linfty.modules import (
     LInftyModule,
     ModuleMorphism,
     check_module_twist_consistency,
+    identity_module_morphism,
     module_apply,
     module_from_morphism,
     module_morphism_apply,
@@ -540,6 +542,91 @@ def test_invert_is_two_sided_on_strict_and_conjugation_maps():
 def test_nonstrict_invert_still_equals_the_neumann_route():
     for m in nonstrict_maps():
         assert invert(m) == oracle_invert(m)
+
+
+def oracle_conjugate_components(structure, components, max_arity=None):
+    """conjugate's general route for every map, strict or not: the arity-one
+    part of Phi(Q(Phi^-1 w)) through the full coderivation image of Q."""
+    space = structure.space
+    phi = LInftyMorphism(structure, LInftyStructure(space, {}), components)
+    cap = structures.default_cap(space, phi.max_arity, max_arity=max_arity)
+    inverse = invert(phi, max_arity=cap)
+    bound = structure.max_arity if phi.is_strict() else cap
+    comps = {}
+    for word in space.enumerate_words(structures._bounded(cap, bound)):
+        pulled = morphism_apply(inverse, {word: ONE})
+        value = phi._corestrict(coderivation_apply(structure, pulled))
+        if value:
+            comps.setdefault(len(word), {})[word] = value
+    return comps
+
+
+def test_strict_conjugate_equals_the_general_route(monkeypatch):
+    """The transports of random_ladder(0..19), strict maps on the odd
+    spaces, and the same at cap 2: Phi_1 of the corestriction of Q gives
+    the general route's components, in the same order."""
+    pooled = structures_under_test()  # built before conjugate is recorded
+    calls = []
+
+    def recording(structure, components, max_arity=None):
+        calls.append((structure, components, max_arity))
+        return conjugate(structure, components, max_arity=max_arity)
+
+    monkeypatch.setattr(instances, "conjugate", recording)
+    monkeypatch.setattr(instances, "two_chart_ladder", lambda *args, **kw: None)
+    for seed in range(20):
+        instances.random_ladder(seed)
+    assert len(calls) == 60  # one transport per chart
+    rng = random.Random(7)
+    calls += [(s, {1: _raising_linear_part(rng, s.space)}, cap)
+              for s in pooled for cap in (None, 2)]
+    moved = 0
+    for structure, components, cap in calls:
+        transported, phi = conjugate(structure, components, max_arity=cap)
+        assert phi.is_strict()
+        expected = oracle_conjugate_components(structure, components, cap)
+        assert [list(row.items()) for row in transported.components.values()] \
+            == [list(row.items()) for row in expected.values()]
+        assert list(transported.components) == list(expected)
+        moved += transported.components != structure.components
+    assert moved >= 5
+
+
+# -- words that are not canonical ---------------------------------------------------
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_reordered_or_zero_word_is_served_from_its_canonical_image(case):
+    """Every apply of a reordered word is its sign times the canonical
+    word's image, and of a word with a repeated odd letter is empty: on a
+    cold table and a warm one, and equal to the uncached oracle."""
+    pool, keys, apply, oracle = CASES[case]
+    tensor = case.startswith("module")
+    seen = {-1: 0, 1: 0, None: 0}
+    coeff = Fraction(-3, 2)
+    tables = pool()
+    if case == "module_morphism":  # the triangles' words carry no odd pair
+        tables = tables + [identity_module_morphism(m)
+                           for m in modules_under_test()]
+    for table in tables:
+        space = table.word_space
+        odd = next(g for g in space.basis if space.degree(g) % 2)
+        for key in keys(table):
+            word, mgen = key if tensor else (key, None)
+            for probe in (word[::-1], (odd, *word, odd), word[1:] + word[:1]):
+                pkey = (probe, mgen) if tensor else probe
+                norm = space.normalize_word(probe)
+                if norm is None:
+                    expected = {}
+                else:
+                    canonical = (norm[0], mgen) if tensor else norm[0]
+                    expected = el_scale(apply(fresh(table), {canonical: ONE}),
+                                        coeff * norm[1])
+                cold = fresh(table)
+                assert apply(cold, {pkey: coeff}) == expected, pkey
+                assert apply(cold, {pkey: coeff}) == expected, pkey
+                assert oracle(table, {pkey: coeff}) == expected, pkey
+                seen[norm and norm[1]] += 1
+    assert min(seen.values()) > 0, seen
 
 
 # -- values are fresh dicts ---------------------------------------------------------

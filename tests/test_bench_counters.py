@@ -65,3 +65,16 @@ def test_one_traced_op_per_workload_defines_every_metric(bench, tmp_path,
         golden["instances"][str(INSTANCE_SEED)]["digest"],
         golden["cli-corpus"][str(CLI_INDEX)]["digest"]]
     assert ladder.ok and instance.ok and cli.ok
+
+
+def test_profile_ops_prints_both_tables(capsys, monkeypatch):
+    """scripts/profile_ops.py profiles warm ops and prints two tables."""
+    from conftest import load_script
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds to it
+    script = load_script("profile_ops")
+    assert script.main(["--workload", "instances", "--ops", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "== 3 instances ops by tottime ==" in out
+    assert "== 3 instances ops by cumulative ==" in out
+    assert "instance_op" in out

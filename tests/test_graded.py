@@ -2,23 +2,31 @@
 
 The oracles here recompute signs and shuffles by a different method than the
 package (adjacent transpositions vs inversion pairs, permutation filtering vs
-combination enumeration) so agreement is meaningful.
+combination enumeration) so agreement is meaningful.  Component tables are
+checked against the two-pass construction loop they replaced, kept here.
 """
 
+import copy
 from fractions import Fraction
 import itertools
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from linfty.graded import (
+    _MESSAGES,
+    ComponentTable,
     GradedSpace,
     InputError,
+    _accumulate,
     co_canon,
     co_from_element,
     el_add,
     el_scale,
     element_degree,
+    exact_element,
     expand_factors,
     filtration_weight,
     format_scalar,
@@ -28,6 +36,8 @@ from linfty.graded import (
     shuffles,
     sym_mul,
 )
+from linfty.modules import LInftyModule
+from linfty.structures import LInftyStructure
 
 
 # -- independent oracles -----------------------------------------------------
@@ -393,3 +403,240 @@ def test_sym_power_collects_multiplicity():
     xw = co_from_element({"x": Fraction(1, 2)})
     got = sym_mul(sp, sym_mul(sp, sym_mul(sp, {(): Fraction(1)}, xw), xw), xw)
     assert got == {("x", "x", "x"): Fraction(1, 8)}
+
+
+# -- component tables ----------------------------------------------------------------
+
+def oracle_set_components(word_space, value_space, components, degree,
+                          key_space=None):
+    """The two-pass loop that built every table before, kept as the reference:
+    a fresh dict per canonical key, each value sign-folded into it."""
+    tensor = key_space is not None
+    bad_arity, place, lowers, vanishing = _MESSAGES[tensor]
+    out = {}
+    for arity, table in components.items():
+        arity = int(arity)
+        if arity < 0:
+            raise InputError(bad_arity)
+        canon = {}
+        for key, element in table.items():
+            word, mgen = key if tensor else (key, None)
+            word = tuple(word)
+            if len(word) != arity:
+                raise InputError(f"word {word} filed under arity {arity}")
+            if tensor and mgen not in key_space:
+                raise InputError(f"unknown module generator {mgen!r}")
+            norm = word_space.normalize_word(list(word))
+            element = exact_element(element)
+            if norm is None:
+                if element:
+                    raise InputError(f"nonzero value on the zero word {word}")
+                continue
+            cword, sign = norm
+            if element:
+                value = canon.setdefault((cword, mgen) if tensor else cword, {})
+                for g, q in element.items():
+                    _accumulate(value, g, q * sign)
+        for key, value in list(canon.items()):
+            if not value:
+                del canon[key]
+                continue
+            cword, mgen = key if tensor else (key, None)
+            want = word_space.word_degree(cword) + degree
+            weight = word_space.word_weight(cword)
+            if tensor:
+                want += key_space.degree(mgen)
+                weight += key_space.filtration(mgen)
+            for g in value:
+                if value_space.degree(g) != want:
+                    where = place.format(arity=arity, word=cword, mgen=mgen)
+                    raise InputError(
+                        f"{where} has degree {value_space.degree(g)} at {g}, "
+                        f"expected {want}")
+            if filtration_weight(value_space, value) < weight:
+                raise InputError(lowers.format(word=cword, mgen=mgen))
+            if weight >= word_space.nilpotency_order:
+                raise InputError(vanishing.format(word=cword, mgen=mgen))
+        if canon:
+            out[arity] = canon
+    return out
+
+
+class BareTable(ComponentTable):
+    def __init__(self, *args, **kwargs):
+        self._set_components(*args, **kwargs)
+
+    def _ends(self):
+        return ()
+
+
+# three odd generators, so reordered keys carry sign -1 and odd squares vanish
+TABLE_SPACE = GradedSpace([("a", 0, 1), ("b", 1, 1), ("c", -1, 0),
+                           ("d", 1, 2), ("e", 0, 2), ("f", 2, 3)], 4)
+TABLE_MODULE = GradedSpace([("m", 0, 0), ("n", 1, 1), ("p", -1, 1)], 4)
+TABLE_KINDS = ((1, None), (0, None), (1, TABLE_MODULE), (0, TABLE_MODULE))
+TABLE_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2))
+
+
+def raw_components(rng, value_space, degree, key_space, seen):
+    """Raw components in the fixture's shape: keys in a random order of their
+    letters, some split over two orderings that cancel in full or in part,
+    some on zero words, values mixing ints and Fractions."""
+    space = TABLE_SPACE
+    comps = {}
+    for k in range(4):
+        row = {}
+        for word in space.enumerate_words(k, min_arity=k):
+            for mgen in key_space.basis if key_space else (None,):
+                want = space.word_degree(word) + degree
+                weight = space.word_weight(word)
+                if key_space:
+                    want += key_space.degree(mgen)
+                    weight += key_space.filtration(mgen)
+                value = {g: rng.choice(TABLE_COEFFS) for g in value_space.basis
+                         if value_space.degree(g) == want
+                         and value_space.filtration(g) >= weight
+                         and rng.random() < 0.7}
+                if not value:
+                    continue
+                first, second = (tuple(rng.sample(word, k)) for _ in range(2))
+                put = (lambda w: w) if key_space is None else (lambda w: (w, mgen))
+                row[put(first)] = value
+                sign = space.normalize_word(first)[1]
+                seen["odd sign"] += sign < 0
+                if second != first and rng.random() < 0.4:
+                    # the second ordering cancels the first, in full or in part
+                    other = space.normalize_word(second)[1]
+                    row[put(second)] = {
+                        g: -q * sign * other if rng.random() < 0.7 else q
+                        for g, q in value.items()}
+                    seen["duplicate"] += 1
+        odd = [g for g in space.basis if space.degree(g) % 2]
+        zero = tuple(rng.sample(odd, 1) * 2) + tuple(rng.sample(space.basis, k - 2)) \
+            if k >= 2 else None
+        if zero and not key_space:
+            row[zero] = {} if rng.random() < 0.5 else {"a": 0}
+            seen["zero word"] += 1
+        if row:
+            comps[k] = row
+    seen["fraction"] += any(isinstance(q, Fraction) and q.denominator > 1
+                            for row in comps.values() for value in row.values()
+                            for q in value.values())
+    return comps
+
+
+def break_one(rng, comps, value_space, degree, key_space):
+    """comps with one fault: a bad value, key, arity or generator."""
+    comps = copy.deepcopy(comps)
+    arity = rng.choice(sorted(comps))
+    row = comps[arity]
+    key = rng.choice(list(row))
+    word, mgen = key if key_space else (key, None)
+    fault = rng.randrange(8)
+    if fault == 0:
+        row[key] = {**row[key], "zz": 1}  # unknown value generator
+    elif fault == 1:
+        row[key] = {**row[key], rng.choice("abcdef"): 1}  # likely a wrong degree
+    elif fault == 2:
+        row[key] = {**row[key], "a": 0.5}  # a float
+    elif fault == 3:
+        comps[arity + 1] = {key: row.pop(key)}  # filed under the wrong arity
+    elif fault == 4:
+        bad = tuple(word) + ("zz",) if key_space is None else (tuple(word) + ("zz",), mgen)
+        comps.setdefault(arity + 1, {})[bad] = {"a": 1}  # unknown key letter
+    elif fault == 5:
+        comps[-1] = {}
+    elif fault == 6:  # a value of the key's degree below its weight
+        for arity, row in comps.items():
+            for key in row:
+                word, mgen = key if key_space else (key, None)
+                norm = TABLE_SPACE.normalize_word(word)
+                if norm is None or len(word) != arity:
+                    continue
+                want = TABLE_SPACE.word_degree(word) + degree
+                weight = TABLE_SPACE.word_weight(word)
+                if key_space:
+                    want += key_space.degree(mgen)
+                    weight += key_space.filtration(mgen)
+                low = [g for g in value_space.basis
+                       if value_space.degree(g) == want
+                       and value_space.filtration(g) < weight]
+                if low:
+                    row[key] = {low[0]: 1}
+                    return comps
+    else:
+        row[(word, "zz") if key_space else ("b", "b")[:arity]] = \
+            {"a": 1}  # unknown module generator, or an odd square
+    return comps
+
+
+def assert_builds_like_oracle(raw, value_space, degree, key_space):
+    """Equal components, equal order at every level, or the same error text.
+
+    Returns the error text, None when the table builds.
+    """
+    kept = copy.deepcopy(raw)
+    try:
+        expected = oracle_set_components(TABLE_SPACE, value_space,
+                                         copy.deepcopy(raw), degree, key_space)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            BareTable(TABLE_SPACE, value_space, raw, degree, key_space)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    comps = BareTable(TABLE_SPACE, value_space, raw, degree, key_space).components
+    assert comps == expected
+    assert list(comps) == list(expected)
+    for arity, row in expected.items():
+        assert list(comps[arity].items()) == list(row.items())
+        for key, value in row.items():
+            assert [(g, type(q)) for g, q in comps[arity][key].items()] \
+                == [(g, type(q)) for g, q in value.items()]
+    assert raw == kept  # the input is read, never edited
+    for row in raw.values():  # and the table holds none of its dicts
+        for value in row.values():
+            value["zz"] = 99
+    assert comps == expected
+    return None
+
+
+def test_set_components_equals_the_two_pass_oracle():
+    """Tables built in one pass equal the two-pass oracle's, in the same
+    order at both levels, and a faulty table fails with the oracle's text."""
+    rng = random.Random(0)
+    seen = dict.fromkeys(("odd sign", "duplicate", "zero word", "fraction"), 0)
+    texts = []
+    for _ in range(25):
+        for degree, key_space in TABLE_KINDS:
+            value_space = key_space or TABLE_SPACE
+            raw = raw_components(rng, value_space, degree, key_space, seen)
+            broken = break_one(rng, raw, value_space, degree, key_space) \
+                if raw else None
+            assert assert_builds_like_oracle(
+                raw, value_space, degree, key_space) is None
+            if broken:
+                texts.append(assert_builds_like_oracle(
+                    broken, value_space, degree, key_space))
+    assert min(seen.values()) >= 10, seen
+    for kind in ("unknown generator", "has degree", "lowers filtration",
+                 "filed under arity", "zero word", "unknown module generator",
+                 "must be nonnegative", "exact scalars"):
+        assert any(kind in (text or "") for text in texts), kind
+
+
+@pytest.mark.parametrize("arity", [2.7, 2.0, True, "2", None])
+def test_a_component_arity_that_is_not_an_int_is_an_input_error(arity):
+    """No arity is rounded or coerced: 2.7 is not silently stored at arity 2."""
+    space = GradedSpace([("a", 0, 1), ("c", 1, 2)], 3)
+    with pytest.raises(InputError,
+                       match=re.escape(f"component arity {arity!r} is not an integer")):
+        LInftyStructure(space, {arity: {("a", "a"): {"c": 1}}})
+    base = LInftyStructure(space, {})
+    module = GradedSpace([("m", 0, 0)], 3)
+    with pytest.raises(InputError, match="is not an integer"):
+        LInftyModule(base, module, {arity: {}})
+    with pytest.raises(InputError, match="^component arities must be nonnegative$"):
+        LInftyStructure(space, {-1: {}})
+    with pytest.raises(InputError,
+                       match="^module component arities must be nonnegative$"):
+        LInftyModule(base, module, {-2: {}})

@@ -24,6 +24,7 @@ from linfty.homology import (
     rank,
     rref,
     solve,
+    solve_columns,
     solve_matrix,
 )
 
@@ -126,6 +127,85 @@ def test_solve_recovers_consistent_systems(m, data):
 def test_solve_detects_inconsistency():
     m = Matrix(2, 1, [[1], [1]])
     assert solve(m, (Fraction(1), Fraction(2))) is None
+
+
+def oracle_solve(m, b):
+    """The one-column elimination that solve_columns replaced, kept as the
+    reference: rref of [m | b], inconsistent when b holds a pivot."""
+    if len(b) != m.nrows:
+        raise InputError("right-hand side length does not match matrix rows")
+    aug = Matrix(m.nrows, m.ncols + 1,
+                 [list(r) + [bi] for r, bi in zip(m.rows, b)])
+    red, pivots = rref(aug)
+    if m.ncols in pivots:
+        return None
+    x = [0] * m.ncols
+    for r, p in enumerate(pivots):
+        x[p] = red.rows[r][m.ncols]
+    return tuple(x)
+
+
+@st.composite
+def systems(draw):
+    """A matrix and up to four right-hand sides, each m x or a free vector."""
+    m = draw(matrices())
+    columns = []
+    for _ in range(draw(st.integers(0, 4))):
+        size = m.ncols if draw(st.booleans()) else m.nrows
+        v = tuple(draw(st.lists(small_fraction, min_size=size, max_size=size)))
+        columns.append(m.apply(v) if size == m.ncols else v)
+    return m, columns
+
+
+def solve_columns_counting(m, columns):
+    """solve_columns(m, columns) and the number of rref calls it made."""
+    calls = []
+    real = homology.rref
+    homology.rref = lambda mat: calls.append(mat) or real(mat)
+    try:
+        return solve_columns(m, columns), len(calls)
+    finally:
+        homology.rref = real
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_solve_columns_equals_per_column_solves(system):
+    """One elimination gives each column's solution, int or Fraction alike,
+    and None exactly when some column is inconsistent."""
+    m, columns = system
+    got, eliminations = solve_columns_counting(m, columns)
+    assert eliminations == (1 if columns else 0)
+    expected = [oracle_solve(m, b) for b in columns]
+    if None in expected:
+        assert got is None
+        return
+    assert got == expected
+    assert [[type(q) for q in x] for x in got] \
+        == [[type(q) for q in x] for x in expected]
+    assert [m.apply(x) for x in got] == [tuple(b) for b in columns]
+
+
+@pytest.mark.parametrize("m, columns, expected", [
+    (Matrix(0, 3), [(), ()], [(0, 0, 0), (0, 0, 0)]),
+    (Matrix(2, 0), [(0, 0)], [()]),
+    (Matrix(2, 0), [(0, 0), (0, 1)], None),
+    (Matrix(0, 0), [()], [()]),
+    (Matrix(2, 2, [[2, 0], [0, 3]]), [], []),
+    (Matrix(2, 2, [[2, 0], [0, 3]]), [(1, 0), (0, 1)],
+     [(Fraction(1, 2), 0), (0, Fraction(1, 3))]),
+    (Matrix(2, 1, [[2], [4]]), [(1, 2), (1, 1)], None),
+])
+def test_solve_columns_on_edge_shapes(m, columns, expected):
+    assert solve_columns(m, columns) == expected
+    assert solve_columns(m, columns) == (
+        None if None in [oracle_solve(m, b) for b in columns]
+        else [oracle_solve(m, b) for b in columns])
+
+
+def test_solve_columns_rejects_a_column_of_the_wrong_length():
+    with pytest.raises(InputError, match="does not match matrix rows"):
+        solve_columns(Matrix(2, 2), [(0, 0), (0,)])
 
 
 def test_solve_matrix_round_trip():
@@ -246,6 +326,16 @@ def test_induced_map_from_acyclic_source_is_empty():
     assert m1 == Matrix(1, 0)
 
 
+def test_induced_map_into_a_target_without_cycles_is_empty():
+    """A target degree with generators but no cycles has no classes: the
+    induced map has no rows, whatever the source's classes."""
+    src = ChainComplex({0: 1}, {})
+    dst = ChainComplex({0: 1, 1: 1}, {0: [[1]]})
+    assert induced_map(src, dst, {0: Matrix(1, 1)}, 0) == Matrix(0, 1)
+    with pytest.raises(MathCheckError, match="not a chain map"):
+        induced_map(src, dst, {0: Matrix.identity(1)}, 0)
+
+
 def test_induced_map_scaling():
     c = ChainComplex({0: 2, 1: 1}, {0: [[1, -1]]})
     maps = {0: Matrix.identity(2).scale(3), 1: Matrix.identity(1).scale(3)}
@@ -310,8 +400,9 @@ def test_cohomology_is_computed_once_per_degree(monkeypatch):
     again, kept = c.cohomology(1)
     assert again == betti == len(kept) == 2
     induced_map(c, c, {0: Matrix.identity(1), 1: Matrix.identity(3)}, 1)
-    # the induced map reuses the kept boundary rows; only its solves eliminate
-    assert len(calls) == first + 2
+    # the induced map reuses the kept boundary rows and solves for both
+    # representatives in one elimination
+    assert len(calls) == first + 1
 
 
 def test_induced_maps_checks_then_covers_every_degree():

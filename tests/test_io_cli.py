@@ -107,6 +107,19 @@ def test_not_json_is_an_input_error():
         parse_fixture_text("{")
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,  # deeper than the decoder's recursion limit
+    '{"format_version": ' + "1" * 5000 + "}",  # past int's digit limit
+], ids=["deep", "long-int"])
+def test_json_past_the_decoder_limits_is_an_input_error(text, tmp_path, capsys):
+    with pytest.raises(InputError, match="not valid fixture JSON"):
+        parse_fixture_text(text)
+    probe = tmp_path / "probe.json"
+    probe.write_text(text, encoding="utf-8")
+    code, _, err = in_process(["validate", str(probe)], capsys)
+    assert code == 2 and err.startswith("error: not valid fixture JSON")
+
+
 def test_dangling_references_are_named():
     raw = json.loads(doc_text(MINIMAL))
     raw["structures"]["q"]["space"] = "nowhere"
@@ -607,7 +620,9 @@ def test_every_help_text_is_pinned():
 
 # -- malformed input sweep -----------------------------------------------------
 
-BAD_VALUES = [None, True, 1.5, -1, "", "x", [], {}, 10 ** 40]
+DEEP_LIST = [[[[[[[[[["x"]]]]]]]]]]
+BAD_VALUES = [None, True, 1.5, -1, "", "x", [], {}, 10 ** 40,
+              ["x"], {"x": 1}, DEEP_LIST]
 SWEPT = {
     "fix_b_pair.json": ["validate", "--max-arity", "2"],
     "fix_c.json": ["resolution-check", "--max-arity", "2"],
