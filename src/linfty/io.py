@@ -69,7 +69,10 @@ def parse_fixture_text(text):
 def scalar_from_json(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InputError(f"{where}: scalar must be an integer or 'p/q' string")
-    return parse_scalar(value)
+    try:
+        return parse_scalar(value)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 def element_from_json(obj, where):
@@ -197,7 +200,14 @@ class FixtureDocument:
                 raise InputError(f"section {section} must be an object")
             build = getattr(self, f"_build_{section}", self._build)
             for name, obj in part.items():
-                build(section, name, obj)
+                where = f"{section}.{name}"
+                try:
+                    build(section, name, obj)
+                except InputError as exc:  # a library text names no object
+                    if not str(exc).startswith(
+                            (f"{where}:", f"{where}.", f"{where}[")):
+                        raise InputError(f"{where}: {exc}") from exc
+                    raise
 
     def _ref(self, section, name, where):
         try:
@@ -285,11 +295,8 @@ class FixtureDocument:
             a, b = key.split("->")
             restrictions[(tuple(a.split(",")), tuple(b.split(",")))] = self._ref(
                 "morphisms", ref, f"{where}.restrictions.{key}")
-        try:
-            self.covers[name] = CoverDescription(opens, nerve, locals_,
-                                                 restrictions, label=name)
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}") from exc
+        self.covers[name] = CoverDescription(opens, nerve, locals_,
+                                             restrictions, label=name)
 
     def _build_resolutions(self, section, name, obj):
         if not (isinstance(obj, dict) and "cech_of" in obj):

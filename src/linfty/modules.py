@@ -43,7 +43,7 @@ from .graded import (
 from .structures import (
     _bounded,
     _coderivation_image,
-    _square_zero_through,
+    _square_zero_failure,
     morphism_apply,
     spaces_equal,
     default_cap,
@@ -136,24 +136,25 @@ def check_module_square_zero(module, max_arity=None):
     Over a base with Q o Q = 0, phi o phi is a comodule map, so its
     unit-word slot decides.  pr phi(phi(w tensor m)) reads phi on words of
     arity |w| - a + 1 (the Q-part) or on both blocks of a split, so the
-    first pass stops at max(m_phi + m_Q - 1, 2 m_phi); it runs only when
-    the base passes its own first pass up to the cap.
+    sweep stops at max(m_phi + m_Q - 1, 2 m_phi).  Over a base that fails
+    its own sweep up to the cap, phi o phi is no comodule map, and the
+    check falls back to its full loop over the cap.
     """
     base = module.base
     base_space = base.space
     cap = default_cap(base_space, max_arity=max_arity)
-    m_phi = module.max_arity
-    bound = max(m_phi + base.max_arity - 1, 2 * m_phi)
-    if _square_zero_through(base, cap) and not any(
-            module._corestrict(module_apply(module, {key: ONE}))
-            for key in surviving_tensors(
-                base_space, module.space,
-                base_space.enumerate_words(_bounded(cap, bound)))):
-        return True
-    for word, mgen in surviving_tensors(
-            base_space, module.space, base_space.enumerate_words(cap)):
-        once = module_apply(module, {(word, mgen): ONE})
-        twice = module_apply(module, once)
+    if _square_zero_failure(base, cap) is None:
+        m_phi = module.max_arity
+        bound = max(m_phi + base.max_arity - 1, 2 * m_phi)
+        keys = (key for key in surviving_tensors(
+                    base_space, module.space,
+                    base_space.enumerate_words(_bounded(cap, bound)))
+                if module._corestrict(module_apply(module, {key: ONE})))
+    else:
+        keys = surviving_tensors(base_space, module.space,
+                                 base_space.enumerate_words(cap))
+    for word, mgen in keys:
+        twice = module_apply(module, module_apply(module, {(word, mgen): ONE}))
         if twice:
             raise MathCheckError(
                 "module operator does not square to zero: residual "
@@ -276,7 +277,7 @@ def check_module_morphism(mm, max_arity=None):
     F phi - phi' F is a comodule map, so its unit-word slot decides.
     pr F(phi(w tensor m)) reads F on words of arity |w| - a + 1 or on the
     left block of a split, and pr phi'(F(w tensor m)) reads phi' on the left
-    block of one; so the first pass stops at
+    block of one; so the sweep stops at
     max(m_F + m_Q - 1, m_F + m_phi, m_F + m_phi').
     """
     source, target = mm.source, mm.target
@@ -285,19 +286,12 @@ def check_module_morphism(mm, max_arity=None):
     m_f = mm.max_arity
     bound = max(m_f + source.base.max_arity - 1, m_f + source.max_arity,
                 m_f + target.max_arity)
-    if not any(
-            mm._corestrict(module_apply(source, {key: ONE}))
-            != target._corestrict(module_morphism_apply(mm, {key: ONE}))
-            for key in surviving_tensors(
-                base_space, source.space,
-                base_space.enumerate_words(_bounded(cap, bound)))):
-        return True
     for word, mgen in surviving_tensors(
-            base_space, mm.source.space, base_space.enumerate_words(cap)):
+            base_space, source.space,
+            base_space.enumerate_words(_bounded(cap, bound))):
         start = {(word, mgen): ONE}
-        lhs = module_morphism_apply(mm, module_apply(mm.source, start))
-        rhs = module_apply(mm.target, module_morphism_apply(mm, start))
-        if lhs != rhs:
+        if mm._corestrict(module_apply(source, start)) \
+                != target._corestrict(module_morphism_apply(mm, start)):
             raise MathCheckError(
                 f"module morphism does not intertwine operators "
                 f"on {word} tensor {mgen}")

@@ -39,14 +39,19 @@ where the bound is derived from the max_arity of the tables involved:
 beyond it a construction's components vanish, and so does the arity-one
 part of a check's residual.
 
-A check's residual is a coderivation (Q o Q), a coderivation along F
+A check's residual R is a coderivation (Q o Q), a coderivation along F
 (F Q - Q' F), or a comodule map (phi o phi over a base with Q o Q = 0, and
-f phi - phi' f), so it vanishes on words up to a cap exactly when its
-arity-one part does.
-Each check therefore reads that part by corestriction on words up to
-min(cap, bound) first; only True comes from this pass.  Any nonzero
-residual sends the check to its full loop over the cap, which picks the
-verdict, the first failing word and the error text.
+f phi - phi' f): R(w) is a signed sum of terms each carrying pr1 R(u) for a
+subword u of w.  Each check is one sweep: it reads pr1 R by corestriction
+on words up to min(cap, bound), the first word where that is nonzero is
+the witness, and R is computed in full on that word alone, for the error
+text.  It is the first word up to the cap with R != 0.  Sweeps run by
+arity first; let w be such a word of least arity a.  Some subword u of w
+has pr1 R(u) != 0, so R(u) != 0, and minimality forces u = w.  So at arity
+a the words with R != 0 and with pr1 R != 0 are the same, in the same
+order, and a <= min(cap, bound) since pr1 R vanishes above the bound.
+Over a base that fails its own sweep phi o phi is no comodule map, so
+check_module_square_zero keeps its full loop there.
 """
 
 from .graded import (
@@ -137,36 +142,33 @@ def coderivation_apply(structure, coelt):
     return structure._apply(coelt, _coderivation_image)
 
 
-def _square_zero_through(structure, cap):
-    """pr1 Q(Q(w)) = 0 on every word w up to min(cap, 2 m_Q - 1).
+def _square_zero_failure(structure, cap):
+    """The first word up to min(cap, 2 m_Q - 1) with pr1 Q(Q(w)) != 0, or None.
 
     pr1 Q_b(Q_a(w)) needs a, b <= m_Q and |w| = a + b - 1.
     """
-    space = structure.space
-    return not any(
-        structure._corestrict(coderivation_apply(structure, {word: ONE}))
-        for word in space.enumerate_words(
-            _bounded(cap, 2 * structure.max_arity - 1)))
+    return next(
+        (word for word in structure.space.enumerate_words(
+            _bounded(cap, 2 * structure.max_arity - 1))
+         if structure._corestrict(coderivation_apply(structure, {word: ONE}))),
+        None)
 
 
 def check_square_zero(structure, max_arity=None):
     """Q o Q = 0 on every surviving word up to the cap; witness on failure.
 
     Q o Q is a coderivation, so its arity-one part decides; that part
-    vanishes on words above 2 m_Q - 1, the bound of the first pass.
+    vanishes on words above 2 m_Q - 1, the bound of the sweep.
     """
-    space = structure.space
-    cap = default_cap(space, max_arity=max_arity)
-    if _square_zero_through(structure, cap):
+    word = _square_zero_failure(
+        structure, default_cap(structure.space, max_arity=max_arity))
+    if word is None:
         return True
-    for word in space.enumerate_words(cap):
-        once = coderivation_apply(structure, {word: ONE})
-        twice = coderivation_apply(structure, once)
-        if twice:
-            raise MathCheckError(
-                "coderivation does not square to zero: residual "
-                f"{_fraction_repr(twice)} on word {word}")
-    return True
+    twice = coderivation_apply(
+        structure, coderivation_apply(structure, {word: ONE}))
+    raise MathCheckError(
+        "coderivation does not square to zero: residual "
+        f"{_fraction_repr(twice)} on word {word}")
 
 
 def from_curved_lie(generators, nilpotency_order, curvature, differential,
@@ -306,24 +308,19 @@ def check_morphism(morphism, max_arity=None):
 
     F Q - Q' F is a coderivation along F, so its arity-one part decides.
     pr1 F(Q w) reads F on words of arity |w| - a + 1 <= m_F, and
-    pr1 Q'(F w) reads Q' on words of arity >= |w| / m_F; so the first pass
+    pr1 Q'(F w) reads Q' on words of arity >= |w| / m_F; so the sweep
     stops at max(m_F + m_Q - 1, m_Q' m_F).
     """
     source, target = morphism.source, morphism.target
-    space = source.space
-    cap = default_cap(space, max_arity=max_arity)
+    cap = default_cap(source.space, max_arity=max_arity)
     m_f = morphism.max_arity
     bound = max(m_f + source.max_arity - 1, target.max_arity * m_f)
-    if not any(
-            morphism._corestrict(coderivation_apply(source, {word: ONE}))
-            != target._corestrict(morphism_apply(morphism, {word: ONE}))
-            for word in space.enumerate_words(_bounded(cap, bound))):
-        return True
-    for word in space.enumerate_words(cap):
-        lhs = morphism_apply(morphism, coderivation_apply(morphism.source, {word: ONE}))
-        rhs = coderivation_apply(morphism.target, morphism_apply(morphism, {word: ONE}))
-        if lhs != rhs:
-            diff = el_sub(lhs, rhs)
+    for word in source.space.enumerate_words(_bounded(cap, bound)):
+        image = coderivation_apply(source, {word: ONE})
+        pushed = morphism_apply(morphism, {word: ONE})
+        if morphism._corestrict(image) != target._corestrict(pushed):
+            diff = el_sub(morphism_apply(morphism, image),
+                          coderivation_apply(target, pushed))
             raise MathCheckError(
                 "morphism does not intertwine coderivations: residual "
                 f"{_fraction_repr(diff)} on word {word}")

@@ -1,13 +1,16 @@
 """Checks and constructions that stop at a derived arity bound.
 
 check_square_zero, check_morphism, check_module_square_zero and
-check_module_morphism first read the arity-one part of their residual, by
-corestriction, on words up to a bound derived from the tables' max_arity;
-only True comes from that pass.  The oracles below are the full loops
-alone, kept verbatim as the reference.  On the tables of pooled ladders and
-instances, intact, with one component scaled or dropped, and with a
-perturbed base under intact modules, at the default cap and at caps 1, 2
-and 3, every check gives its oracle's verdict and exact error text.
+check_module_morphism each read the arity-one part of their residual, by
+corestriction, on words up to a bound derived from the tables' max_arity,
+and take their witness from the first word where it is nonzero; only a
+module over a base that fails its own sweep is checked by the full loop.
+The oracles below are the full loops alone, kept verbatim as the
+reference.  On the tables of pooled ladders and instances, intact, with one
+component scaled or dropped, and with a perturbed base under intact
+modules, at the default cap and at caps 1, 2 and 3, every check gives its
+oracle's verdict and exact error text, and a failing check builds no sweep
+past its bound.
 
 The edge tables below put the first nonzero residual of a check, or a
 nonzero component of a construction, exactly at the bound, so a bound one
@@ -365,7 +368,7 @@ def test_module_square_zero_bound_edge_through_the_base():
 
 def test_module_square_zero_over_a_base_that_does_not_square_to_zero():
     """phi = 0 has no unit-word slot at all, yet phi o phi = Q o Q tensor 1;
-    only the base's own first pass stops the module's from passing."""
+    the base's own sweep fails, so the module's runs the full loop."""
     base = LInftyStructure(space(("a", 0), ("b", 1), ("c", 2)),
                            {1: {("a",): {"b": ONE}, ("b",): {"c": ONE}}})
     module = LInftyModule(base, space(("m", 0)), {})
@@ -413,6 +416,43 @@ def test_module_morphism_bound_edge_through_the_target_module():
                           {2: {(("x", "x"), "n"): {"r": ONE}}})
     mm = ModuleMorphism(source, target, {1: {(("x",), "m"): {"n": ONE}}})
     assert_fails_first_at(check_module_morphism, mm, ("x", "x", "x"), 3)
+
+
+def failing_checks():
+    """(check, oracle, table, base space, the sweeps the check builds), each
+    check's first failing key at arity 1 or 0, far below the cap 6."""
+    a_to_b = {("a",): {"b": ONE}}
+    chain = space(("a", 0), ("b", 1), ("c", 2))
+    square = LInftyStructure(chain, {1: {**a_to_b, ("b",): {"c": ONE}}})
+    f = strict_morphism(LInftyStructure(chain, {1: a_to_b}),
+                        LInftyStructure(chain, {}),
+                        {g: {g: ONE} for g in chain.basis})
+    pair = space(("a", 0), ("b", 1))
+    base = LInftyStructure(pair, {1: a_to_b})
+    module = LInftyModule(base, space(("m", 0), ("p", 1), ("r", 2)),
+                          {0: {((), "m"): {"p": ONE}, ((), "p"): {"r": ONE}}})
+    mm = ModuleMorphism(LInftyModule(base, space(("m", 0)), {}),
+                        LInftyModule(base, space(("n", 0), ("r", 1)),
+                                     {0: {((), "n"): {"r": ONE}}}),
+                        {0: {((), "m"): {"n": ONE}}})
+    return [
+        (check_square_zero, oracle_check_square_zero, square, chain, [(1, 0)]),
+        (check_morphism, oracle_check_morphism, f, chain, [(1, 0)]),
+        (check_module_square_zero, oracle_check_module_square_zero, module,
+         pair, [(0, 0), (1, 0)]),
+        (check_module_morphism, oracle_check_module_morphism, mm, pair,
+         [(0, 0)]),
+    ]
+
+
+def test_a_failing_check_sweeps_nothing_past_its_bound():
+    """The witness comes from the bounded sweep: the space's memo of sweeps
+    holds no sweep to the cap afterwards, and the text is the full loop's."""
+    for check, oracle, table, sp, sweeps in failing_checks():
+        sp._words.clear()
+        text = outcome(check, table, 6)
+        assert sorted(sp._words) == sweeps, check.__name__
+        assert text is not True and text == outcome(oracle, table, 6)
 
 
 # -- constructions: a nonzero component at the bound -------------------------------

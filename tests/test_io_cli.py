@@ -312,6 +312,28 @@ def test_cover_errors_name_the_cover():
         "covers.cov: nerve tuple ('U',) mentions an unknown open")
 
 
+def test_library_errors_inside_an_object_name_it(tmp_path, capsys):
+    """A text raised by a scalar parser or a constructor gains the object's
+    location; a text that already starts with it is left as it is."""
+    raw = json.loads((FIXTURES / "fix_b_pair.json").read_text(encoding="utf-8"))
+    path = tmp_path / "bad.json"
+    for slot, value, text in (
+            (("morphisms", "t", "components", "1", "c", "c"), "x",
+             "morphisms.t[1].c.c: bad scalar literal 'x'"),
+            (("morphisms", "t", "components", "1", "c", "c"), True,
+             "morphisms.t[1].c.c: scalar must be an integer or 'p/q' string"),
+            (("elements", "2x", "value"), {"nosuch": 1},
+             "elements.2x: unknown generator 'nosuch'")):
+        doc = copy.deepcopy(raw)
+        holder = doc
+        for key in slot[:-1]:
+            holder = holder[key]
+        holder[slot[-1]] = value
+        path.write_text(doc_text(doc), encoding="utf-8")
+        code, out, err = run_cli(["validate", str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {text}\n")
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -627,7 +649,20 @@ SWEPT = {
     "fix_b_pair.json": ["validate", "--max-arity", "2"],
     "fix_c.json": ["resolution-check", "--max-arity", "2"],
     "cech_fixb_ladder.json": ["prop-key", "--mc", "x", "--max-arity", "2"],
+    "minimal": ["validate", "--max-arity", "2"],
+    "written covers + cech_of": ["resolution-check", "--max-arity", "2"],
 }
+# The decoder's texts: they concern the whole document, not one object.
+DOCUMENT_TEXTS = ("not valid fixture JSON", "exact scalars required: float literal")
+
+
+def swept_document(name):
+    """A shipped fixture, or one of the two documents built above."""
+    if name == "minimal":
+        return copy.deepcopy(MINIMAL)
+    if name == "written covers + cech_of":
+        return written_cech_document()[0]
+    return json.loads((FIXTURES / name).read_text(encoding="utf-8"))
 
 
 def swept_slots(node, path=()):
@@ -644,7 +679,7 @@ def swept_slots(node, path=()):
 
 
 def malformed_texts(raw):
-    """raw with one slot swapped for each bad value, then removed.
+    """(slot path, raw with that slot swapped for each bad value, then removed).
 
     Mutates raw in place and restores it after each slot; keys are sorted,
     so a removed and restored field does not change later texts.
@@ -657,9 +692,9 @@ def malformed_texts(raw):
         kept = parent[key]
         for value in BAD_VALUES:
             parent[key] = value
-            yield json.dumps(raw, sort_keys=True)
+            yield path, json.dumps(raw, sort_keys=True)
         del parent[key]
-        yield json.dumps(raw, sort_keys=True)
+        yield path, json.dumps(raw, sort_keys=True)
         if isinstance(parent, list):
             parent.insert(key, kept)
         else:
@@ -667,21 +702,31 @@ def malformed_texts(raw):
 
 
 def test_malformed_documents_load_or_raise_input_errors(tmp_path, capsys):
-    """Every probe loads or raises InputError; every 50th also runs the CLI."""
+    """Every probe loads or raises InputError; every 50th also runs the CLI.
+
+    A probe inside an object raises a text that starts with the location
+    of an object of the document, or one of the decoder's texts.
+    """
     probe = tmp_path / "probe.json"
     outcomes = {"loaded": 0, "InputError": 0}
     cli_codes = set()
     n = 0
     for name, flags in SWEPT.items():
-        raw = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+        raw = swept_document(name)
+        before_text = serialize_document(raw)
+        locations = tuple(f"{section}.{obj}{mark}"
+                          for section in raw if section != "format_version"
+                          for obj in raw[section] for mark in ":.[")
         slots = len(list(swept_slots(raw)))
         before = n
-        for text in malformed_texts(raw):
+        for path, text in malformed_texts(raw):
             try:
                 load_document(text)
                 outcomes["loaded"] += 1
-            except InputError:
+            except InputError as exc:
                 outcomes["InputError"] += 1
+                assert len(path) < 2 or str(exc).startswith(
+                    locations + DOCUMENT_TEXTS), (name, path, str(exc))
             if n % 50 == 0:
                 probe.write_text(text, encoding="utf-8")
                 code, _, err = in_process([flags[0], str(probe), *flags[1:]],
@@ -690,8 +735,7 @@ def test_malformed_documents_load_or_raise_input_errors(tmp_path, capsys):
                 cli_codes.add(code)
             n += 1
         assert n - before == slots * (len(BAD_VALUES) + 1), name
-        assert serialize_document(raw) == (FIXTURES / name).read_text(
-            encoding="utf-8"), name
-    assert sum(outcomes.values()) == n > 3000
+        assert serialize_document(raw) == before_text, name
+    assert sum(outcomes.values()) == n > 4500
     assert outcomes["loaded"] and outcomes["InputError"]
     assert 2 in cli_codes
