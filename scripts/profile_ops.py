@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Profile warm benchmark ops under cProfile and print the top functions.
 
-Runs the ops of one perfbench workload (ladders or instances) in this
-process: first one warm-up cycle unprofiled, then N profiled ops drawn from
-the same fixed class mix.  Prints the top functions by self time and by
-cumulative time.  perfbench/workloads.py is imported, never changed; the
-library is imported from this checkout's src/.
+Runs the ops of one perfbench workload (ladders, instances or cli-corpus)
+in this process: first one warm-up cycle unprofiled, then N profiled ops
+drawn from the same fixed class mix (for cli-corpus, the corpus runs in
+shuffled cycles).  Prints the top functions by self time and by cumulative
+time.  perfbench/workloads.py is imported, never changed; the library is
+imported from this checkout's src/.  A cli-corpus op runs from the
+checkout's root and writes its report into a temporary directory.
 
     python3 scripts/profile_ops.py --workload ladders --ops 50
 """
@@ -17,6 +19,7 @@ import os
 import pstats
 import random
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOP = 25  # functions per table
@@ -48,7 +51,7 @@ def op_keys(workload):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
-                        choices=("ladders", "instances"))
+                        choices=("ladders", "instances", "cli-corpus"))
     parser.add_argument("--ops", type=int, default=50,
                         help="profiled ops after the warm-up (default 50)")
     args = parser.parse_args(argv)
@@ -57,7 +60,23 @@ def main(argv=None):
 
     workloads = load_workloads()
     workload = workloads.Workload(args.workload, workloads.load_golden())
-    run = workloads.ladder_op if args.workload == "ladders" else workloads.instance_op
+    if args.workload != "cli-corpus":
+        run = (workloads.ladder_op if args.workload == "ladders"
+               else workloads.instance_op)
+        return run_profiled(workload, run, args)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        report = os.path.join(scratch, "report.json")
+        os.chdir(ROOT)  # the corpus names its fixtures from the root
+        try:
+            return run_profiled(
+                workload, lambda key: workloads.cli_op(key, report), args)
+        finally:
+            os.chdir(cwd)
+
+
+def run_profiled(workload, run, args):
+    """Warm up one cycle, then profile args.ops ops and print both tables."""
     for key in next(workload.cycles(random.Random("warm"))):
         run(key)
 

@@ -12,6 +12,17 @@ solve_columns reduces [m | B] once for all its right-hand sides.
 Complexes are cochain complexes: d(k) maps degree k to degree k + 1.
 Zero-dimensional degrees are fully supported (shape-checked empty matrices);
 resolution diagrams rely on that for their virtual zero ends.
+
+Inputs are validated where they enter: Matrix(...), Matrix.from_rows, a
+ChainComplex or chain map given lists, the right-hand sides of
+solve_columns, Matrix.apply's vector and the images linear_blocks reads
+from a caller's callback.  A matrix the package builds itself from matrices
+it already holds (an rref, a product, a sum, a transpose, a gather of
+solution columns) is made by Matrix._made without re-validation: its
+entries are ints, Fractions, or sums and products of them, so they are
+exact by construction, and the arithmetic results are folded back to an int
+wherever they are integral, so every stored row keeps the int-when-integral
+form that validation would give.
 """
 
 from fractions import Fraction
@@ -21,8 +32,19 @@ from .graded import (
     InputError, MathCheckError, ZERO, ONE, _check_arity, parse_scalar)
 
 
+def _fold(row):
+    """A row of exact scalars as a tuple, each integral Fraction as its int."""
+    return tuple([x if type(x) is int or x.denominator != 1 else x.numerator
+                  for x in row])
+
+
 class Matrix:
-    """Immutable exact matrix with explicit shape (0-row/0-col safe)."""
+    """Immutable exact matrix with explicit shape (0-row/0-col safe).
+
+    The public constructors check the shape and coerce every entry through
+    parse_scalar.  Matrices derived inside this module from matrices that
+    passed them are made by _made, unchecked (see the module docstring).
+    """
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -51,9 +73,25 @@ class Matrix:
         return cls(len(rows), width, rows)
 
     @classmethod
+    def _made(cls, nrows, ncols, rows):
+        """A matrix of trusted rows: a tuple of nrows tuples of ncols exact
+        scalars, each an int when integral.  Nothing is checked."""
+        m = object.__new__(cls)
+        m.nrows = nrows
+        m.ncols = ncols
+        m.rows = rows
+        return m
+
+    @classmethod
+    def _zero(cls, nrows, ncols):
+        return cls._made(nrows, ncols, ((ZERO,) * ncols,) * nrows)
+
+    @classmethod
     def identity(cls, n):
-        return cls(n, n, [[ONE if i == j else ZERO for j in range(n)]
-                          for i in range(n)])
+        _check_arity(n, "nrows")
+        return cls._made(n, n, tuple([tuple([ONE if i == j else ZERO
+                                             for j in range(n)])
+                                      for i in range(n)]))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.nrows == other.nrows
@@ -71,36 +109,46 @@ class Matrix:
         if self.ncols != other.nrows:
             raise InputError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        rows = [[sum((self.rows[i][k] * other.rows[k][j]
-                      for k in range(self.ncols)), ZERO)
-                 for j in range(other.ncols)] for i in range(self.nrows)]
-        return Matrix(self.nrows, other.ncols, rows)
+        cols = other.transpose().rows
+        return Matrix._made(self.nrows, other.ncols, tuple([
+            _fold([sum([a * b for a, b in zip(row, col)], ZERO) for col in cols])
+            for row in self.rows]))
 
     def __add__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise InputError("matrix shape mismatch in addition")
-        return Matrix(self.nrows, self.ncols,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
+        return Matrix._made(self.nrows, self.ncols, tuple([
+            _fold([a + b for a, b in zip(ra, rb)])
+            for ra, rb in zip(self.rows, other.rows)]))
 
     def __sub__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, q):
         q = parse_scalar(q)
-        return Matrix(self.nrows, self.ncols,
-                      [[q * x for x in r] for r in self.rows])
+        return Matrix._made(self.nrows, self.ncols,
+                            tuple([_fold([q * x for x in r]) for r in self.rows]))
 
     def transpose(self):
-        return Matrix(self.ncols, self.nrows,
-                      [[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)])
+        rows = tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols
+        return Matrix._made(self.ncols, self.nrows, rows)
 
     def apply(self, vec):
+        """The image of vec, whose entries must be exact scalars."""
+        if len(vec) == self.ncols:
+            vec = [x if type(x) is int else parse_scalar(x) for x in vec]
+        return self._apply(vec)
+
+    def _apply(self, vec):
+        """apply on a vector of exact scalars; its entries are not checked."""
         if len(vec) != self.ncols:
             raise InputError("vector length does not match matrix columns")
-        return tuple(sum((row[j] * vec[j] for j in range(self.ncols)), ZERO)
-                     for row in self.rows)
+        return _fold([sum([a * b for a, b in zip(row, vec)], ZERO)
+                      for row in self.rows])
 
     def column(self, j):
         return tuple(self.rows[i][j] for i in range(self.nrows))
@@ -160,7 +208,7 @@ def rref(m):
                 rows[i] = [a - c * b for a, b in zip(rows[i], rows[row])]
         pivots.append(col)
         row += 1
-    return Matrix(m.nrows, m.ncols, rows), tuple(pivots)
+    return Matrix._made(m.nrows, m.ncols, tuple(map(_fold, rows))), tuple(pivots)
 
 
 def nullspace(m):
@@ -183,13 +231,15 @@ def solve_columns(m, columns):
     """Exact solutions of m x = b, one per column b, from one rref of [m | B].
 
     None when any column is inconsistent: then a pivot lands past m.ncols.
+    The entries of each b must be exact scalars; m's are trusted.
     """
     if any(len(b) != m.nrows for b in columns):
         raise InputError("right-hand side length does not match matrix rows")
     if not columns:
         return []
-    red, pivots = rref(Matrix(m.nrows, m.ncols + len(columns), [
-        r + b for r, b in zip(m.rows, zip(*columns))]))
+    red, pivots = rref(Matrix._made(m.nrows, m.ncols + len(columns), tuple([
+        r + tuple([x if type(x) is int else parse_scalar(x) for x in b])
+        for r, b in zip(m.rows, zip(*columns))])))
     if pivots and pivots[-1] >= m.ncols:
         return None
     at = dict(zip(pivots, red.rows))
@@ -210,8 +260,13 @@ def solve_matrix(a, b):
     cols = solve_columns(a, [b.column(j) for j in range(b.ncols)])
     if cols is None:
         return None
-    return Matrix(a.ncols, b.ncols,
-                  [[cols[j][i] for j in range(b.ncols)] for i in range(a.ncols)])
+    return _from_columns(a.ncols, cols)
+
+
+def _from_columns(nrows, columns):
+    """The matrix whose columns are the given trusted vectors of length nrows."""
+    rows = tuple(zip(*columns)) if columns else ((),) * nrows
+    return Matrix._made(nrows, len(columns), rows)
 
 
 def reduce_against(vec, basis_rows, pivots):
@@ -267,7 +322,7 @@ class ChainComplex:
     def d(self, k):
         m = self.differentials.get(k) or self._zeros.get(k)
         if m is None:
-            m = self._zeros[k] = Matrix(self.dim(k + 1), self.dim(k))
+            m = self._zeros[k] = Matrix._zero(self.dim(k + 1), self.dim(k))
         return m
 
     def check_complex(self):
@@ -293,8 +348,8 @@ class ChainComplex:
             boundary = bred.rows[:len(bpivots)]
             reduced = [reduce_against(v, boundary, bpivots) for v in cycles]
             if reduced:
-                rep_matrix, rep_pivots = rref(
-                    Matrix.from_rows(reduced, ncols=self.dim(k)))
+                rep_matrix, rep_pivots = rref(Matrix._made(
+                    len(reduced), self.dim(k), tuple(map(_fold, reduced))))
                 reps = rep_matrix.rows[:len(rep_pivots)]
             else:
                 reps = ()
@@ -333,14 +388,14 @@ def check_chain_map(src, dst, maps):
     for k in sorted(degrees):
         m = maps.get(k)
         if m is None:
-            m = Matrix(dst.dim(k), src.dim(k))
+            m = Matrix._zero(dst.dim(k), src.dim(k))
         elif not isinstance(m, Matrix):
             m = Matrix.from_rows(m, ncols=src.dim(k))
         if m.nrows != dst.dim(k) or m.ncols != src.dim(k):
             raise InputError(f"chain map at degree {k} has wrong shape")
         mats[k] = m
     for k in sorted(degrees):
-        f_next = mats.get(k + 1) or Matrix(dst.dim(k + 1), src.dim(k + 1))
+        f_next = mats.get(k + 1) or Matrix._zero(dst.dim(k + 1), src.dim(k + 1))
         lhs = f_next * src.d(k)
         rhs = dst.d(k) * mats[k]
         if lhs != rhs:
@@ -357,18 +412,15 @@ def induced_map(src, dst, maps, k):
     """
     _, src_reps = src.cohomology(k)
     betti_dst, dst_reps = dst.cohomology(k)
-    f = maps[k] if k in maps else Matrix(dst.dim(k), src.dim(k))
+    f = maps[k] if k in maps else Matrix._zero(dst.dim(k), src.dim(k))
     if not isinstance(f, Matrix):
         f = Matrix.from_rows(f, ncols=src.dim(k))
-    basis_cols = dst_reps + list(dst.boundary_basis(k))
-    basis = Matrix(dst.dim(k), len(basis_cols),
-                   [[c[i] for c in basis_cols] for i in range(dst.dim(k))])
-    cols = solve_columns(basis, [f.apply(rep) for rep in src_reps])
+    basis = _from_columns(dst.dim(k), dst_reps + list(dst.boundary_basis(k)))
+    cols = solve_columns(basis, [f._apply(rep) for rep in src_reps])
     if cols is None:
         raise MathCheckError(
             f"image of a cycle is not a cycle at degree {k}; not a chain map")
-    return Matrix(betti_dst, len(src_reps),
-                  [[c[i] for c in cols] for i in range(betti_dst)])
+    return _from_columns(betti_dst, [c[:betti_dst] for c in cols])
 
 
 def induced_maps(src, dst, blocks):

@@ -48,7 +48,8 @@ from .structures import (
     spaces_equal,
     default_cap,
 )
-from .twisting import twist_morphism, twist_structure, twist_table
+from .twisting import (
+    _twist_rows, _twist_structure, twist_morphism, validate_twist_datum)
 
 
 # -- tensor helpers ---------------------------------------------------------------
@@ -347,17 +348,23 @@ def module_morphism_from_triangle(outer, inner, source, target):
     return ModuleMorphism(source, target, comps)
 
 
+def _twist_module(module, pi):
+    """twist_module by the validated datum pi."""
+    return LInftyModule(_twist_structure(module.base, pi), module.space,
+                        _twist_rows(module, pi), label=module.label)
+
+
 def twist_module(module, pi):
     """Module with components (phi^pi)_k(w tensor m), over the twisted base."""
-    return LInftyModule(twist_structure(module.base, pi), module.space,
-                        twist_table(module, pi), label=module.label)
+    return _twist_module(module, validate_twist_datum(module.word_space, pi))
 
 
 def twist_module_morphism(mm, pi):
     """Twisted module morphism between the twisted modules."""
-    return ModuleMorphism(twist_module(mm.source, pi),
-                          twist_module(mm.target, pi),
-                          twist_table(mm, pi), label=mm.label)
+    pi = validate_twist_datum(mm.word_space, pi)
+    return ModuleMorphism(_twist_module(mm.source, pi),
+                          _twist_module(mm.target, pi),
+                          _twist_rows(mm, pi), label=mm.label)
 
 
 def check_module_twist_consistency(morphism, pi, max_arity=None):

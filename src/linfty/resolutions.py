@@ -36,7 +36,8 @@ from .modules import (
     check_module_square_zero,
     compose_module_morphisms,
 )
-from .twisting import mc_check, twist_structure, twist_table
+from .twisting import (
+    _twist_rows, _twist_structure, mc_check, validate_twist_datum)
 
 
 def module_chain_complex(module):
@@ -110,10 +111,13 @@ class ResolutionDiagram:
 
 
 def _twist_diagram(diagram, pi, base):
-    """Twist each module once over the twisted base, then wire the maps."""
-    modules = [LInftyModule(base, m.space, twist_table(m, pi), label=m.label)
+    """Twist each module once over the twisted base, then wire the maps.
+
+    pi is a validated datum; the constructors read the kept twist rows.
+    """
+    modules = [LInftyModule(base, m.space, _twist_rows(m, pi), label=m.label)
                for m in diagram.modules()]
-    maps = [ModuleMorphism(modules[p], modules[p + 1], twist_table(f, pi),
+    maps = [ModuleMorphism(modules[p], modules[p + 1], _twist_rows(f, pi),
                            label=f.label)
             for p, f in enumerate(diagram.maps())]
     return ResolutionDiagram(base, modules[0], modules[1:], maps[0], maps[1:],
@@ -121,7 +125,8 @@ def _twist_diagram(diagram, pi, base):
 
 
 def twist_resolution(diagram, pi):
-    return _twist_diagram(diagram, pi, twist_structure(diagram.base, pi))
+    pi = validate_twist_datum(diagram.base.space, pi)
+    return _twist_diagram(diagram, pi, _twist_structure(diagram.base, pi))
 
 
 def induced_cohomology_sequence(diagram):
@@ -255,10 +260,11 @@ class ResolutionMorphism:
 
 def twist_resolution_morphism(ladder, pi):
     """Twist both diagrams over one twisted base and wire the verticals."""
-    base = twist_structure(ladder.source.base, pi)
+    pi = validate_twist_datum(ladder.source.base.space, pi)
+    base = _twist_structure(ladder.source.base, pi)
     source = _twist_diagram(ladder.source, pi, base)
     target = _twist_diagram(ladder.target, pi, base)
-    verticals = [ModuleMorphism(s, t, twist_table(u, pi), label=u.label)
+    verticals = [ModuleMorphism(s, t, _twist_rows(u, pi), label=u.label)
                  for u, s, t in zip(ladder.verticals(), source.modules(),
                                     target.modules())]
     return ResolutionMorphism(source, target, verticals[0], verticals[1:],

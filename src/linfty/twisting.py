@@ -20,9 +20,16 @@ twisted row (so the pushforward, the Maurer-Cartan series and the full
 twist share row 0) and its twisted structure or morphism, and a space keeps
 the weighted powers pi^l / l! of each datum, built only as far as a caller
 has read them: a twist row reads at most max_arity + 1 of them, and only
-exp_element, on the full Maurer-Cartan route, reads them all.  The datum is
-validated before any lookup, so an invalid one raises every time and is
-never kept, and twist_table hands out fresh dicts.
+exp_element, on the full Maurer-Cartan route, reads them all.
+
+Each public entry validates its datum once, before any lookup, so an
+invalid one raises every time and is never kept.  The private helpers
+behind the entries (_powers, _exp, _twist_rows, _unit_value,
+_twist_structure, _twist_morphism, _mc_check) take a validated datum and do
+not check it again, nor a datum built from validated ones: a pushforward or
+a sum of data is valid by construction and is folded like a validated one.
+Table constructors read the kept rows in place, since they copy every value
+and keep nothing they are given; twist_table hands out fresh dicts.
 
 Maurer-Cartan has one definition, the curvature of the twisted structure
 (the k = 0 case of the second line); the full-coderivation route
@@ -69,14 +76,8 @@ def _datum_key(pi):
     return frozenset(pi.items())
 
 
-def weighted_powers(space, pi, limit=None):
-    """The first limit (default: all) of (l, pi^l / l!) until the power dies.
-
-    The space keeps the powers of each datum built so far and extends them
-    only when a caller asks for more, so a twist row builds only the powers
-    it reads.  The powers are shared by every caller; no caller mutates them.
-    """
-    pi = validate_twist_datum(space, pi)
+def _powers(space, pi, limit=None):
+    """weighted_powers of the validated datum pi."""
     key = _datum_key(pi)
     powers = space._powers.get(key)
     if powers is None:
@@ -90,24 +91,53 @@ def weighted_powers(space, pi, limit=None):
     return tuple(live[:limit])
 
 
-def exp_element(space, pi):
-    """exp(pi) in the truncated coalgebra; a finite sum by weight."""
+def weighted_powers(space, pi, limit=None):
+    """The first limit (default: all) of (l, pi^l / l!) until the power dies.
+
+    The space keeps the powers of each datum built so far and extends them
+    only when a caller asks for more, so a twist row builds only the powers
+    it reads.  The powers are shared by every caller; no caller mutates them.
+    """
+    return _powers(space, validate_twist_datum(space, pi), limit)
+
+
+def _exp(space, pi):
+    """exp_element of the validated datum pi."""
     total = {}
-    for _, power in weighted_powers(space, pi):
+    for _, power in _powers(space, pi):
         total = el_add(total, power)
     return total
 
 
+def exp_element(space, pi):
+    """exp(pi) in the truncated coalgebra; a finite sum by weight."""
+    return _exp(space, validate_twist_datum(space, pi))
+
+
 def _twisted_row(table, pi, k):
-    """Row k of the twist: sum (1/l!) C_{k+l}(pi^l v w) on each key of arity k."""
+    """Row k of the twist: sum (1/l!) C_{k+l}(pi^l v w) on each key of arity k.
+
+    C_{k+l} is read in place at the canonical word, its sign on the power.
+    """
     space = table.word_space
-    powers = weighted_powers(space, pi, max(0, table.max_arity + 1 - k))
+    normalize, components = space.normalize_word, table.components
+    powers = _powers(space, pi, max(0, table.max_arity + 1 - k))
     row = {}
     for word, mgen in table.keys_over(space.enumerate_words(k, min_arity=k)):
         total = {}
         for _, power in powers:
             for pword, pcoeff in power.items():
-                for g, q in table.value(pword + word, mgen).items():
+                norm = normalize(pword + word)
+                if norm is None:
+                    continue
+                cword, sign = norm
+                value = components.get(len(cword), {}).get(
+                    cword if mgen is None else (cword, mgen))
+                if not value:
+                    continue
+                if sign < 0:
+                    pcoeff = -pcoeff
+                for g, q in value.items():
                     _accumulate(total, g, q * pcoeff)
         if total:
             row[word if mgen is None else (word, mgen)] = total
@@ -126,6 +156,23 @@ def _kept_row(table, pi, k):
     return row
 
 
+def _twist_rows(table, pi, arities=None):
+    """arity -> kept nonzero row of the twist by the validated datum pi.
+
+    The rows are the kept ones, not copies: a table constructor may read
+    them, since it copies every value through exact_element and keeps
+    nothing it was given.
+    """
+    if arities is None:
+        arities = range(table.max_arity + 1)
+    rows = {}
+    for k in arities:
+        row = _kept_row(table, pi, k)
+        if row:
+            rows[k] = row
+    return rows
+
+
 def twist_table(table, pi, arities=None):
     """Twisted components C^pi_k(w) = sum (1/l!) C_{k+l}(pi^l v w).
 
@@ -135,20 +182,20 @@ def twist_table(table, pi, arities=None):
     twisted endpoints by the caller.  Each row is computed once per table
     and datum; the returned dicts are fresh copies of the kept rows.
     """
-    pi = validate_twist_datum(table.word_space, pi)
-    if arities is None:
-        arities = range(table.max_arity + 1)
-    comps = {}
-    for k in arities:
-        row = _kept_row(table, pi, k)
-        if row:
-            comps[k] = {key: dict(value) for key, value in row.items()}
-    return comps
+    rows = _twist_rows(table, validate_twist_datum(table.word_space, pi),
+                       arities)
+    return {k: {key: dict(value) for key, value in row.items()}
+            for k, row in rows.items()}
 
 
 def _unit_value(table, pi):
-    """The k = 0 twisted value sum (1/l!) C_l(pi^l) on the unit word."""
-    return twist_table(table, pi, (0,)).get(0, {}).get((), {})
+    """The k = 0 twisted value sum (1/l!) C_l(pi^l) on the unit word.
+
+    A fresh dict, each integral coefficient an int, as validation leaves it:
+    for a morphism it is the pushforward, itself a valid datum (see
+    _twist_morphism).
+    """
+    return exact_element(_kept_row(table, pi, 0).get((), {}))
 
 
 def _kept_twist(table, pi, build):
@@ -160,19 +207,37 @@ def _kept_twist(table, pi, build):
     return twisted
 
 
+def _twist_structure(structure, pi):
+    """twist_structure by the validated datum pi."""
+    return _kept_twist(structure, pi, lambda: LInftyStructure(
+        structure.space, _twist_rows(structure, pi), label=structure.label))
+
+
 def twist_structure(structure, pi):
     """Structure with components Q^pi_k(w) = sum (1/l!) Q_{k+l}(pi^l v w).
 
     Kept per datum: a repeated call returns the same twisted structure.
     """
-    pi = validate_twist_datum(structure.space, pi)
-    return _kept_twist(structure, pi, lambda: LInftyStructure(
-        structure.space, twist_table(structure, pi), label=structure.label))
+    return _twist_structure(structure,
+                            validate_twist_datum(structure.space, pi))
 
 
 def maurer_cartan_series(structure, pi):
     """Curvature of the twisted structure: sum (1/n!) Q_n(pi^n)."""
-    return _unit_value(structure, pi)
+    return _unit_value(structure, validate_twist_datum(structure.space, pi))
+
+
+def _mc_check(structure, pi, route):
+    """mc_check of the validated datum pi by a known route."""
+    results = {}
+    if route in ("series", "both"):
+        results["series"] = not _unit_value(structure, pi)
+    if route in ("full", "both"):
+        results["full"] = not coderivation_apply(structure,
+                                                 _exp(structure.space, pi))
+    if len(results) == 2 and results["series"] != results["full"]:
+        raise MathCheckError(f"Maurer-Cartan routes disagree: {results}")
+    return all(results.values())
 
 
 def mc_check(structure, pi, route="both"):
@@ -184,20 +249,28 @@ def mc_check(structure, pi, route="both"):
     """
     if route not in ("series", "full", "both"):
         raise InputError(f"unknown Maurer-Cartan route {route!r}")
-    results = {}
-    if route in ("series", "both"):
-        results["series"] = not maurer_cartan_series(structure, pi)
-    if route in ("full", "both"):
-        exp = exp_element(structure.space, pi)
-        results["full"] = not coderivation_apply(structure, exp)
-    if len(results) == 2 and results["series"] != results["full"]:
-        raise MathCheckError(f"Maurer-Cartan routes disagree: {results}")
-    return all(results.values())
+    return _mc_check(structure, validate_twist_datum(structure.space, pi),
+                     route)
 
 
 def push_mc(morphism, pi):
     """Pushforward pi_F = sum over n >= 1 of (1/n!) F_n(pi^n)."""
-    return _unit_value(morphism, pi)
+    return _unit_value(morphism, validate_twist_datum(morphism.word_space, pi))
+
+
+def _twist_morphism(morphism, pi):
+    """twist_morphism by the validated datum pi.
+
+    The pushforward of a valid datum is valid on the target: F has no
+    arity-0 component, and each F_n with n >= 1 keeps the degree 0 of pi^n
+    and a filtration of at least its weight n.  It is folded like a
+    validated datum by _unit_value, and so twists the target unchecked.
+    """
+    return _kept_twist(morphism, pi, lambda: LInftyMorphism(
+        _twist_structure(morphism.source, pi),
+        _twist_structure(morphism.target, _unit_value(morphism, pi)),
+        _twist_rows(morphism, pi, range(1, morphism.max_arity + 1)),
+        label=morphism.label))
 
 
 def twist_morphism(morphism, pi):
@@ -205,12 +278,8 @@ def twist_morphism(morphism, pi):
 
     Kept per datum: a repeated call returns the same twisted morphism.
     """
-    pi = validate_twist_datum(morphism.word_space, pi)
-    return _kept_twist(morphism, pi, lambda: LInftyMorphism(
-        twist_structure(morphism.source, pi),
-        twist_structure(morphism.target, push_mc(morphism, pi)),
-        twist_table(morphism, pi, range(1, morphism.max_arity + 1)),
-        label=morphism.label))
+    return _twist_morphism(morphism,
+                           validate_twist_datum(morphism.word_space, pi))
 
 
 def mc_preservation(morphism, pi):
@@ -219,13 +288,20 @@ def mc_preservation(morphism, pi):
     Raises when pi is not Maurer-Cartan for the source (a precondition) or
     when pi_F fails for the target (which convicts the morphism).
     """
-    if not mc_check(morphism.source, pi):
+    pi = validate_twist_datum(morphism.word_space, pi)
+    if not _mc_check(morphism.source, pi, "both"):
         raise MathCheckError("twist datum is not Maurer-Cartan for the source")
-    pi_f = push_mc(morphism, pi)
-    if not mc_check(morphism.target, pi_f):
+    pi_f = _unit_value(morphism, pi)
+    if not _mc_check(morphism.target, pi_f, "both"):
         raise MathCheckError(
             "pushforward of a Maurer-Cartan element fails for the target")
     return pi_f
+
+
+def _sum(pi, second):
+    """pi + second for two validated data on one space: again a valid datum
+    (degree 0, or zero; filtration at least 1), folded like one."""
+    return exact_element(el_add(pi, second))
 
 
 def check_structure_twist_identities(structure, pi, second):
@@ -233,9 +309,9 @@ def check_structure_twist_identities(structure, pi, second):
     space = structure.space
     pi = validate_twist_datum(space, pi)
     second = validate_twist_datum(space, second)
-    once_then = twist_structure(twist_structure(structure, pi), second)
-    at_once = twist_structure(structure, el_add(pi, second))
-    other_order = twist_structure(twist_structure(structure, second), pi)
+    once_then = _twist_structure(_twist_structure(structure, pi), second)
+    at_once = _twist_structure(structure, _sum(pi, second))
+    other_order = _twist_structure(_twist_structure(structure, second), pi)
     if once_then != at_once:
         raise MathCheckError("(Q^pi)^b differs from Q^(pi+b)")
     if other_order != at_once:
@@ -253,20 +329,21 @@ def check_morphism_twist_identities(morphism, pi, second):
     space = morphism.source.space
     pi = validate_twist_datum(space, pi)
     second = validate_twist_datum(space, second)
-    f_pi = twist_morphism(morphism, pi)
-    f_b = twist_morphism(morphism, second)
-    at_once = twist_morphism(morphism, el_add(pi, second))
-    once_then = twist_morphism(f_pi, second)
-    other_order = twist_morphism(f_b, pi)
+    both = _sum(pi, second)
+    f_pi = _twist_morphism(morphism, pi)
+    f_b = _twist_morphism(morphism, second)
+    at_once = _twist_morphism(morphism, both)
+    once_then = _twist_morphism(f_pi, second)
+    other_order = _twist_morphism(f_b, pi)
     for got, clause in ((once_then, "(F^pi)^b"), (other_order, "(F^b)^pi")):
         if got != at_once:
             raise MathCheckError(f"{clause} differs from F^(pi+b)")
         if got.source != at_once.source or got.target != at_once.target:
             raise MathCheckError(f"{clause} has wrong twisted endpoints")
-    total = push_mc(morphism, el_add(pi, second))
-    if el_add(push_mc(morphism, pi), push_mc(f_pi, second)) != total:
+    total = _unit_value(morphism, both)
+    if el_add(_unit_value(morphism, pi), _unit_value(f_pi, second)) != total:
         raise MathCheckError("pi_F + b_(F^pi) differs from (pi+b)_F")
-    if el_add(push_mc(morphism, second), push_mc(f_b, pi)) != total:
+    if el_add(_unit_value(morphism, second), _unit_value(f_b, pi)) != total:
         raise MathCheckError("b_F + pi_(F^b) differs from (pi+b)_F")
     return True
 
@@ -275,13 +352,14 @@ def check_pushforward_functoriality(outer, inner, pi):
     """(pi_F)_G = pi_(G o F), and twisting commutes with composition."""
     pi = validate_twist_datum(inner.source.space, pi)
     composite = compose(outer, inner)
-    stepwise = push_mc(outer, push_mc(inner, pi))
-    direct = push_mc(composite, pi)
+    pi_f = _unit_value(inner, pi)
+    stepwise = _unit_value(outer, pi_f)
+    direct = _unit_value(composite, pi)
     if stepwise != direct:
         raise MathCheckError("(pi_F)_G differs from pi_(G o F)")
-    twisted_composite = twist_morphism(composite, pi)
-    composed_twists = compose(twist_morphism(outer, push_mc(inner, pi)),
-                              twist_morphism(inner, pi))
+    twisted_composite = _twist_morphism(composite, pi)
+    composed_twists = compose(_twist_morphism(outer, pi_f),
+                              _twist_morphism(inner, pi))
     if twisted_composite.components != composed_twists.components:
         raise MathCheckError("(G o F)^pi differs from G^(pi_F) o F^pi")
     return True

@@ -25,7 +25,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linfty import fixtures, instances, structures, twisting
+from linfty import fixtures, instances, modules, resolutions, structures, twisting
 from linfty.graded import (
     ComponentTable,
     GradedSpace,
@@ -64,8 +64,14 @@ from linfty.modules import (
     module_morphism_from_triangle,
     surviving_tensors,
     tensor_canon,
+    twist_module,
+    twist_module_morphism,
 )
-from linfty.resolutions import prop_key_pipeline
+from linfty.resolutions import (
+    prop_key_pipeline,
+    twist_resolution,
+    twist_resolution_morphism,
+)
 from linfty.structures import (
     LInftyMorphism,
     LInftyStructure,
@@ -793,6 +799,122 @@ def test_an_invalid_datum_raises_each_time_and_is_never_kept(pi, message):
             with pytest.raises(InputError, match=message):
                 call()
     assert structure._twists == morphism._twists == space._powers == {}
+
+
+def datum_checks(monkeypatch):
+    """The data validate_twist_datum is called on, wherever it is bound."""
+    checked = []
+    validate = twisting.validate_twist_datum
+
+    def counting(space, pi):
+        checked.append(pi)
+        return validate(space, pi)
+
+    for module in (twisting, modules, resolutions):
+        monkeypatch.setattr(module, "validate_twist_datum", counting)
+    return checked
+
+
+def instance_calls():
+    """Public twisting calls on one instance's fresh tables, with the number
+    of data each is given."""
+    inst = random_instance(1)
+    base, pi, f = fresh(inst["base"]), inst["pi"], fresh(inst["morphism"])
+    space, second = base.space, el_scale(pi, 2)
+    module = module_from_morphism(f)
+    return [
+        (lambda: twist_table(base, pi), 1),
+        (lambda: twist_structure(base, pi), 1),
+        (lambda: maurer_cartan_series(base, pi), 1),
+        (lambda: mc_check(base, pi, "series"), 1),
+        (lambda: mc_check(base, pi, "full"), 1),
+        (lambda: mc_check(base, pi), 1),
+        (lambda: push_mc(f, pi), 1),
+        (lambda: twist_morphism(f, pi), 1),
+        (lambda: mc_preservation(f, pi), 1),
+        (lambda: weighted_powers(space, pi), 1),
+        (lambda: exp_element(space, pi), 1),
+        (lambda: twist_module(module, pi), 1),
+        (lambda: twist_module_morphism(identity_module_morphism(module), pi), 1),
+        (lambda: check_pushforward_functoriality(invert(f), f, pi), 1),
+        (lambda: check_structure_twist_identities(base, pi, second), 2),
+        (lambda: check_morphism_twist_identities(f, pi, second), 2),
+    ]
+
+
+def ladder_calls():
+    ladder, xi = random_ladder(28)
+    return [(lambda: twist_resolution(ladder.source, xi), 1),
+            (lambda: twist_resolution_morphism(ladder, xi), 1)]
+
+
+@pytest.mark.parametrize("calls", [instance_calls, ladder_calls])
+def test_each_public_twisting_call_validates_each_datum_once(monkeypatch,
+                                                             calls):
+    """Nested twists, rows, powers and pushforwards take the checked datum:
+    a public call validates each datum it is given once, cold and warm."""
+    checked = datum_checks(monkeypatch)
+    for index in range(len(calls())):
+        call, data = calls()[index]  # fresh tables: the first call is cold
+        for _ in ("cold", "warm"):
+            checked.clear()
+            call()
+            assert len(checked) == data, index
+
+
+def kept_rows(table):
+    """The twisted rows a table keeps, by (datum, arity)."""
+    return {key: row for key, row in table._twists.items()
+            if not isinstance(key, frozenset)}
+
+
+def dict_ids(terms):
+    """ids of a nested dict and of every dict inside it."""
+    ids, stack = set(), [terms]
+    while stack:
+        d = stack.pop()
+        if isinstance(d, dict):
+            ids.add(id(d))
+            stack.extend(d.values())
+    return ids
+
+
+def test_twisted_objects_read_the_kept_rows_and_leave_them_alone():
+    """Twisted tables are built from the kept rows without a copy: the rows
+    stay as they were, and no twisted component is one of their dicts."""
+    pairs = []  # (table, its twist) for every table twisted below
+    for seed in range(3):
+        inst = random_instance(seed)
+        base, pi, f = fresh(inst["base"]), inst["pi"], fresh(inst["morphism"])
+        module = module_from_morphism(f)
+        tables = (base, f, module)
+        for table in tables:
+            twist_table(table, pi)  # keep every row before the build
+        before = [copy.deepcopy(kept_rows(t)) for t in tables]
+        f_pi = twist_morphism(f, pi)
+        builds = [(base, twist_structure(base, pi)), (f, f_pi),
+                  (base, f_pi.source), (module, twist_module(module, pi))]
+        for table, rows in zip(tables, before):
+            assert rows and kept_rows(table) == rows
+        pairs += builds
+    for seed in range(2):
+        ladder, xi = random_ladder(seed)
+        tables = [*ladder.verticals()]
+        for diagram in (ladder.source, ladder.target):
+            tables += [*diagram.modules(), *diagram.maps()]
+        for table in tables:
+            twist_table(table, xi)
+        before = [copy.deepcopy(kept_rows(t)) for t in tables]
+        twisted = twist_resolution_morphism(ladder, xi)
+        twisted_tables = [*twisted.verticals()]
+        for diagram in (twisted.source, twisted.target):
+            twisted_tables += [*diagram.modules(), *diagram.maps()]
+        for table, rows in zip(tables, before):
+            assert kept_rows(table) == rows
+        pairs += zip(tables, twisted_tables)
+    for table, twist in pairs:
+        assert twist.components
+        assert not dict_ids(twist.components) & dict_ids(kept_rows(table))
 
 
 def test_each_table_computes_each_twisted_row_once(monkeypatch):

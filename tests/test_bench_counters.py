@@ -78,3 +78,21 @@ def test_profile_ops_prints_both_tables(capsys, monkeypatch):
     assert "== 3 instances ops by tottime ==" in out
     assert "== 3 instances ops by cumulative ==" in out
     assert "instance_op" in out
+
+
+def test_profile_ops_profiles_the_cli_corpus(capsys, monkeypatch, tmp_path):
+    """The cli-corpus profile runs from the root, writes its reports into a
+    temporary directory and nothing under perfbench/, and restores the
+    working directory."""
+    from conftest import load_script
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.chdir(tmp_path)
+    before = sorted(PERFBENCH.rglob("*"))
+    script = load_script("profile_ops")
+    assert script.main(["--workload", "cli-corpus", "--ops", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "== 4 cli-corpus ops by tottime ==" in out
+    assert "cli_op" in out
+    assert sorted(PERFBENCH.rglob("*")) == before
+    assert Path.cwd() == tmp_path and not any(tmp_path.iterdir())

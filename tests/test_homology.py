@@ -375,6 +375,35 @@ def test_matrix_scale_rejects_float_and_bool(scalar):
         Matrix.identity(2).scale(scalar)
 
 
+@pytest.mark.parametrize("vec", [(1.5, 2), (1, 2.0), (True, 1), (1, False)])
+def test_matrix_apply_rejects_float_and_bool_entries(vec):
+    m = Matrix(2, 2, [[1, 2], [3, 4]])
+    with pytest.raises(InputError, match="exact scalars required"):
+        m.apply(vec)
+
+
+def test_matrix_apply_takes_exact_scalars():
+    m = Matrix(2, 2, [[1, 2], [3, 4]])
+    assert m.apply((Fraction(1, 2), 2)) == (Fraction(9, 2), Fraction(19, 2))
+    assert m.apply(("1/2", 2)) == m.apply((Fraction(1, 2), 2))
+    half = Fraction(1, 2)
+    image = Matrix(2, 2, [[1, 1], [1, 2]]).apply((half, half))
+    assert image == (1, Fraction(3, 2))
+    assert [type(q) for q in image] == [int, Fraction]
+    with pytest.raises(InputError, match="vector length"):
+        m.apply((1.5,))
+
+
+@pytest.mark.parametrize("other", [5, Fraction(1, 2), "m", None, [[1, 0], [0, 1]]])
+def test_matrix_arithmetic_with_a_non_matrix_is_a_type_error(other):
+    """+, - and * return NotImplemented, so Python raises TypeError."""
+    m = Matrix.identity(2)
+    for op in (lambda: m + other, lambda: other + m, lambda: m - other,
+               lambda: other - m, lambda: m * other):
+        with pytest.raises(TypeError):
+            op()
+
+
 @pytest.mark.parametrize("dims, differentials", [
     ({0: 2.7}, {}),
     ({0: True}, {}),

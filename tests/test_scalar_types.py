@@ -4,8 +4,11 @@ Integral arithmetic stays in machine ints, and a Fraction is built only where
 a division happens.  The first tests walk what the package stores and
 returns: the component tables of pooled random ladders and instances and of
 the shipped fixtures, and every matrix, cohomology answer and induced map
-that exact homology returns on them.  The last one lints the package source:
-an a / b on two ints would silently make a float.
+that exact homology returns on them.  One lints the package source: an
+a / b on two ints would silently make a float.  The last two compare every
+matrix homology makes without validation with the validated one, and run
+the random families on a fractional coefficient pool, which must store
+Fractions and divide by a pivot other than +-1.
 """
 
 import ast
@@ -17,7 +20,7 @@ import pytest
 
 from linfty import homology, resolutions
 from linfty.cli import main
-from linfty.graded import ComponentTable
+from linfty.graded import ComponentTable, el_scale
 from linfty.homology import ChainComplex, Matrix, nullspace, rref
 from linfty.instances import (
     CHARTS,
@@ -29,8 +32,21 @@ from linfty.instances import (
 )
 from linfty.io import load_document
 from linfty.resolutions import prop_key_pipeline
-from linfty.structures import chain_complex, check_square_zero, invert
-from linfty.twisting import twist_morphism, twist_structure
+from linfty.modules import check_module_twist_consistency
+from linfty.structures import (
+    chain_complex,
+    check_morphism,
+    check_square_zero,
+    invert,
+)
+from linfty.twisting import (
+    check_morphism_twist_identities,
+    check_pushforward_functoriality,
+    check_structure_twist_identities,
+    mc_preservation,
+    twist_morphism,
+    twist_structure,
+)
 
 from conftest import load_script
 
@@ -112,6 +128,61 @@ def homology_answers(monkeypatch):
     return answers
 
 
+@pytest.fixture
+def trusted_matrices(monkeypatch):
+    """Check every matrix made without validation against Matrix(...).
+
+    Each one must equal, in shape, values and the type of every entry, the
+    matrix the validating constructor builds from the same rows; so no
+    trusted row holds an integral Fraction.  Returns the list of them.
+    """
+    made = []
+    unchecked = Matrix._made
+
+    def checked(nrows, ncols, rows):
+        m = unchecked(nrows, ncols, rows)
+        validated = Matrix(nrows, ncols, rows)
+        assert (m.nrows, m.ncols, m.rows) == (
+            validated.nrows, validated.ncols, validated.rows)
+        assert [[type(q) for q in r] for r in m.rows] == \
+            [[type(q) for q in r] for r in validated.rows]
+        made.append(m)
+        return m
+
+    monkeypatch.setattr(Matrix, "_made", staticmethod(checked))
+    return made
+
+
+@pytest.fixture
+def non_unit_pivots(monkeypatch):
+    """Count rref's pivot reciprocals: it builds Fraction(1) for a pivot
+    other than +-1 only."""
+    pivots = []
+
+    def counting(*args):
+        pivots.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(homology, "Fraction", counting)
+    return pivots
+
+
+def instance_checks(inst):
+    """The twist identity checks of criteria 1 and 3 to 5 on one instance."""
+    base, pi, f = inst["base"], inst["pi"], inst["morphism"]
+    twisted = twist_structure(base, pi)
+    second = el_scale(pi, 2)
+    assert check_square_zero(twisted) and twisted.is_flat()
+    assert mc_preservation(f, pi) == inst["pi_pushed"]
+    assert check_morphism(twist_morphism(f, pi))
+    assert check_structure_twist_identities(base, pi, second)
+    assert check_morphism_twist_identities(f, pi, second)
+    assert check_pushforward_functoriality(invert(f), f, pi)
+    assert check_module_twist_consistency(f, pi)
+    cc = chain_complex(twisted)
+    return inst, twisted, [cc.cohomology(k) for k in cc.degrees()]
+
+
 def fractional_ladder():
     """A two-chart ladder over a matrix instance whose datum is not integral."""
     base, xi = matrix_structure(
@@ -190,3 +261,38 @@ def test_the_only_division_is_the_rref_pivot_reciprocal():
                 float_calls.append((path.name, node.lineno))
     assert divisions == [("homology.py", "Fraction(1) / p")]
     assert float_calls == []
+
+
+def test_trusted_matrices_equal_validated_ones(trusted_matrices):
+    """Every matrix homology makes without validation on the pooled ladders
+    and instances and the fractional ladder is the validated one."""
+    for seed in range(10):
+        ladder, xi = random_ladder(seed)
+        assert prop_key_pipeline(ladder, xi)["verdict"] == "quasi-isomorphism"
+        instance_checks(random_instance(seed))
+    ladder, xi = fractional_ladder()
+    assert prop_key_pipeline(ladder, xi)["verdict"] == "quasi-isomorphism"
+    assert len(trusted_matrices) > 1000
+
+
+FRACTIONAL_POOL = (Fraction(-1, 2), -1, Fraction(2, 3), 2)
+
+
+def test_fractional_families_take_the_fraction_path(trusted_matrices,
+                                                    non_unit_pivots,
+                                                    homology_answers):
+    """With a fractional coefficient pool the random families store
+    Fractions, and their homology divides by pivots other than +-1."""
+    fractions = 0
+    for seed in range(4):
+        ladder, pi = random_ladder(seed, coefficients=FRACTIONAL_POOL)
+        report = prop_key_pipeline(ladder, pi)
+        assert report["verdict"] == "quasi-isomorphism"
+        assert report["routes_agree"] is True
+        fractions += assert_exact((ladder, pi, report))[2]
+        inst = random_instance(seed, coefficients=FRACTIONAL_POOL)
+        fractions += assert_exact(instance_checks(inst))[2]
+    assert fractions
+    assert non_unit_pivots
+    assert trusted_matrices
+    assert assert_exact(homology_answers)[1]
