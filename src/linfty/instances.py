@@ -15,8 +15,7 @@ instance over a two-chart cover and transport each chart separately;
 two_chart_ladder builds such a ladder from the per-chart transports.
 
 Everything is driven by random.Random(seed), so instances are reproducible
-from the seed alone.  Random coefficients come from small integer pools
-unless the caller gives one pool of exact scalars, such as Fractions.
+from the seed alone.
 """
 
 from fractions import Fraction
@@ -120,9 +119,9 @@ def matrix_structure(n, weights=None, xi=None, label=""):
     return structure, as_element(xi_mat)
 
 
-# Default coefficient pools: the linear part of a coordinate change and the
-# extra term of an instance's datum draw from the first, the quadratic part
-# of a coordinate change from the second.
+# Coefficient pools, read at each draw: the linear part of a coordinate
+# change and the extra term of an instance's datum draw from the first, the
+# quadratic part of a coordinate change from the second.
 LINEAR_POOL = (-2, -1, 1, 2)
 QUADRATIC_POOL = (-1, 1)
 
@@ -137,9 +136,8 @@ def random_weights(rng, n):
     return weights
 
 
-def _raising_linear_part(rng, space, pool=None):
-    """Arity-1 table: identity plus random same-degree raising terms, with
-    coefficients from pool (default LINEAR_POOL)."""
+def _raising_linear_part(rng, space):
+    """Arity-1 table: identity plus random same-degree raising terms."""
     table = {}
     for g in space.basis:
         value = {g: ONE}
@@ -147,21 +145,20 @@ def _raising_linear_part(rng, space, pool=None):
             if t != g and space.degree(t) == space.degree(g) \
                     and space.filtration(t) > space.filtration(g) \
                     and rng.random() < 0.5:
-                value[t] = rng.choice(pool or LINEAR_POOL)
+                value[t] = rng.choice(LINEAR_POOL)
         table[(g,)] = value
     return table
 
 
-def random_conjugation(rng, structure, pool=None):
+def random_conjugation(rng, structure):
     """Random invertible coordinate change: identity plus raising terms.
 
     The linear part adds filtration-raising same-degree terms, the
     quadratic part adds arbitrary admissible values; both keep the map a
-    morphism onto the transported structure by construction.  pool, when
-    given, replaces both default coefficient pools.
+    morphism onto the transported structure by construction.
     """
     space = structure.space
-    comps = {1: _raising_linear_part(rng, space, pool)}
+    comps = {1: _raising_linear_part(rng, space)}
     table = {}
     for idx, a in enumerate(space.basis):
         for b in space.basis[idx:]:
@@ -175,7 +172,7 @@ def random_conjugation(rng, structure, pool=None):
             for t in space.basis:
                 if space.degree(t) == want and space.filtration(t) >= floor \
                         and rng.random() < 0.3:
-                    value[t] = rng.choice(pool or QUADRATIC_POOL)
+                    value[t] = rng.choice(QUADRATIC_POOL)
             if value:
                 table[word] = value
     if table:
@@ -183,33 +180,21 @@ def random_conjugation(rng, structure, pool=None):
     return conjugate(structure, comps)
 
 
-def _richer_datum(rng, base, xi, pool, chance):
-    """xi plus, with the given chance, a multiple from pool of one unit of
-    shifted degree 0; every single unit squares to zero, so the sum is
-    again Maurer-Cartan."""
-    candidates = [g for g in base.space.basis if base.space.degree(g) == 0]
-    pi = dict(xi)
-    if candidates and rng.random() < chance:
-        extra = rng.choice(candidates)
-        pi = el_add(pi, {extra: rng.choice(pool)})
-    return pi
-
-
-def random_instance(seed, coefficients=None):
+def random_instance(seed):
     """Reproducible bundle: strict base, canonical MC element, a non-strict
-    isomorphism onto a transported copy, and the pushed MC element.
-
-    coefficients, when given, is the pool of nonzero exact scalars that
-    every random coefficient is drawn from.
-    """
+    isomorphism onto a transported copy, and the pushed MC element."""
     rng = random.Random(seed)
     n = rng.choice((3, 3, 4))
     weights = random_weights(rng, n)
     base, xi = matrix_structure(n, weights, label=f"inst{seed}")
-    pi = _richer_datum(rng, base, xi, coefficients or LINEAR_POOL, 0.7)
+    candidates = [g for g in base.space.basis if base.space.degree(g) == 0]
+    pi = dict(xi)
+    if candidates and rng.random() < 0.7:
+        extra = rng.choice(candidates)
+        pi = el_add(pi, {extra: rng.choice(LINEAR_POOL)})
     if not mc_check(base, pi):
         raise AssertionError(f"seed {seed}: constructed datum is not Maurer-Cartan")
-    transported, morphism = random_conjugation(rng, base, coefficients)
+    transported, morphism = random_conjugation(rng, base)
     return {
         "seed": seed,
         "base": base,
@@ -220,10 +205,9 @@ def random_instance(seed, coefficients=None):
     }
 
 
-def random_strict_transport(rng, structure, pool=None):
+def random_strict_transport(rng, structure):
     """Strict isomorphism: identity plus random filtration-raising terms."""
-    return conjugate(structure,
-                     {1: _raising_linear_part(rng, structure.space, pool)})
+    return conjugate(structure, {1: _raising_linear_part(rng, structure.space)})
 
 
 # nerve of the two-chart cover U, V: both charts and their overlap
@@ -283,21 +267,16 @@ def two_chart_ladder(structure, transports, label=""):
         label=label)
 
 
-def random_ladder(seed, coefficients=None):
+def random_ladder(seed):
     """Reproducible ladder over a random matrix instance, with its MC datum.
 
     two_chart_ladder with independent random strict transports per chart;
     the pair (ladder, pi) satisfies every hypothesis of the twisted
-    criterion.  coefficients is a pool as for random_instance; with one,
-    the datum also gets a multiple of a degree-0 unit, so that its twist
-    does not cancel the differential bracketing with xi.
+    criterion.
     """
     rng = random.Random(seed)
     n = rng.choice((3, 3, 4))
     weights = random_weights(rng, n)
     base, xi = matrix_structure(n, weights, label=f"ladder{seed}")
-    transports = {a: random_strict_transport(rng, base, coefficients)[1]
-                  for a in CHARTS}
-    if coefficients is not None:
-        xi = _richer_datum(rng, base, xi, coefficients, 1)
+    transports = {a: random_strict_transport(rng, base)[1] for a in CHARTS}
     return two_chart_ladder(base, transports, label=f"ladder{seed}"), xi

@@ -49,7 +49,7 @@ from .structures import (
     default_cap,
 )
 from .twisting import (
-    _twist_rows, _twist_structure, twist_morphism, validate_twist_datum)
+    _twist_rows, twist_morphism, twist_structure, validate_twist_datum)
 
 
 # -- tensor helpers ---------------------------------------------------------------
@@ -348,22 +348,18 @@ def module_morphism_from_triangle(outer, inner, source, target):
     return ModuleMorphism(source, target, comps)
 
 
-def _twist_module(module, pi):
-    """twist_module by the validated datum pi."""
-    return LInftyModule(_twist_structure(module.base, pi), module.space,
-                        _twist_rows(module, pi), label=module.label)
-
-
 def twist_module(module, pi):
     """Module with components (phi^pi)_k(w tensor m), over the twisted base."""
-    return _twist_module(module, validate_twist_datum(module.word_space, pi))
+    pi = validate_twist_datum(module.word_space, pi)
+    return LInftyModule(twist_structure(module.base, pi), module.space,
+                        _twist_rows(module, pi), label=module.label)
 
 
 def twist_module_morphism(mm, pi):
     """Twisted module morphism between the twisted modules."""
     pi = validate_twist_datum(mm.word_space, pi)
-    return ModuleMorphism(_twist_module(mm.source, pi),
-                          _twist_module(mm.target, pi),
+    return ModuleMorphism(twist_module(mm.source, pi),
+                          twist_module(mm.target, pi),
                           _twist_rows(mm, pi), label=mm.label)
 
 

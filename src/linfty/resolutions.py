@@ -37,7 +37,7 @@ from .modules import (
     compose_module_morphisms,
 )
 from .twisting import (
-    _twist_rows, _twist_structure, mc_check, validate_twist_datum)
+    _twist_rows, mc_check, twist_structure, validate_twist_datum)
 
 
 def module_chain_complex(module):
@@ -113,7 +113,7 @@ class ResolutionDiagram:
 def _twist_diagram(diagram, pi, base):
     """Twist each module once over the twisted base, then wire the maps.
 
-    pi is a validated datum; the constructors read the kept twist rows.
+    The constructors read the kept twist rows of the validated datum pi.
     """
     modules = [LInftyModule(base, m.space, _twist_rows(m, pi), label=m.label)
                for m in diagram.modules()]
@@ -126,7 +126,7 @@ def _twist_diagram(diagram, pi, base):
 
 def twist_resolution(diagram, pi):
     pi = validate_twist_datum(diagram.base.space, pi)
-    return _twist_diagram(diagram, pi, _twist_structure(diagram.base, pi))
+    return _twist_diagram(diagram, pi, twist_structure(diagram.base, pi))
 
 
 def induced_cohomology_sequence(diagram):
@@ -261,7 +261,7 @@ class ResolutionMorphism:
 def twist_resolution_morphism(ladder, pi):
     """Twist both diagrams over one twisted base and wire the verticals."""
     pi = validate_twist_datum(ladder.source.base.space, pi)
-    base = _twist_structure(ladder.source.base, pi)
+    base = twist_structure(ladder.source.base, pi)
     source = _twist_diagram(ladder.source, pi, base)
     target = _twist_diagram(ladder.target, pi, base)
     verticals = [ModuleMorphism(s, t, _twist_rows(u, pi), label=u.label)

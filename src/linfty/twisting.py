@@ -22,14 +22,13 @@ the weighted powers pi^l / l! of each datum, built only as far as a caller
 has read them: a twist row reads at most max_arity + 1 of them, and only
 exp_element, on the full Maurer-Cartan route, reads them all.
 
-Each public entry validates its datum once, before any lookup, so an
-invalid one raises every time and is never kept.  The private helpers
-behind the entries (_powers, _exp, _twist_rows, _unit_value,
-_twist_structure, _twist_morphism, _mc_check) take a validated datum and do
-not check it again, nor a datum built from validated ones: a pushforward or
-a sum of data is valid by construction and is folded like a validated one.
-Table constructors read the kept rows in place, since they copy every value
-and keep nothing they are given; twist_table hands out fresh dicts.
+Each entry validates its datum before any lookup, so an invalid one raises
+every time and is never kept.  validate_twist_datum returns a read-only
+copy marked with its space, and takes such a copy back at once: a datum is
+checked once per public call, however deep the entries it is passed on to,
+and it cannot change after its check.  Table constructors read the kept
+rows in place, since they copy every value and keep nothing they are
+given; twist_table hands out fresh dicts.
 
 Maurer-Cartan has one definition, the curvature of the twisted structure
 (the k = 0 case of the second line); the full-coderivation route
@@ -60,9 +59,31 @@ from .structures import (
 )
 
 
+class _Datum(dict):
+    """A twist datum validated on space: read-only, so it stays valid."""
+
+    __slots__ = ("space",)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a validated twist datum is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
 def validate_twist_datum(space, pi):
-    """Twist data are homogeneous of shifted degree 0 and positive weight."""
-    pi = exact_element(pi)
+    """Twist data are homogeneous of shifted degree 0 and positive weight.
+
+    Returns a validated copy, read-only and marked with space; a datum
+    already validated on space is returned as it is.
+    """
+    if type(pi) is _Datum and pi.space is space:
+        return pi
+    pi = _Datum(exact_element(pi))
+    pi.space = space
     degree = element_degree(space, pi)
     if degree is not None and degree != 0:
         raise InputError(f"twist datum must have shifted degree 0, got {degree}")
@@ -76,8 +97,14 @@ def _datum_key(pi):
     return frozenset(pi.items())
 
 
-def _powers(space, pi, limit=None):
-    """weighted_powers of the validated datum pi."""
+def weighted_powers(space, pi, limit=None):
+    """The first limit (default: all) of (l, pi^l / l!) until the power dies.
+
+    The space keeps the powers of each datum built so far and extends them
+    only when a caller asks for more, so a twist row builds only the powers
+    it reads.  The powers are shared by every caller; no caller mutates them.
+    """
+    pi = validate_twist_datum(space, pi)
     key = _datum_key(pi)
     powers = space._powers.get(key)
     if powers is None:
@@ -91,27 +118,12 @@ def _powers(space, pi, limit=None):
     return tuple(live[:limit])
 
 
-def weighted_powers(space, pi, limit=None):
-    """The first limit (default: all) of (l, pi^l / l!) until the power dies.
-
-    The space keeps the powers of each datum built so far and extends them
-    only when a caller asks for more, so a twist row builds only the powers
-    it reads.  The powers are shared by every caller; no caller mutates them.
-    """
-    return _powers(space, validate_twist_datum(space, pi), limit)
-
-
-def _exp(space, pi):
-    """exp_element of the validated datum pi."""
-    total = {}
-    for _, power in _powers(space, pi):
-        total = el_add(total, power)
-    return total
-
-
 def exp_element(space, pi):
     """exp(pi) in the truncated coalgebra; a finite sum by weight."""
-    return _exp(space, validate_twist_datum(space, pi))
+    total = {}
+    for _, power in weighted_powers(space, pi):
+        total = el_add(total, power)
+    return total
 
 
 def _twisted_row(table, pi, k):
@@ -121,7 +133,7 @@ def _twisted_row(table, pi, k):
     """
     space = table.word_space
     normalize, components = space.normalize_word, table.components
-    powers = _powers(space, pi, max(0, table.max_arity + 1 - k))
+    powers = weighted_powers(space, pi, max(0, table.max_arity + 1 - k))
     row = {}
     for word, mgen in table.keys_over(space.enumerate_words(k, min_arity=k)):
         total = {}
@@ -157,12 +169,13 @@ def _kept_row(table, pi, k):
 
 
 def _twist_rows(table, pi, arities=None):
-    """arity -> kept nonzero row of the twist by the validated datum pi.
+    """arity -> kept nonzero row of the twist of table by pi.
 
     The rows are the kept ones, not copies: a table constructor may read
     them, since it copies every value through exact_element and keeps
     nothing it was given.
     """
+    pi = validate_twist_datum(table.word_space, pi)
     if arities is None:
         arities = range(table.max_arity + 1)
     rows = {}
@@ -182,20 +195,14 @@ def twist_table(table, pi, arities=None):
     twisted endpoints by the caller.  Each row is computed once per table
     and datum; the returned dicts are fresh copies of the kept rows.
     """
-    rows = _twist_rows(table, validate_twist_datum(table.word_space, pi),
-                       arities)
     return {k: {key: dict(value) for key, value in row.items()}
-            for k, row in rows.items()}
+            for k, row in _twist_rows(table, pi, arities).items()}
 
 
 def _unit_value(table, pi):
-    """The k = 0 twisted value sum (1/l!) C_l(pi^l) on the unit word.
-
-    A fresh dict, each integral coefficient an int, as validation leaves it:
-    for a morphism it is the pushforward, itself a valid datum (see
-    _twist_morphism).
-    """
-    return exact_element(_kept_row(table, pi, 0).get((), {}))
+    """The k = 0 twisted value sum (1/l!) C_l(pi^l) on the unit word, fresh."""
+    pi = validate_twist_datum(table.word_space, pi)
+    return dict(_kept_row(table, pi, 0).get((), {}))
 
 
 def _kept_twist(table, pi, build):
@@ -207,37 +214,19 @@ def _kept_twist(table, pi, build):
     return twisted
 
 
-def _twist_structure(structure, pi):
-    """twist_structure by the validated datum pi."""
-    return _kept_twist(structure, pi, lambda: LInftyStructure(
-        structure.space, _twist_rows(structure, pi), label=structure.label))
-
-
 def twist_structure(structure, pi):
     """Structure with components Q^pi_k(w) = sum (1/l!) Q_{k+l}(pi^l v w).
 
     Kept per datum: a repeated call returns the same twisted structure.
     """
-    return _twist_structure(structure,
-                            validate_twist_datum(structure.space, pi))
+    pi = validate_twist_datum(structure.space, pi)
+    return _kept_twist(structure, pi, lambda: LInftyStructure(
+        structure.space, _twist_rows(structure, pi), label=structure.label))
 
 
 def maurer_cartan_series(structure, pi):
     """Curvature of the twisted structure: sum (1/n!) Q_n(pi^n)."""
-    return _unit_value(structure, validate_twist_datum(structure.space, pi))
-
-
-def _mc_check(structure, pi, route):
-    """mc_check of the validated datum pi by a known route."""
-    results = {}
-    if route in ("series", "both"):
-        results["series"] = not _unit_value(structure, pi)
-    if route in ("full", "both"):
-        results["full"] = not coderivation_apply(structure,
-                                                 _exp(structure.space, pi))
-    if len(results) == 2 and results["series"] != results["full"]:
-        raise MathCheckError(f"Maurer-Cartan routes disagree: {results}")
-    return all(results.values())
+    return _unit_value(structure, pi)
 
 
 def mc_check(structure, pi, route="both"):
@@ -249,28 +238,21 @@ def mc_check(structure, pi, route="both"):
     """
     if route not in ("series", "full", "both"):
         raise InputError(f"unknown Maurer-Cartan route {route!r}")
-    return _mc_check(structure, validate_twist_datum(structure.space, pi),
-                     route)
+    pi = validate_twist_datum(structure.space, pi)
+    results = {}
+    if route in ("series", "both"):
+        results["series"] = not maurer_cartan_series(structure, pi)
+    if route in ("full", "both"):
+        exp = exp_element(structure.space, pi)
+        results["full"] = not coderivation_apply(structure, exp)
+    if len(results) == 2 and results["series"] != results["full"]:
+        raise MathCheckError(f"Maurer-Cartan routes disagree: {results}")
+    return all(results.values())
 
 
 def push_mc(morphism, pi):
     """Pushforward pi_F = sum over n >= 1 of (1/n!) F_n(pi^n)."""
-    return _unit_value(morphism, validate_twist_datum(morphism.word_space, pi))
-
-
-def _twist_morphism(morphism, pi):
-    """twist_morphism by the validated datum pi.
-
-    The pushforward of a valid datum is valid on the target: F has no
-    arity-0 component, and each F_n with n >= 1 keeps the degree 0 of pi^n
-    and a filtration of at least its weight n.  It is folded like a
-    validated datum by _unit_value, and so twists the target unchecked.
-    """
-    return _kept_twist(morphism, pi, lambda: LInftyMorphism(
-        _twist_structure(morphism.source, pi),
-        _twist_structure(morphism.target, _unit_value(morphism, pi)),
-        _twist_rows(morphism, pi, range(1, morphism.max_arity + 1)),
-        label=morphism.label))
+    return _unit_value(morphism, pi)
 
 
 def twist_morphism(morphism, pi):
@@ -278,8 +260,12 @@ def twist_morphism(morphism, pi):
 
     Kept per datum: a repeated call returns the same twisted morphism.
     """
-    return _twist_morphism(morphism,
-                           validate_twist_datum(morphism.word_space, pi))
+    pi = validate_twist_datum(morphism.word_space, pi)
+    return _kept_twist(morphism, pi, lambda: LInftyMorphism(
+        twist_structure(morphism.source, pi),
+        twist_structure(morphism.target, push_mc(morphism, pi)),
+        _twist_rows(morphism, pi, range(1, morphism.max_arity + 1)),
+        label=morphism.label))
 
 
 def mc_preservation(morphism, pi):
@@ -289,19 +275,13 @@ def mc_preservation(morphism, pi):
     when pi_F fails for the target (which convicts the morphism).
     """
     pi = validate_twist_datum(morphism.word_space, pi)
-    if not _mc_check(morphism.source, pi, "both"):
+    if not mc_check(morphism.source, pi):
         raise MathCheckError("twist datum is not Maurer-Cartan for the source")
-    pi_f = _unit_value(morphism, pi)
-    if not _mc_check(morphism.target, pi_f, "both"):
+    pi_f = push_mc(morphism, pi)
+    if not mc_check(morphism.target, pi_f):
         raise MathCheckError(
             "pushforward of a Maurer-Cartan element fails for the target")
     return pi_f
-
-
-def _sum(pi, second):
-    """pi + second for two validated data on one space: again a valid datum
-    (degree 0, or zero; filtration at least 1), folded like one."""
-    return exact_element(el_add(pi, second))
 
 
 def check_structure_twist_identities(structure, pi, second):
@@ -309,9 +289,9 @@ def check_structure_twist_identities(structure, pi, second):
     space = structure.space
     pi = validate_twist_datum(space, pi)
     second = validate_twist_datum(space, second)
-    once_then = _twist_structure(_twist_structure(structure, pi), second)
-    at_once = _twist_structure(structure, _sum(pi, second))
-    other_order = _twist_structure(_twist_structure(structure, second), pi)
+    once_then = twist_structure(twist_structure(structure, pi), second)
+    at_once = twist_structure(structure, el_add(pi, second))
+    other_order = twist_structure(twist_structure(structure, second), pi)
     if once_then != at_once:
         raise MathCheckError("(Q^pi)^b differs from Q^(pi+b)")
     if other_order != at_once:
@@ -329,21 +309,20 @@ def check_morphism_twist_identities(morphism, pi, second):
     space = morphism.source.space
     pi = validate_twist_datum(space, pi)
     second = validate_twist_datum(space, second)
-    both = _sum(pi, second)
-    f_pi = _twist_morphism(morphism, pi)
-    f_b = _twist_morphism(morphism, second)
-    at_once = _twist_morphism(morphism, both)
-    once_then = _twist_morphism(f_pi, second)
-    other_order = _twist_morphism(f_b, pi)
+    f_pi = twist_morphism(morphism, pi)
+    f_b = twist_morphism(morphism, second)
+    at_once = twist_morphism(morphism, el_add(pi, second))
+    once_then = twist_morphism(f_pi, second)
+    other_order = twist_morphism(f_b, pi)
     for got, clause in ((once_then, "(F^pi)^b"), (other_order, "(F^b)^pi")):
         if got != at_once:
             raise MathCheckError(f"{clause} differs from F^(pi+b)")
         if got.source != at_once.source or got.target != at_once.target:
             raise MathCheckError(f"{clause} has wrong twisted endpoints")
-    total = _unit_value(morphism, both)
-    if el_add(_unit_value(morphism, pi), _unit_value(f_pi, second)) != total:
+    total = push_mc(morphism, el_add(pi, second))
+    if el_add(push_mc(morphism, pi), push_mc(f_pi, second)) != total:
         raise MathCheckError("pi_F + b_(F^pi) differs from (pi+b)_F")
-    if el_add(_unit_value(morphism, second), _unit_value(f_b, pi)) != total:
+    if el_add(push_mc(morphism, second), push_mc(f_b, pi)) != total:
         raise MathCheckError("b_F + pi_(F^b) differs from (pi+b)_F")
     return True
 
@@ -352,14 +331,13 @@ def check_pushforward_functoriality(outer, inner, pi):
     """(pi_F)_G = pi_(G o F), and twisting commutes with composition."""
     pi = validate_twist_datum(inner.source.space, pi)
     composite = compose(outer, inner)
-    pi_f = _unit_value(inner, pi)
-    stepwise = _unit_value(outer, pi_f)
-    direct = _unit_value(composite, pi)
+    stepwise = push_mc(outer, push_mc(inner, pi))
+    direct = push_mc(composite, pi)
     if stepwise != direct:
         raise MathCheckError("(pi_F)_G differs from pi_(G o F)")
-    twisted_composite = _twist_morphism(composite, pi)
-    composed_twists = compose(_twist_morphism(outer, pi_f),
-                              _twist_morphism(inner, pi))
+    twisted_composite = twist_morphism(composite, pi)
+    composed_twists = compose(twist_morphism(outer, push_mc(inner, pi)),
+                              twist_morphism(inner, pi))
     if twisted_composite.components != composed_twists.components:
         raise MathCheckError("(G o F)^pi differs from G^(pi_F) o F^pi")
     return True

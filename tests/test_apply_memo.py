@@ -802,64 +802,101 @@ def test_an_invalid_datum_raises_each_time_and_is_never_kept(pi, message):
 
 
 def datum_checks(monkeypatch):
-    """The data validate_twist_datum is called on, wherever it is bound."""
-    checked = []
-    validate = twisting.validate_twist_datum
+    """The data validate_twist_datum checks, wherever it is bound: those it
+    is given and reads the degree of, rather than taking back as checked."""
+    checked, degrees = [], []
+    validate, degree = twisting.validate_twist_datum, twisting.element_degree
+
+    def reading(space, pi):
+        degrees.append(pi)
+        return degree(space, pi)
 
     def counting(space, pi):
-        checked.append(pi)
-        return validate(space, pi)
+        before = len(degrees)
+        out = validate(space, pi)
+        if len(degrees) > before:
+            checked.append(pi)
+        return out
 
+    monkeypatch.setattr(twisting, "element_degree", reading)
     for module in (twisting, modules, resolutions):
         monkeypatch.setattr(module, "validate_twist_datum", counting)
     return checked
 
 
 def instance_calls():
-    """Public twisting calls on one instance's fresh tables, with the number
-    of data each is given."""
+    """Public twisting calls on one instance's fresh tables, with the data
+    each is given."""
     inst = random_instance(1)
     base, pi, f = fresh(inst["base"]), inst["pi"], fresh(inst["morphism"])
     space, second = base.space, el_scale(pi, 2)
     module = module_from_morphism(f)
     return [
-        (lambda: twist_table(base, pi), 1),
-        (lambda: twist_structure(base, pi), 1),
-        (lambda: maurer_cartan_series(base, pi), 1),
-        (lambda: mc_check(base, pi, "series"), 1),
-        (lambda: mc_check(base, pi, "full"), 1),
-        (lambda: mc_check(base, pi), 1),
-        (lambda: push_mc(f, pi), 1),
-        (lambda: twist_morphism(f, pi), 1),
-        (lambda: mc_preservation(f, pi), 1),
-        (lambda: weighted_powers(space, pi), 1),
-        (lambda: exp_element(space, pi), 1),
-        (lambda: twist_module(module, pi), 1),
-        (lambda: twist_module_morphism(identity_module_morphism(module), pi), 1),
-        (lambda: check_pushforward_functoriality(invert(f), f, pi), 1),
-        (lambda: check_structure_twist_identities(base, pi, second), 2),
-        (lambda: check_morphism_twist_identities(f, pi, second), 2),
+        (lambda: twist_table(base, pi), (pi,)),
+        (lambda: twist_structure(base, pi), (pi,)),
+        (lambda: maurer_cartan_series(base, pi), (pi,)),
+        (lambda: mc_check(base, pi, "series"), (pi,)),
+        (lambda: mc_check(base, pi, "full"), (pi,)),
+        (lambda: mc_check(base, pi), (pi,)),
+        (lambda: push_mc(f, pi), (pi,)),
+        (lambda: twist_morphism(f, pi), (pi,)),
+        (lambda: mc_preservation(f, pi), (pi,)),
+        (lambda: weighted_powers(space, pi), (pi,)),
+        (lambda: exp_element(space, pi), (pi,)),
+        (lambda: twist_module(module, pi), (pi,)),
+        (lambda: twist_module_morphism(identity_module_morphism(module), pi),
+         (pi,)),
+        (lambda: check_pushforward_functoriality(invert(f), f, pi), (pi,)),
+        (lambda: check_structure_twist_identities(base, pi, second),
+         (pi, second)),
+        (lambda: check_morphism_twist_identities(f, pi, second),
+         (pi, second)),
     ]
 
 
 def ladder_calls():
     ladder, xi = random_ladder(28)
-    return [(lambda: twist_resolution(ladder.source, xi), 1),
-            (lambda: twist_resolution_morphism(ladder, xi), 1)]
+    return [(lambda: twist_resolution(ladder.source, xi), (xi,)),
+            (lambda: twist_resolution_morphism(ladder, xi), (xi,))]
 
 
 @pytest.mark.parametrize("calls", [instance_calls, ladder_calls])
 def test_each_public_twisting_call_validates_each_datum_once(monkeypatch,
                                                              calls):
     """Nested twists, rows, powers and pushforwards take the checked datum:
-    a public call validates each datum it is given once, cold and warm."""
+    a public call checks each datum it is given once, cold and warm, and
+    each datum it derives (a pushforward, a sum) at most once."""
     checked = datum_checks(monkeypatch)
     for index in range(len(calls())):
-        call, data = calls()[index]  # fresh tables: the first call is cold
+        call, given = calls()[index]  # fresh tables: the first call is cold
         for _ in ("cold", "warm"):
             checked.clear()
             call()
-            assert len(checked) == data, index
+            ids = [id(pi) for pi in checked]  # checked keeps them alive
+            assert len(set(ids)) == len(ids), index
+            assert [ids.count(id(pi)) for pi in given] == [1] * len(given)
+
+
+def test_a_validated_datum_is_read_only_and_marked_with_its_space():
+    inst = random_instance(1)
+    space, pi = inst["base"].space, inst["pi"]
+    checked = twisting.validate_twist_datum(space, pi)
+    assert checked == pi and checked is not pi
+    assert twisting.validate_twist_datum(space, checked) is checked
+    other = GradedSpace([(g, space.degree(g), space.filtration(g))
+                         for g in space.basis], space.nilpotency_order)
+    assert twisting.validate_twist_datum(other, checked) is not checked
+    key = next(iter(checked))
+    for mutate in (lambda d: d.__setitem__(key, 5),
+                   lambda d: d.__delitem__(key), lambda d: d.__ior__({}),
+                   lambda d: d.update({}), lambda d: d.pop(key),
+                   lambda d: d.popitem(), lambda d: d.clear(),
+                   lambda d: d.setdefault(key, 1)):
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(checked)
+    assert checked == pi
+    for copied in (copy.copy(checked), copy.deepcopy(checked)):
+        assert type(copied) is dict and copied == pi
 
 
 def kept_rows(table):

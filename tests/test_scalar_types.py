@@ -18,9 +18,9 @@ import random
 
 import pytest
 
-from linfty import homology, resolutions
+from linfty import homology, instances, resolutions
 from linfty.cli import main
-from linfty.graded import ComponentTable, el_scale
+from linfty.graded import ComponentTable, el_add, el_scale
 from linfty.homology import ChainComplex, Matrix, nullspace, rref
 from linfty.instances import (
     CHARTS,
@@ -43,6 +43,7 @@ from linfty.twisting import (
     check_morphism_twist_identities,
     check_pushforward_functoriality,
     check_structure_twist_identities,
+    mc_check,
     mc_preservation,
     twist_morphism,
     twist_structure,
@@ -278,19 +279,37 @@ def test_trusted_matrices_equal_validated_ones(trusted_matrices):
 FRACTIONAL_POOL = (Fraction(-1, 2), -1, Fraction(2, 3), 2)
 
 
-def test_fractional_families_take_the_fraction_path(trusted_matrices,
+def richer_datum(ladder, xi, c):
+    """xi plus c times the first unit of shifted degree 0.
+
+    Twisting a matrix instance by its own xi cancels the node differentials,
+    so its homology sees only +-1 pivots; a single unit squares to zero, so
+    the sum is again Maurer-Cartan and its twist keeps them.
+    """
+    base = ladder.source.base
+    unit = next(g for g in base.space.basis if base.space.degree(g) == 0)
+    pi = el_add(xi, {unit: c})
+    assert mc_check(base, pi)
+    return pi
+
+
+def test_fractional_families_take_the_fraction_path(monkeypatch,
+                                                    trusted_matrices,
                                                     non_unit_pivots,
                                                     homology_answers):
     """With a fractional coefficient pool the random families store
     Fractions, and their homology divides by pivots other than +-1."""
+    monkeypatch.setattr(instances, "LINEAR_POOL", FRACTIONAL_POOL)
+    monkeypatch.setattr(instances, "QUADRATIC_POOL", FRACTIONAL_POOL)
     fractions = 0
     for seed in range(4):
-        ladder, pi = random_ladder(seed, coefficients=FRACTIONAL_POOL)
+        ladder, xi = random_ladder(seed)
+        pi = richer_datum(ladder, xi, FRACTIONAL_POOL[seed])
         report = prop_key_pipeline(ladder, pi)
         assert report["verdict"] == "quasi-isomorphism"
         assert report["routes_agree"] is True
         fractions += assert_exact((ladder, pi, report))[2]
-        inst = random_instance(seed, coefficients=FRACTIONAL_POOL)
+        inst = random_instance(seed)
         fractions += assert_exact(instance_checks(inst))[2]
     assert fractions
     assert non_unit_pivots
