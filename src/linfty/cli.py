@@ -31,7 +31,7 @@ import functools
 import os.path
 import sys
 
-from .graded import InputError, MathCheckError, el_scale
+from .graded import InputError, MathCheckError, _check_arity, el_scale
 from .structures import (
     chain_complex,
     check_morphism,
@@ -343,8 +343,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        if args.max_arity is not None and args.max_arity < 0:
-            raise InputError(f"max_arity must be nonnegative, got {args.max_arity}")
+        if args.max_arity is not None:
+            _check_arity(args.max_arity)
         doc = _read_document(args.fixture)
         ok, report, lines = _COMMANDS[args.command](doc, args)
     except InputError as e:

@@ -65,6 +65,21 @@ def _check_arity(arity, name="max_arity"):
     return arity
 
 
+def _dict_of(value, what):
+    """value when it is a dict, else InputError naming what it should be."""
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a dict, got {type(value).__name__}")
+    return value
+
+
+def _as_word(word):
+    """A word as a tuple of generator names; a str is not split into letters."""
+    if isinstance(word, str):
+        raise InputError(
+            f"word {word!r} is a string, not a tuple of generator names")
+    return tuple(word)
+
+
 def parse_scalar(text):
     """The one coercion to an exact scalar: an int when integral, else a Fraction.
 
@@ -415,7 +430,7 @@ def exact_element(element):
     rejected at the library boundary as they are in fixture files.
     """
     out = {}
-    for g, q in element.items():
+    for g, q in _dict_of(element, "element").items():
         q = parse_scalar(q)
         if q:
             out[g] = q
@@ -538,6 +553,7 @@ class ComponentTable:
         image = self._images.get(key)
         if image is None:
             word, mgen = key if self.key_space is not None else (key, None)
+            word = _as_word(word)
             try:
                 norm = self.word_space.normalize_word(word)
             except InputError:  # an unknown generator: compute raises its text
@@ -551,9 +567,15 @@ class ComponentTable:
         return image
 
     def _apply(self, elt, compute):
-        """Sum of coeff * image over the keys of elt, in a fresh dict."""
+        """Sum of coeff * image over the keys of elt, in a fresh dict.
+
+        elt is a dict; a coefficient that is not an int goes through
+        parse_scalar, so an apply takes exact scalars alone.
+        """
         out = {}
-        for key, coeff in elt.items():
+        for key, coeff in _dict_of(elt, "apply input").items():
+            if type(coeff) is not int:
+                coeff = parse_scalar(coeff)
             if not coeff:
                 continue
             image = self._image(key, compute)
@@ -596,15 +618,16 @@ class ComponentTable:
         norms, key_degree, degrees = (
             word_space._norms, word_space._degree, value_space._degree)
         out = {}
-        for arity, table in components.items():
+        for arity, table in _dict_of(components, "components").items():
             if not _is_int(arity):
                 raise InputError(f"component arity {arity!r} is not an integer")
             if arity < 0:
                 raise InputError(bad_arity)
             canon = {}
-            for key, element in table.items():
+            for key, element in _dict_of(
+                    table, f"arity-{arity} components").items():
                 word, mgen = key if tensor else (key, None)
-                word = tuple(word)
+                word = _as_word(word)
                 if len(word) != arity:
                     raise InputError(f"word {word} filed under arity {arity}")
                 if tensor and mgen not in key_space:
@@ -650,6 +673,17 @@ class ComponentTable:
         self._images = {}
         self._twists = {}  # datum -> twisted table; (datum, k) -> row k
 
+    def _sweep(self, cap, bound=None, min_arity=0):
+        """The table's keys over canonical words of arity min_arity up to
+        min(cap, max(0, bound)), or up to cap when bound is None.
+
+        The one rule for which keys a sweep visits, in enumerate_words
+        order; lazy, so a sweep that stops early reads no further.
+        """
+        if bound is not None:
+            cap = min(cap, max(0, bound))
+        yield from self.word_space.enumerate_words(cap, min_arity)
+
     def component(self, arity, word, mgen=None):
         """Value on a canonical word (tensor mgen); empty dict when absent."""
         key = tuple(word) if mgen is None else (tuple(word), mgen)
@@ -665,10 +699,6 @@ class ComponentTable:
         if sign > 0:
             return dict(component)
         return {g: -q for g, q in component.items()}
-
-    def keys_over(self, words):
-        """(word, generator) keys over words; generator None for word keys."""
-        return ((word, None) for word in words)
 
     def __eq__(self, other):
         return (isinstance(other, type(self))

@@ -41,7 +41,6 @@ from .graded import (
     sym_mul,
 )
 from .structures import (
-    _bounded,
     _coderivation_image,
     _square_zero_failure,
     morphism_apply,
@@ -77,8 +76,10 @@ def surviving_tensors(base_space, module_space, words):
 class _TensorTable(ComponentTable):
     """Component table keyed by (word, module generator) tensors."""
 
-    def keys_over(self, words):
-        return surviving_tensors(self.word_space, self.key_space, words)
+    def _sweep(self, cap, bound=None, min_arity=0):
+        """The surviving tensors over the words of ComponentTable._sweep."""
+        return surviving_tensors(self.word_space, self.key_space,
+                                 super()._sweep(cap, bound, min_arity))
 
 
 class LInftyModule(_TensorTable):
@@ -142,18 +143,14 @@ def check_module_square_zero(module, max_arity=None):
     check falls back to its full loop over the cap.
     """
     base = module.base
-    base_space = base.space
-    cap = default_cap(base_space, max_arity=max_arity)
+    cap = default_cap(base.space, max_arity=max_arity)
     if _square_zero_failure(base, cap) is None:
         m_phi = module.max_arity
         bound = max(m_phi + base.max_arity - 1, 2 * m_phi)
-        keys = (key for key in surviving_tensors(
-                    base_space, module.space,
-                    base_space.enumerate_words(_bounded(cap, bound)))
+        keys = (key for key in module._sweep(cap, bound)
                 if module._corestrict(module_apply(module, {key: ONE})))
     else:
-        keys = surviving_tensors(base_space, module.space,
-                                 base_space.enumerate_words(cap))
+        keys = module._sweep(cap)
     for word, mgen in keys:
         twice = module_apply(module, module_apply(module, {(word, mgen): ONE}))
         if twice:
@@ -228,10 +225,9 @@ def _joined_components(morphism, cap, outer):
     least |w| / m_F + 1 and the outer table reads arities up to m_outer, so
     the sweep stops at m_F (m_outer - 1).
     """
-    space = morphism.source.space
-    bound = morphism.max_arity * max(0, outer.max_arity - 1)
-    tensors = surviving_tensors(space, morphism.target.space,
-                                space.enumerate_words(_bounded(cap, bound)))
+    bound = morphism.max_arity * (outer.max_arity - 1)
+    tensors = surviving_tensors(morphism.word_space, morphism.target.space,
+                                morphism._sweep(cap, bound))
     comps = {}
     for word, keys in groupby(tensors, key=itemgetter(0)):
         image = morphism_apply(morphism, {word: ONE})
@@ -282,14 +278,11 @@ def check_module_morphism(mm, max_arity=None):
     max(m_F + m_Q - 1, m_F + m_phi, m_F + m_phi').
     """
     source, target = mm.source, mm.target
-    base_space = source.base.space
-    cap = default_cap(base_space, max_arity=max_arity)
+    cap = default_cap(mm.word_space, max_arity=max_arity)
     m_f = mm.max_arity
     bound = max(m_f + source.base.max_arity - 1, m_f + source.max_arity,
                 m_f + target.max_arity)
-    for word, mgen in surviving_tensors(
-            base_space, source.space,
-            base_space.enumerate_words(_bounded(cap, bound))):
+    for word, mgen in mm._sweep(cap, bound):
         start = {(word, mgen): ONE}
         if mm._corestrict(module_apply(source, start)) \
                 != target._corestrict(module_morphism_apply(mm, start)):
@@ -308,11 +301,8 @@ def compose_module_morphisms(outer, inner):
     """
     if not spaces_equal(inner.target.space, outer.source.space):
         raise InputError("module morphism composition endpoints do not match")
-    base_space = inner.source.base.space
     comps = {}
-    for word, mgen in surviving_tensors(
-            base_space, inner.source.space,
-            base_space.enumerate_words(inner.max_arity + outer.max_arity)):
+    for word, mgen in inner._sweep(inner.max_arity + outer.max_arity):
         value = outer._corestrict(
             module_morphism_apply(inner, {(word, mgen): ONE}))
         if value:

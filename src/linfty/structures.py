@@ -34,10 +34,11 @@ explicit cap that callers must choose at least as large as any arity they
 later inspect.  default_cap is the one rule for a cap the caller leaves open,
 in materialization and checks alike: it covers the verification arity, the
 arities of the maps involved and every word that survives truncation when
-all generators sit in positive filtration.  Sweeps stop at min(cap, bound),
-where the bound is derived from the max_arity of the tables involved:
-beyond it a construction's components vanish, and so does the arity-one
-part of a check's residual.
+all generators sit in positive filtration.  ComponentTable._sweep is the
+one place that chooses the keys a sweep visits: the table's words, or
+its surviving tensors, up to min(cap, bound), where the bound is derived
+from the max_arity of the tables involved: beyond it a construction's
+components vanish, and so does the arity-one part of a check's residual.
 
 A check's residual R is a coderivation (Q o Q), a coderivation along F
 (F Q - Q' F), or a comodule map (phi o phi over a base with Q o Q = 0, and
@@ -93,12 +94,6 @@ def default_cap(space, *arities, max_arity=None):
     return max(VERIFY_ARITY, space.nilpotency_order - 1, *arities)
 
 
-def _bounded(cap, bound):
-    """The arity a sweep stops at: the smaller of the cap and the bound,
-    with the bound clamped at 0."""
-    return min(cap, max(0, bound))
-
-
 class LInftyStructure(ComponentTable):
     """Taylor components of a degree +1 coderivation on one graded space."""
 
@@ -148,8 +143,7 @@ def _square_zero_failure(structure, cap):
     pr1 Q_b(Q_a(w)) needs a, b <= m_Q and |w| = a + b - 1.
     """
     return next(
-        (word for word in structure.space.enumerate_words(
-            _bounded(cap, 2 * structure.max_arity - 1))
+        (word for word in structure._sweep(cap, 2 * structure.max_arity - 1)
          if structure._corestrict(coderivation_apply(structure, {word: ONE}))),
         None)
 
@@ -315,7 +309,7 @@ def check_morphism(morphism, max_arity=None):
     cap = default_cap(source.space, max_arity=max_arity)
     m_f = morphism.max_arity
     bound = max(m_f + source.max_arity - 1, target.max_arity * m_f)
-    for word in source.space.enumerate_words(_bounded(cap, bound)):
+    for word in morphism._sweep(cap, bound):
         image = coderivation_apply(source, {word: ONE})
         pushed = morphism_apply(morphism, {word: ONE})
         if morphism._corestrict(image) != target._corestrict(pushed):
@@ -354,8 +348,7 @@ def compose(outer, inner, max_arity=None):
     cap = default_cap(inner.source.space, inner.max_arity, outer.max_arity,
                       max_arity=max_arity)
     comps = {}
-    for word in inner.source.space.enumerate_words(
-            _bounded(cap, outer.max_arity * inner.max_arity), min_arity=1):
+    for word in inner._sweep(cap, outer.max_arity * inner.max_arity, 1):
         value = outer._corestrict(morphism_apply(inner, {word: ONE}))
         if value:
             comps.setdefault(len(word), {})[word] = value
@@ -395,7 +388,7 @@ def invert(morphism, max_arity=None):
     tangent = compose(strict_inverse, morphism, max_arity=cap)
 
     comps = {}
-    for word in src.space.enumerate_words(cap, min_arity=1):
+    for word in morphism._sweep(cap, min_arity=1):
         # Neumann series for (id + nu)^{-1} applied to the word; nu lowers
         # arity, so the term vanishes after at most len(word) steps
         total = {}
@@ -435,7 +428,7 @@ def conjugate(structure, components, max_arity=None):
     inverse = invert(phi, max_arity=cap)
     bound = structure.max_arity if phi.is_strict() else cap
     comps = {}
-    for word in space.enumerate_words(_bounded(cap, bound)):
+    for word in structure._sweep(cap, bound):
         pulled = morphism_apply(inverse, {word: ONE})
         value = phi._corestrict(
             co_from_element(structure._corestrict(pulled)) if phi.is_strict()

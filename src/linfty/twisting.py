@@ -133,9 +133,11 @@ def _twisted_row(table, pi, k):
     """
     space = table.word_space
     normalize, components = space.normalize_word, table.components
+    tensor = table.key_space is not None
     powers = weighted_powers(space, pi, max(0, table.max_arity + 1 - k))
     row = {}
-    for word, mgen in table.keys_over(space.enumerate_words(k, min_arity=k)):
+    for key in table._sweep(k, min_arity=k):
+        word = key[0] if tensor else key
         total = {}
         for _, power in powers:
             for pword, pcoeff in power.items():
@@ -144,7 +146,7 @@ def _twisted_row(table, pi, k):
                     continue
                 cword, sign = norm
                 value = components.get(len(cword), {}).get(
-                    cword if mgen is None else (cword, mgen))
+                    (cword, key[1]) if tensor else cword)
                 if not value:
                     continue
                 if sign < 0:
@@ -152,7 +154,7 @@ def _twisted_row(table, pi, k):
                 for g, q in value.items():
                     _accumulate(total, g, q * pcoeff)
         if total:
-            row[word if mgen is None else (word, mgen)] = total
+            row[key] = total
     return row
 
 

@@ -559,7 +559,7 @@ def oracle_conjugate_components(structure, components, max_arity=None):
     inverse = invert(phi, max_arity=cap)
     bound = structure.max_arity if phi.is_strict() else cap
     comps = {}
-    for word in space.enumerate_words(structures._bounded(cap, bound)):
+    for word in space.enumerate_words(min(cap, max(0, bound))):
         pulled = morphism_apply(inverse, {word: ONE})
         value = phi._corestrict(coderivation_apply(structure, pulled))
         if value:

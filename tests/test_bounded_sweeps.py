@@ -548,3 +548,21 @@ def test_bounded_constructions_equal_full_sweeps_on_the_pools():
     for outer, inner in pairs:
         assert compose_module_morphisms(outer, inner) \
             == oracle_compose_module_morphisms(outer, inner)
+
+
+# -- the one sweep ----------------------------------------------------------------
+
+@pytest.mark.parametrize("min_arity", [0, 1, 2])
+def test_every_table_sweeps_the_words_up_to_the_clamped_bound(min_arity):
+    """table._sweep(cap, bound, m) is enumerate_words(min(cap, max(0,
+    bound)), m), and surviving_tensors over it for tensor tables."""
+    structures, morphisms, modules, maps = pool()
+    for table in structures + morphisms + modules + maps:
+        space = table.word_space
+        for cap in range(6):
+            for bound in (*range(-1, 7), None):
+                top = cap if bound is None else min(cap, max(0, bound))
+                words = space.enumerate_words(top, min_arity)
+                if table.key_space is not None:
+                    words = surviving_tensors(space, table.key_space, words)
+                assert list(table._sweep(cap, bound, min_arity)) == list(words)

@@ -1,6 +1,7 @@
 """Matrix-unit instance generators: frozen small cases and seeded sweeps."""
 
 from fractions import Fraction
+import random
 import sys
 
 import pytest
@@ -8,14 +9,23 @@ import pytest
 from linfty import modules, structures
 from linfty.fixtures import cech_fixb_ladder
 from linfty.graded import ONE
-from linfty.structures import check_morphism, check_square_zero, compose, invert
+from linfty.structures import (
+    check_morphism,
+    check_square_zero,
+    compose,
+    identity_morphism,
+    invert,
+)
 from linfty.twisting import mc_check, twist_structure
 from linfty.resolutions import check_resolution, prop_key_pipeline
 from linfty.instances import (
+    CHARTS,
     matrix_structure,
     random_instance,
     random_ladder,
+    random_strict_transport,
     two_chart_diagram,
+    two_chart_ladder,
 )
 
 
@@ -99,6 +109,22 @@ def test_random_ladders_satisfy_the_criterion():
         report = prop_key_pipeline(ladder, pi)
         assert report["verdict"] == "quasi-isomorphism"
         assert report["routes_agree"] and report["isomorphism"]
+
+
+@pytest.mark.parametrize("weights", [(0, 0, 1, 1), (0, 1, 1, 2)])
+def test_ladders_with_moving_transports_meet_the_criterion(weights):
+    """On 4 x 4 units with same-degree generators of different filtration,
+    every random_strict_transport moves the structure, so each target
+    diagram differs from its identity source, and the criterion holds."""
+    base, xi = matrix_structure(4, list(weights))
+    for seed in range(4):
+        rng = random.Random(seed)
+        transports = {a: random_strict_transport(rng, base)[1] for a in CHARTS}
+        for transport in transports.values():
+            assert transport != identity_morphism(base)
+            assert transport.target != base
+        ladder = two_chart_ladder(base, transports)
+        assert prop_key_pipeline(ladder, xi)["verdict"] == "quasi-isomorphism"
 
 
 # -- each module of a ladder is built once ----------------------------------------

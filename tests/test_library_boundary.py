@@ -1,0 +1,98 @@
+"""The library boundary takes exact dicts of tuple words, as the CLI does.
+
+The four applies coerce each coefficient through parse_scalar, so a "p/q"
+string or a Fraction is read exactly and a float or a bool is an input
+error, and they take a dict of terms alone.  A word given as a str is an
+input error, not a word of its letters, in an apply and in a table
+constructor; element data that are not dicts (a twist datum, a table's
+components, one arity's table) raise InputError, not AttributeError.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from linfty.fixtures import fix_b, morphism_t
+from linfty.graded import GradedSpace, InputError, ONE, exact_element
+from linfty.modules import (
+    LInftyModule,
+    identity_module_morphism,
+    module_apply,
+    module_from_morphism,
+    module_morphism_apply,
+)
+from linfty.structures import (
+    LInftyStructure,
+    coderivation_apply,
+    morphism_apply,
+)
+from linfty.twisting import mc_check, twist_structure
+
+
+def module_t():
+    return module_from_morphism(morphism_t())
+
+
+# (table, apply, a key with a nonzero image, that key with its word as a str)
+APPLIES = {
+    "coderivation": (fix_b, coderivation_apply, ("x", "x"), "xx"),
+    "morphism": (morphism_t, morphism_apply, ("x",), "x"),
+    "module": (module_t, module_apply, (("x",), "x"), ("x", "x")),
+    "module_morphism": (lambda: identity_module_morphism(module_t()),
+                        module_morphism_apply, (("x",), "x"), ("x", "x")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(APPLIES))
+def test_an_apply_reads_exact_coefficients_alone(case):
+    make, apply, key, _ = APPLIES[case]
+    table = make()
+    unit = apply(table, {key: ONE})
+    assert unit
+    half = {k: q * Fraction(1, 2) for k, q in unit.items()}
+    assert apply(table, {key: "1/2"}) == half
+    assert apply(table, {key: Fraction(1, 2)}) == half
+    assert apply(table, {key: Fraction(4, 2)}) == apply(table, {key: 2})
+    for scalar, name in ((0.25, "float"), (True, "bool"), (None, "NoneType")):
+        with pytest.raises(InputError, match=f"exact scalars required, got {name}"):
+            apply(table, {key: scalar})
+    for bad in ([key], None, key):
+        with pytest.raises(InputError, match="apply input must be a dict"):
+            apply(table, bad)
+
+
+@pytest.mark.parametrize("case", sorted(APPLIES))
+def test_an_apply_does_not_split_a_str_word_into_letters(case):
+    make, apply, _, str_key = APPLIES[case]
+    table = make()
+    for _ in range(2):  # a failed lookup is never kept
+        with pytest.raises(InputError, match="is a string, not a tuple"):
+            apply(table, {str_key: ONE})
+
+
+def test_a_constructor_does_not_split_a_str_word_into_letters():
+    # "ab" is a generator too, so reading it as a v b would file a value
+    space = GradedSpace([("a", 0, 1), ("b", 1, 1), ("ab", 2, 2)], 3)
+    with pytest.raises(InputError, match="word 'ab' is a string"):
+        LInftyStructure(space, {2: {"ab": {"ab": ONE}}})
+    assert LInftyStructure(space, {2: {("a", "b"): {"ab": ONE}}}).components \
+        == {2: {("a", "b"): {"ab": ONE}}}
+    base = fix_b()
+    with pytest.raises(InputError, match="word 'x' is a string"):
+        LInftyModule(base, base.space, {1: {("x", "x"): {"c": ONE}}})
+
+
+def test_non_dict_data_raise_input_errors():
+    base = fix_b()
+    for datum, name in ((None, "NoneType"), ("x", "str"), ([("x", 1)], "list")):
+        with pytest.raises(InputError, match=f"element must be a dict, got {name}"):
+            mc_check(base, datum)
+        with pytest.raises(InputError, match=f"element must be a dict, got {name}"):
+            twist_structure(base, datum)
+    with pytest.raises(InputError, match="element must be a dict, got list"):
+        exact_element([("x", 1)])
+    space = GradedSpace([("a", 0, 1), ("b", 1, 1)], 3)
+    with pytest.raises(InputError, match="arity-1 components must be a dict, got list"):
+        LInftyStructure(space, {1: [("a",)]})
+    with pytest.raises(InputError, match="components must be a dict, got list"):
+        LInftyStructure(space, [(1, {})])

@@ -25,6 +25,7 @@ from linfty.graded import (
     sym_mul,
 )
 from linfty.instances import matrix_structure, random_instance, random_ladder
+from linfty.modules import surviving_tensors
 from linfty.structures import LInftyMorphism, LInftyStructure, identity_morphism
 from linfty.twisting import (
     exp_element,
@@ -59,7 +60,10 @@ def oracle_twist_table(table, pi, arities=None):
     comps = {}
     for k in arities:
         row = {}
-        for word, mgen in table.keys_over(space.enumerate_words(k, min_arity=k)):
+        words = space.enumerate_words(k, min_arity=k)
+        keys = (((word, None) for word in words) if table.key_space is None
+                else surviving_tensors(space, table.key_space, words))
+        for word, mgen in keys:
             total = {}
             for ell, power in powers:
                 if k + ell > table.max_arity:
