@@ -77,7 +77,18 @@ def _as_word(word):
     if isinstance(word, str):
         raise InputError(
             f"word {word!r} is a string, not a tuple of generator names")
-    return tuple(word)
+    try:
+        return tuple(word)
+    except TypeError:
+        raise InputError(
+            f"word {word!r} is not a tuple of generator names") from None
+
+
+def _as_tensor(key):
+    """A tensor key as its (word, generator) pair, else InputError."""
+    if type(key) is not tuple or len(key) != 2:
+        raise InputError(f"tensor key {key!r} is not a (word, generator) pair")
+    return key
 
 
 def parse_scalar(text):
@@ -121,8 +132,12 @@ def koszul_sign(perm, degrees):
     are the shifted degrees of g_0..g_{n-1} indexed by original position.
     Each inverted pair of odd factors contributes -1.
     """
-    n = len(perm)
-    if len(degrees) != n or sorted(perm) != list(range(n)):
+    try:
+        n = len(perm)
+        malformed = len(degrees) != n or sorted(perm) != list(range(n))
+    except TypeError:
+        malformed = True
+    if malformed:
         raise InputError(f"malformed permutation {perm!r}")
     sign = 1
     for i in range(n):
@@ -139,8 +154,8 @@ def shuffles(k, l):
     s lists original positions in output order, matching koszul_sign.
     Sh(n,0) = Sh(0,n) = {identity}.
     """
-    if k < 0 or l < 0:
-        raise InputError("shuffle block sizes must be nonnegative")
+    _check_arity(k, "shuffle block size")
+    _check_arity(l, "shuffle block size")
     n = k + l
     out = []
     for left in itertools.combinations(range(n), k):
@@ -152,6 +167,12 @@ def shuffles(k, l):
 
 def multi_shuffles(block_sizes):
     """All (k_1,...,k_p)-shuffles: permutations increasing on each block."""
+    if not isinstance(block_sizes, (tuple, list)):
+        raise InputError("shuffle block sizes must be a tuple or list, got "
+                         f"{type(block_sizes).__name__}")
+    for size in block_sizes:
+        if type(size) is not int or size < 0:
+            _check_arity(size, "shuffle block size")
     total = sum(block_sizes)
     results = [()]
     remaining = [tuple(range(total))]
@@ -506,6 +527,15 @@ def sym_mul(space, a, b):
 
 # -- component tables -------------------------------------------------------
 
+def _folded(value):
+    """A fresh copy of value, each integral Fraction stored as its int."""
+    for q in value.values():
+        if type(q) is not int and q.denominator == 1:
+            return {g: q if type(q) is int or q.denominator != 1
+                    else q.numerator for g, q in value.items()}
+    return dict(value)
+
+
 # Error texts of ComponentTable._set_components, for word keys and for (word, generator)
 # tensor keys: bad arity, the value's place, lowered filtration, vanishing key.
 _MESSAGES = {
@@ -527,6 +557,12 @@ class ComponentTable:
     tensor when key_space holds the generators.  Subclasses say through
     _ends() what else must agree for two tables to be equal; tables compare
     by value and are therefore unhashable.
+
+    A public constructor validates what it is given: it normalizes keys,
+    folds signs and checks degrees and filtration (_set_components).  A
+    table the library derives from valid tables (a composite, an inverse,
+    a conjugate, a twist, a product, the module of a morphism, a Cech
+    connecting map) is made by _made on trusted components, unchecked.
 
     Tables are immutable after construction: nothing edits their components
     or rewires their endpoints.  The applies and twists memoize on that.
@@ -552,7 +588,8 @@ class ComponentTable:
         """
         image = self._images.get(key)
         if image is None:
-            word, mgen = key if self.key_space is not None else (key, None)
+            word, mgen = (_as_tensor(key) if self.key_space is not None
+                          else (key, None))
             word = _as_word(word)
             try:
                 norm = self.word_space.normalize_word(word)
@@ -626,7 +663,7 @@ class ComponentTable:
             canon = {}
             for key, element in _dict_of(
                     table, f"arity-{arity} components").items():
-                word, mgen = key if tensor else (key, None)
+                word, mgen = _as_tensor(key) if tensor else (key, None)
                 word = _as_word(word)
                 if len(word) != arity:
                     raise InputError(f"word {word} filed under arity {arity}")
@@ -668,8 +705,34 @@ class ComponentTable:
                 out[arity] = canon
         self.word_space = word_space
         self.key_space = key_space
-        self.components = out
-        self.max_arity = max(out, default=0)
+        self._keep(out)
+
+    @classmethod
+    def _made(cls, *args, label=""):
+        """cls(*args, label=label) on trusted components, unchecked.
+
+        For tables the library derives from valid tables: the components
+        (the last of args) sit on canonical keys, and every value has the
+        degree and filtration that validation would demand, so nothing is
+        normalized or checked.  Empty values and rows are dropped, and an
+        integral Fraction is stored as its int.  Like the validated path it
+        copies every value, so the table holds none of the dicts it was
+        given.  The endpoint checks of the constructor run.
+        """
+        *ends, components = args
+        table = object.__new__(cls)
+        table._wire(*ends, label=label)
+        rows = {}
+        for arity, row in components.items():
+            kept = {key: _folded(value) for key, value in row.items() if value}
+            if kept:
+                rows[arity] = kept
+        table._keep(rows)
+        return table
+
+    def _keep(self, components):
+        self.components = components
+        self.max_arity = max(components, default=0)
         self._images = {}
         self._twists = {}  # datum -> twisted table; (datum, k) -> row k
 

@@ -86,12 +86,16 @@ class LInftyModule(_TensorTable):
     """Components phi_k of a degree +1 module operator over a base structure."""
 
     def __init__(self, base, space, components, label=""):
+        self._wire(base, space, label)
+        self._set_components(base.space, space, components, 1, key_space=space)
+
+    def _wire(self, base, space, label=""):
         if space.nilpotency_order != base.space.nilpotency_order:
             raise InputError("module and base must share one truncation order")
         self.base = base
-        self.space = space
+        self.space = self.key_space = space
+        self.word_space = base.space
         self.label = label
-        self._set_components(base.space, space, components, 1, key_space=space)
 
     def _ends(self):
         return (self.base, self.space.generators, self.space.nilpotency_order)
@@ -213,7 +217,7 @@ def module_from_morphism(morphism, max_arity=None):
                       max_arity=max_arity)
     target = morphism.target
     comps = _joined_components(morphism, cap, target)
-    return LInftyModule(morphism.source, target.space, comps)
+    return LInftyModule._made(morphism.source, target.space, comps)
 
 
 def _joined_components(morphism, cap, outer):
@@ -243,13 +247,18 @@ class ModuleMorphism(_TensorTable):
     """Components of a degree 0 map of modules over one base."""
 
     def __init__(self, source, target, components, label=""):
+        self._wire(source, target, label)
+        self._set_components(source.base.space, target.space, components, 0,
+                             key_space=source.space)
+
+    def _wire(self, source, target, label=""):
         if source.base != target.base:
             raise InputError("module morphism endpoints must share the base")
         self.source = source
         self.target = target
+        self.word_space = source.base.space
+        self.key_space = source.space
         self.label = label
-        self._set_components(source.base.space, target.space, components, 0,
-                             key_space=source.space)
 
     def _ends(self):
         return (self.source, self.target)
@@ -307,7 +316,7 @@ def compose_module_morphisms(outer, inner):
             module_morphism_apply(inner, {(word, mgen): ONE}))
         if value:
             comps.setdefault(len(word), {})[(word, mgen)] = value
-    return ModuleMorphism(inner.source, outer.target, comps)
+    return ModuleMorphism._made(inner.source, outer.target, comps)
 
 
 def identity_module_morphism(module):
@@ -335,22 +344,22 @@ def module_morphism_from_triangle(outer, inner, source, target):
         raise InputError("triangle endpoints are not the modules of its maps")
     cap = default_cap(inner.source.space, inner.max_arity, outer.max_arity)
     comps = _joined_components(inner, cap, outer)
-    return ModuleMorphism(source, target, comps)
+    return ModuleMorphism._made(source, target, comps)
 
 
 def twist_module(module, pi):
     """Module with components (phi^pi)_k(w tensor m), over the twisted base."""
     pi = validate_twist_datum(module.word_space, pi)
-    return LInftyModule(twist_structure(module.base, pi), module.space,
-                        _twist_rows(module, pi), label=module.label)
+    return LInftyModule._made(twist_structure(module.base, pi), module.space,
+                              _twist_rows(module, pi), label=module.label)
 
 
 def twist_module_morphism(mm, pi):
     """Twisted module morphism between the twisted modules."""
     pi = validate_twist_datum(mm.word_space, pi)
-    return ModuleMorphism(twist_module(mm.source, pi),
-                          twist_module(mm.target, pi),
-                          _twist_rows(mm, pi), label=mm.label)
+    return ModuleMorphism._made(twist_module(mm.source, pi),
+                                twist_module(mm.target, pi),
+                                _twist_rows(mm, pi), label=mm.label)
 
 
 def check_module_twist_consistency(morphism, pi, max_arity=None):

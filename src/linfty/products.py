@@ -15,7 +15,12 @@ structures, restriction morphisms) plus a global structure into a
 resolution diagram: level k is the product over (k+1)-tuples, made into a
 module over the global structure through the assembled restriction
 morphism, and the connecting maps are the alternating-sum differential,
-strict as module morphisms.
+strict as module morphisms.  The builder checks its inputs and that the
+alternating sum squares to zero; that its levels are modules and its
+connecting maps module morphisms follows and is not re-proved
+(check_resolution checks any diagram).  Assembled structures, product and
+slotwise morphisms and connecting maps derive from valid tables and are
+made unchecked (ComponentTable._made).
 """
 
 from .graded import (
@@ -29,6 +34,7 @@ from .structures import (
     LInftyMorphism,
     LInftyStructure,
     check_morphism,
+    check_square_zero,
     compose,
     identity_morphism,
     strict_morphism,
@@ -36,8 +42,6 @@ from .structures import (
 from .twisting import maurer_cartan_series, twist_structure, twist_morphism
 from .modules import (
     ModuleMorphism,
-    check_module_morphism,
-    check_module_square_zero,
     compose_module_morphisms,
     module_from_morphism,
     module_morphism_from_triangle,
@@ -107,7 +111,8 @@ class ProductStructure:
         self.space = GradedSpace(gens, orders.pop(), label=label)
         components = _merge_slots(
             {i: self.factors[i].components for i in self.index}, rename_word)
-        self.assembled = LInftyStructure(self.space, components, label=label)
+        self.assembled = LInftyStructure._made(self.space, components,
+                                               label=label)
         self.label = label
 
 
@@ -141,7 +146,8 @@ def product_morphism(product, family, label=""):
     components = _merge_slots(
         {i: family[i].components for i in product.index},
         lambda i, word: word)
-    return LInftyMorphism(source, product.assembled, components, label=label)
+    return LInftyMorphism._made(source, product.assembled, components,
+                                label=label)
 
 
 def slotwise_morphism(source_product, target_product, family, label=""):
@@ -156,8 +162,9 @@ def slotwise_morphism(source_product, target_product, family, label=""):
             raise InputError(f"family member at {i!r} has wrong endpoints")
     components = _merge_slots(
         {i: family[i].components for i in source_product.index}, rename_word)
-    return LInftyMorphism(source_product.assembled, target_product.assembled,
-                          components, label=label)
+    return LInftyMorphism._made(source_product.assembled,
+                                target_product.assembled, components,
+                                label=label)
 
 
 def assemble_twist_datum(product, pis):
@@ -321,13 +328,21 @@ def build_cech_complex(cover, global_structure, global_restrictions, label=""):
     """Resolution diagram of the cover's alternating-sum differential.
 
     global_restrictions maps each open to a morphism from the global
-    structure to that chart's local structure.  The induced maps to deeper
-    overlaps must agree along every route.  The augmented module is the
-    module of the identity, level k the module of the assembled restriction
-    morphism r_k, each built once; the augmentation is the triangle
-    r_0 o identity onto those two.  The connecting maps are checked to be
-    module morphisms squaring to zero and killing the augmentation.
+    structure to that chart's local structure.  The builder checks its
+    inputs: the global structure squares to zero, every global and cover
+    restriction is a morphism, and the induced maps to deeper overlaps
+    agree along every route (functoriality is the cover's own check).  The
+    augmented module is the module of the identity, level k the module of
+    the assembled restriction morphism r_k, each built once; the
+    augmentation is the triangle r_0 o identity onto those two.
+
+    What it builds from checked inputs is not re-proved: a module of a
+    morphism over a square-zero base squares to zero, and the Cech
+    differential of strict, functorial restrictions is a module morphism
+    (Lada-Markl; Dolgushev).  The one check kept on the output is that the
+    alternating sum squares to zero and kills the augmentation.
     """
+    check_square_zero(global_structure)
     if sorted(global_restrictions) != sorted(cover.opens):
         raise InputError("need exactly one global restriction per open")
     for name, r in global_restrictions.items():
@@ -387,17 +402,12 @@ def build_cech_complex(cover, global_structure, global_restrictions, label=""):
                     value = {slot_name(tuple_slot(b), t): q * sign
                              for t, q in image.items()}
                     table[key] = el_add(table.get(key, {}), value)
-        connecting.append(ModuleMorphism(levels[k], levels[k + 1],
-                                         {0: table} if table else {},
-                                         label=f"d.{k}"))
+        connecting.append(ModuleMorphism._made(levels[k], levels[k + 1],
+                                               {0: table}, label=f"d.{k}"))
 
     diagram = ResolutionDiagram(global_structure, augmented, levels,
                                 augmentation, connecting, label=label)
 
-    for module in levels:
-        check_module_square_zero(module)
-    for d in connecting:
-        check_module_morphism(d)
     maps = diagram.maps()
     for p in range(len(maps) - 1):
         if not _is_zero_module_morphism(

@@ -113,12 +113,14 @@ class ResolutionDiagram:
 def _twist_diagram(diagram, pi, base):
     """Twist each module once over the twisted base, then wire the maps.
 
-    The constructors read the kept twist rows of the validated datum pi.
+    The twisted tables are made on the kept twist rows of the validated
+    datum pi, trusted, since they derive from the diagram's own tables.
     """
-    modules = [LInftyModule(base, m.space, _twist_rows(m, pi), label=m.label)
+    modules = [LInftyModule._made(base, m.space, _twist_rows(m, pi),
+                                  label=m.label)
                for m in diagram.modules()]
-    maps = [ModuleMorphism(modules[p], modules[p + 1], _twist_rows(f, pi),
-                           label=f.label)
+    maps = [ModuleMorphism._made(modules[p], modules[p + 1],
+                                 _twist_rows(f, pi), label=f.label)
             for p, f in enumerate(diagram.maps())]
     return ResolutionDiagram(base, modules[0], modules[1:], maps[0], maps[1:],
                              label=diagram.label)
@@ -264,7 +266,7 @@ def twist_resolution_morphism(ladder, pi):
     base = twist_structure(ladder.source.base, pi)
     source = _twist_diagram(ladder.source, pi, base)
     target = _twist_diagram(ladder.target, pi, base)
-    verticals = [ModuleMorphism(s, t, _twist_rows(u, pi), label=u.label)
+    verticals = [ModuleMorphism._made(s, t, _twist_rows(u, pi), label=u.label)
                  for u, s, t in zip(ladder.verticals(), source.modules(),
                                     target.modules())]
     return ResolutionMorphism(source, target, verticals[0], verticals[1:],

@@ -98,9 +98,13 @@ class LInftyStructure(ComponentTable):
     """Taylor components of a degree +1 coderivation on one graded space."""
 
     def __init__(self, space, components, label=""):
-        self.space = space
-        self.label = label
+        self._wire(space, label)
         self._set_components(space, space, components, 1)
+
+    def _wire(self, space, label=""):
+        self.space = self.word_space = space
+        self.key_space = None
+        self.label = label
 
     def curvature(self):
         """Q_0 applied to the unit word."""
@@ -251,14 +255,19 @@ class LInftyMorphism(ComponentTable):
     """Taylor components of a coalgebra morphism between two structures."""
 
     def __init__(self, source, target, components, label=""):
+        self._wire(source, target, label)
+        self._set_components(source.space, target.space, components, 0)
+        if 0 in self.components:
+            raise InputError("morphism components start at arity 1")
+
+    def _wire(self, source, target, label=""):
         if source.space.nilpotency_order != target.space.nilpotency_order:
             raise InputError("morphism endpoints must share one truncation order")
         self.source = source
         self.target = target
+        self.word_space = source.space
+        self.key_space = None
         self.label = label
-        self._set_components(source.space, target.space, components, 0)
-        if 0 in self.components:
-            raise InputError("morphism components start at arity 1")
 
     def is_strict(self):
         return self.max_arity <= 1
@@ -352,7 +361,7 @@ def compose(outer, inner, max_arity=None):
         value = outer._corestrict(morphism_apply(inner, {word: ONE}))
         if value:
             comps.setdefault(len(word), {})[word] = value
-    return LInftyMorphism(inner.source, outer.target, comps)
+    return LInftyMorphism._made(inner.source, outer.target, comps)
 
 
 def _strict_blocks(morphism):
@@ -379,8 +388,9 @@ def invert(morphism, max_arity=None):
                 f"strict part is not invertible in degree {deg}")
         units = Matrix.identity(len(t_names)).rows
         for t, coords in zip(t_names, solve_columns(block, units)):
-            inverse_map[t] = {s: coords[i] for i, s in enumerate(s_names) if coords[i]}
-    strict_inverse = strict_morphism(tgt, src, inverse_map)
+            inverse_map[(t,)] = {s: coords[i] for i, s in enumerate(s_names)
+                                 if coords[i]}
+    strict_inverse = LInftyMorphism._made(tgt, src, {1: inverse_map})
 
     cap = default_cap(src.space, morphism.max_arity, max_arity=max_arity)
     if morphism.is_strict() and cap >= 1:
@@ -406,7 +416,7 @@ def invert(morphism, max_arity=None):
         value = co_linear_part(total)
         if value:
             comps.setdefault(len(word), {})[word] = value
-    tangent_inverse = LInftyMorphism(src, src, comps)
+    tangent_inverse = LInftyMorphism._made(src, src, comps)
     return compose(tangent_inverse, strict_inverse, max_arity=cap)
 
 
@@ -435,8 +445,9 @@ def conjugate(structure, components, max_arity=None):
             else coderivation_apply(structure, pulled))
         if value:
             comps.setdefault(len(word), {})[word] = value
-    transported = LInftyStructure(space, comps)
-    return transported, LInftyMorphism(structure, transported, components)
+    transported = LInftyStructure._made(space, comps)
+    return transported, LInftyMorphism._made(structure, transported,
+                                             phi.components)
 
 
 def chain_complex(structure):

@@ -26,9 +26,10 @@ Each entry validates its datum before any lookup, so an invalid one raises
 every time and is never kept.  validate_twist_datum returns a read-only
 copy marked with its space, and takes such a copy back at once: a datum is
 checked once per public call, however deep the entries it is passed on to,
-and it cannot change after its check.  Table constructors read the kept
-rows in place, since they copy every value and keep nothing they are
-given; twist_table hands out fresh dicts.
+and it cannot change after its check.  Twisted tables are derived from
+valid tables, so they are made on trusted components
+(ComponentTable._made), which read the kept rows in place and copy each
+value unchecked; twist_table hands out fresh dicts.
 
 Maurer-Cartan has one definition, the curvature of the twisted structure
 (the k = 0 case of the second line); the full-coderivation route
@@ -43,6 +44,7 @@ from .graded import (
     MathCheckError,
     ONE,
     _accumulate,
+    _check_arity,
     co_from_element,
     el_add,
     el_scale,
@@ -174,8 +176,9 @@ def _twist_rows(table, pi, arities=None):
     """arity -> kept nonzero row of the twist of table by pi.
 
     The rows are the kept ones, not copies: a table constructor may read
-    them, since it copies every value through exact_element and keeps
-    nothing it was given.
+    them, since the validated one copies every value through exact_element
+    and the trusted one (ComponentTable._made) copies it unchecked, and
+    neither keeps anything it was given.
     """
     pi = validate_twist_datum(table.word_space, pi)
     if arities is None:
@@ -196,7 +199,15 @@ def twist_table(table, pi, arities=None):
     given arities (default: every arity of the table), ready to be wired to
     twisted endpoints by the caller.  Each row is computed once per table
     and datum; the returned dicts are fresh copies of the kept rows.
+    arities, when given, is an iterable of nonnegative ints, each checked
+    like a cap.
     """
+    if arities is not None:
+        try:
+            arities = [_check_arity(k, "arity") for k in arities]
+        except TypeError:
+            raise InputError("arities must be an iterable of integers, got "
+                             f"{type(arities).__name__}") from None
     return {k: {key: dict(value) for key, value in row.items()}
             for k, row in _twist_rows(table, pi, arities).items()}
 
@@ -222,7 +233,7 @@ def twist_structure(structure, pi):
     Kept per datum: a repeated call returns the same twisted structure.
     """
     pi = validate_twist_datum(structure.space, pi)
-    return _kept_twist(structure, pi, lambda: LInftyStructure(
+    return _kept_twist(structure, pi, lambda: LInftyStructure._made(
         structure.space, _twist_rows(structure, pi), label=structure.label))
 
 
@@ -263,7 +274,7 @@ def twist_morphism(morphism, pi):
     Kept per datum: a repeated call returns the same twisted morphism.
     """
     pi = validate_twist_datum(morphism.word_space, pi)
-    return _kept_twist(morphism, pi, lambda: LInftyMorphism(
+    return _kept_twist(morphism, pi, lambda: LInftyMorphism._made(
         twist_structure(morphism.source, pi),
         twist_structure(morphism.target, push_mc(morphism, pi)),
         _twist_rows(morphism, pi, range(1, morphism.max_arity + 1)),

@@ -5,15 +5,27 @@ string or a Fraction is read exactly and a float or a bool is an input
 error, and they take a dict of terms alone.  A word given as a str is an
 input error, not a word of its letters, in an apply and in a table
 constructor; element data that are not dicts (a twist datum, a table's
-components, one arity's table) raise InputError, not AttributeError.
+components, one arity's table) raise InputError, not AttributeError.  A
+tensor key that is not a (word, generator) pair and a word that is not
+iterable are input errors too, as are malformed arguments of twist_table
+and of the public sign and shuffle kernels.
 """
 
 from fractions import Fraction
+import re
 
 import pytest
 
 from linfty.fixtures import fix_b, morphism_t
-from linfty.graded import GradedSpace, InputError, ONE, exact_element
+from linfty.graded import (
+    GradedSpace,
+    InputError,
+    ONE,
+    exact_element,
+    koszul_sign,
+    multi_shuffles,
+    shuffles,
+)
 from linfty.modules import (
     LInftyModule,
     identity_module_morphism,
@@ -26,7 +38,7 @@ from linfty.structures import (
     coderivation_apply,
     morphism_apply,
 )
-from linfty.twisting import mc_check, twist_structure
+from linfty.twisting import mc_check, twist_structure, twist_table
 
 
 def module_t():
@@ -96,3 +108,66 @@ def test_non_dict_data_raise_input_errors():
         LInftyStructure(space, {1: [("a",)]})
     with pytest.raises(InputError, match="components must be a dict, got list"):
         LInftyStructure(space, [(1, {})])
+
+
+@pytest.mark.parametrize("case", sorted(APPLIES))
+def test_an_apply_rejects_malformed_keys(case):
+    make, apply, key, _ = APPLIES[case]
+    table = make()
+    tensor = isinstance(key[0], tuple)
+    bad_keys = ((("x",), "not a (word, generator) pair"),
+                (("x", "x", "x"), "not a (word, generator) pair"),
+                ((5, "x"), "word 5 is not a tuple")) if tensor else \
+        ((5, "word 5 is not a tuple"), (None, "word None is not a tuple"))
+    for bad, text in bad_keys:
+        for _ in range(2):  # a failed lookup is never kept
+            with pytest.raises(InputError, match=re.escape(text)):
+                apply(table, {bad: ONE})
+    assert apply(table, {key: ONE})
+
+
+def test_a_constructor_rejects_malformed_keys():
+    base = fix_b()
+    with pytest.raises(InputError, match=re.escape(
+            "tensor key ('x',) is not a (word, generator) pair")):
+        LInftyModule(base, base.space, {1: {("x",): {"c": 1}}})
+    with pytest.raises(InputError, match="is not a \\(word, generator\\) pair"):
+        LInftyModule(base, base.space, {0: {"x": {"c": 1}}})
+    with pytest.raises(InputError, match="word 5 is not a tuple"):
+        LInftyModule(base, base.space, {1: {(5, "x"): {"c": 1}}})
+    with pytest.raises(InputError, match="word 5 is not a tuple"):
+        LInftyStructure(base.space, {1: {5: {"c": 1}}})
+
+
+def test_twist_table_checks_its_arities_like_a_cap():
+    base = fix_b()
+    assert twist_table(base, {"x": ONE}, arities=[0]) == \
+        twist_table(base, {"x": ONE}, arities=range(1))
+    for arities, text in ((True, "arities must be an iterable of integers, got bool"),
+                          (3, "arities must be an iterable of integers, got int"),
+                          ([True], "arity must be an integer, got bool"),
+                          ([1.0], "arity must be an integer, got float"),
+                          ("0", "arity must be an integer, got str"),
+                          ([0, -1], "arity must be nonnegative, got -1")):
+        with pytest.raises(InputError, match=re.escape(text)):
+            twist_table(base, {"x": ONE}, arities=arities)
+
+
+def test_the_sign_and_shuffle_kernels_reject_malformed_arguments():
+    for perm, degrees in ((None, (1,)), ((0,), None), ((0, 1), 5), (3, (1,))):
+        with pytest.raises(InputError, match="malformed permutation"):
+            koszul_sign(perm, degrees)
+    for k, l, name in ((None, 1, "NoneType"), (1, 2.0, "float"), (True, 0, "bool")):
+        with pytest.raises(InputError,
+                           match=f"shuffle block size must be an integer, got {name}"):
+            shuffles(k, l)
+    with pytest.raises(InputError, match="shuffle block size must be nonnegative"):
+        shuffles(-1, 2)
+    for sizes, text in ((None, "must be a tuple or list, got NoneType"),
+                        (3, "must be a tuple or list, got int"),
+                        ((1, None), "must be an integer, got NoneType"),
+                        ((2, -1), "must be nonnegative, got -1")):
+        with pytest.raises(InputError, match=re.escape(text)):
+            multi_shuffles(sizes)
+    assert shuffles(1, 1) == [(0, 1), (1, 0)]
+    assert multi_shuffles([1, 1]) == [(0, 1), (1, 0)]
