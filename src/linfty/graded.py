@@ -703,21 +703,16 @@ class ComponentTable:
                     raise InputError(vanishing.format(word=cword, mgen=mgen))
             if canon:
                 out[arity] = canon
-        self.word_space = word_space
-        self.key_space = key_space
         self._keep(out)
 
     @classmethod
     def _made(cls, *args, label=""):
-        """cls(*args, label=label) on trusted components, unchecked.
+        """cls(*args, label=label) on trusted components (the last of args).
 
-        For tables the library derives from valid tables: the components
-        (the last of args) sit on canonical keys, and every value has the
-        degree and filtration that validation would demand, so nothing is
-        normalized or checked.  Empty values and rows are dropped, and an
-        integral Fraction is stored as its int.  Like the validated path it
-        copies every value, so the table holds none of the dicts it was
-        given.  The endpoint checks of the constructor run.
+        For tables derived from valid tables: keys are canonical and values
+        have the right degree and filtration, so only the endpoint checks
+        run.  Empty values and rows are dropped, and each value is copied
+        with every integral Fraction stored as its int.
         """
         *ends, components = args
         table = object.__new__(cls)

@@ -284,7 +284,9 @@ def check_module_morphism(mm, max_arity=None):
     pr F(phi(w tensor m)) reads F on words of arity |w| - a + 1 or on the
     left block of a split, and pr phi'(F(w tensor m)) reads phi' on the left
     block of one; so the sweep stops at
-    max(m_F + m_Q - 1, m_F + m_phi, m_F + m_phi').
+    max(m_F + m_Q - 1, m_F + m_phi, m_F + m_phi').  A strict F (m_F = 0)
+    reads only the unit-word part of phi(w tensor m), which is
+    phi_|w|(w tensor m): one component lookup replaces the full image.
     """
     source, target = mm.source, mm.target
     cap = default_cap(mm.word_space, max_arity=max_arity)
@@ -293,7 +295,9 @@ def check_module_morphism(mm, max_arity=None):
                 m_f + target.max_arity)
     for word, mgen in mm._sweep(cap, bound):
         start = {(word, mgen): ONE}
-        if mm._corestrict(module_apply(source, start)) \
+        image = ({((), g): q for g, q in source._corestrict(start).items()}
+                 if m_f == 0 else module_apply(source, start))
+        if mm._corestrict(image) \
                 != target._corestrict(module_morphism_apply(mm, start)):
             raise MathCheckError(
                 f"module morphism does not intertwine operators "

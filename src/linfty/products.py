@@ -15,12 +15,9 @@ structures, restriction morphisms) plus a global structure into a
 resolution diagram: level k is the product over (k+1)-tuples, made into a
 module over the global structure through the assembled restriction
 morphism, and the connecting maps are the alternating-sum differential,
-strict as module morphisms.  The builder checks its inputs and that the
-alternating sum squares to zero; that its levels are modules and its
-connecting maps module morphisms follows and is not re-proved
-(check_resolution checks any diagram).  Assembled structures, product and
-slotwise morphisms and connecting maps derive from valid tables and are
-made unchecked (ComponentTable._made).
+strict as module morphisms; see build_cech_complex for what it checks.
+Assembled structures, product and slotwise morphisms and connecting maps
+derive from valid tables and are made unchecked (ComponentTable._made).
 """
 
 from .graded import (

@@ -26,10 +26,9 @@ Each entry validates its datum before any lookup, so an invalid one raises
 every time and is never kept.  validate_twist_datum returns a read-only
 copy marked with its space, and takes such a copy back at once: a datum is
 checked once per public call, however deep the entries it is passed on to,
-and it cannot change after its check.  Twisted tables are derived from
-valid tables, so they are made on trusted components
-(ComponentTable._made), which read the kept rows in place and copy each
-value unchecked; twist_table hands out fresh dicts.
+and it cannot change after its check.  Twisted tables are made unchecked
+(ComponentTable._made) from the kept rows, read in place; twist_table
+hands out fresh dicts.
 
 Maurer-Cartan has one definition, the curvature of the twisted structure
 (the k = 0 case of the second line); the full-coderivation route
@@ -176,9 +175,8 @@ def _twist_rows(table, pi, arities=None):
     """arity -> kept nonzero row of the twist of table by pi.
 
     The rows are the kept ones, not copies: a table constructor may read
-    them, since the validated one copies every value through exact_element
-    and the trusted one (ComponentTable._made) copies it unchecked, and
-    neither keeps anything it was given.
+    them, since the validated and the trusted (ComponentTable._made) one
+    both copy every value and keep nothing they were given.
     """
     pi = validate_twist_datum(table.word_space, pi)
     if arities is None:
