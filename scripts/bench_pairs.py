@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternated benchmark pairs: a base ref against this checkout.
 
-    python3 scripts/bench_pairs.py --base HEAD~1 --pr 26
+    python3 scripts/bench_pairs.py --base HEAD~1 --pr <number>
     python3 scripts/bench_pairs.py --base-dir ../old --pairs 1 --seconds 1 \\
         --workload cli-corpus --out /tmp/bench.json
 
