@@ -326,20 +326,23 @@ def build_cech_complex(cover, global_structure, global_restrictions, label=""):
 
     global_restrictions maps each open to a morphism from the global
     structure to that chart's local structure.  The builder checks its
-    inputs: the global structure squares to zero, every global and cover
-    restriction is a morphism, and the induced maps to deeper overlaps
-    agree along every route (functoriality is the cover's own check).  The
-    augmented module is the module of the identity, level k the module of
-    the assembled restriction morphism r_k, each built once; the
-    augmentation is the triangle r_0 o identity onto those two.
+    inputs: the global structure and every local structure square to zero,
+    every global and cover restriction is a morphism, and the induced maps
+    to deeper overlaps agree along every route (functoriality is the
+    cover's own check).  The augmented module is the module of the
+    identity, level k the module of the assembled restriction morphism r_k,
+    each built once; the augmentation is the triangle r_0 o identity onto
+    those two.
 
-    What it builds from checked inputs is not re-proved: a module of a
-    morphism over a square-zero base squares to zero, and the Cech
+    What it builds from checked inputs is not re-proved: the module of a
+    morphism between square-zero structures squares to zero, and the Cech
     differential of strict, functorial restrictions is a module morphism
     (Lada-Markl; Dolgushev).  The one check kept on the output is that the
     alternating sum squares to zero and kills the augmentation.
     """
-    check_square_zero(global_structure)
+    inputs = (global_structure, *cover.local_structures.values())
+    for structure in {id(s): s for s in inputs}.values():
+        check_square_zero(structure)
     if sorted(global_restrictions) != sorted(cover.opens):
         raise InputError("need exactly one global restriction per open")
     for name, r in global_restrictions.items():

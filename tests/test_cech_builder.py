@@ -1,13 +1,14 @@
 """The Cech builder checks its inputs, not what it builds from them.
 
-build_cech_complex checks that the global structure squares to zero, that
-every restriction is a morphism and that routes agree; it does not re-prove
-that its levels are modules or its connecting maps module morphisms, which
-follows from those inputs.  The guard below runs those checks over every
-diagram the fixtures and the random families build, so a builder that
-stopped making valid levels would still be caught here.  A base that fails
-to square to zero is rejected by the first check, with its own witness; the
-one check kept on the output, d o d = 0, can still fire.
+build_cech_complex checks that the global structure and every local
+structure square to zero, that every restriction is a morphism and that
+routes agree; it does not re-prove that its levels are modules or its
+connecting maps module morphisms, which follows from those inputs.  The
+guard below runs those checks over every diagram the fixtures and the
+random families build, so a builder that stopped making valid levels would
+still be caught here.  A base or a chart that fails to square to zero is
+rejected by the first check, with its own witness; the one check kept on
+the output, d o d = 0, can still fire.
 """
 
 from pathlib import Path
@@ -19,7 +20,7 @@ import pytest
 
 from linfty import fixtures, products
 from linfty.fixtures import jacobi_violation
-from linfty.graded import MathCheckError
+from linfty.graded import GradedSpace, MathCheckError, ONE
 from linfty.instances import (
     CHARTS,
     matrix_structure,
@@ -28,13 +29,15 @@ from linfty.instances import (
     two_chart_diagram,
     two_chart_ladder,
 )
-from linfty.io import load_document
+from linfty.io import FixtureWriter, load_document, serialize_document
 from linfty.modules import (
     ModuleMorphism,
     check_module_morphism,
     check_module_square_zero,
 )
+from linfty.products import CoverDescription, build_cech_complex
 from linfty.resolutions import ResolutionDiagram
+from linfty.structures import LInftyMorphism, LInftyStructure
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -98,6 +101,39 @@ def test_a_base_that_does_not_square_to_zero_is_rejected_with_its_witness():
     assert str(excinfo.value) == (
         "coderivation does not square to zero: residual "
         "{('e3',): Fraction(1, 1)} on word ('e1', 'e2', 'e3')")
+
+
+def non_square_zero_chart_scene():
+    """One chart whose Q_1 sends a to b and b to c, so Q_1 o Q_1 != 0, under
+    a zero global structure restricted to it by the zero morphism.  Every
+    restriction is a morphism, yet level 0 would be the module of that
+    chart's differential, which does not square to zero."""
+    chart = LInftyStructure(
+        GradedSpace([("a", 0, 0), ("b", 1, 0), ("c", 2, 0)], 1),
+        {1: {("a",): {"b": ONE}, ("b",): {"c": ONE}}}, label="chart")
+    base = LInftyStructure(GradedSpace([("g", 0, 0)], 1), {}, label="base")
+    cover = CoverDescription(["U"], [("U",)], {("U",): chart}, {})
+    return cover, base, {"U": LInftyMorphism(base, chart, {})}
+
+
+CHART_WITNESS = ("coderivation does not square to zero: residual "
+                 "{('c',): Fraction(1, 1)} on word ('a',)")
+
+
+def test_a_chart_that_does_not_square_to_zero_is_rejected_with_its_witness():
+    cover, base, restrictions = non_square_zero_chart_scene()
+    with pytest.raises(MathCheckError) as excinfo:
+        build_cech_complex(cover, base, restrictions)
+    assert str(excinfo.value) == CHART_WITNESS
+
+    writer = FixtureWriter()
+    writer.add_cover(cover, "cov")
+    writer.raw["resolutions"] = {"bad": {
+        "cech_of": "cov", "global": writer.add(base, "global"),
+        "restrictions": {"U": writer.add(restrictions["U"], "r.U")}}}
+    with pytest.raises(MathCheckError) as excinfo:
+        load_document(serialize_document(writer.raw))
+    assert str(excinfo.value).endswith(CHART_WITNESS)
 
 
 def test_the_kept_square_zero_check_fires_on_a_flipped_connecting_sign(
