@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
 """Alternated benchmark pairs: a base ref against this checkout.
 
-    python3 scripts/bench_pairs.py --base HEAD~1 --pr <number>
-    python3 scripts/bench_pairs.py --base-dir ../old --pairs 1 --seconds 1 \\
+    python3 scripts/bench_pairs.py --base HEAD~1 --out BENCH_<number>.json
+    python3 scripts/bench_pairs.py --base HEAD --pairs 1 --seconds 1 \\
         --workload cli-corpus --out /tmp/bench.json
 
 The base ref's committed files are exported with `git archive` into a
-temporary directory (or --base-dir names a checkout to use as it is).  Then,
-per workload, `perfbench/run.py --trace 0` runs N times in each tree, one
-base run and one checkout run per pair, at one seed per pair; the tree that
-goes first alternates from pair to pair, so a slow spell of the machine does
-not always fall on one side.  Only the last stdout line of each run, its
-JSON result, is read.
+temporary directory.  Then, per workload, `perfbench/run.py --trace 0` runs
+N times in each tree, one base run and one checkout run per pair, at seed
+31 + p for pair p; the tree that goes first alternates from pair to pair,
+so a slow spell of the machine does not always fall on one side.  Only the
+last stdout line of each run, its JSON result, is read.
 
-The output (BENCH_<pr>.json at the repository root, or --out) holds, per
+The output (--out) holds, per
 workload and end-to-end metric of BENCHMARK.json, every run's value and
 the median and min of each side, the ratio of the medians and the number
 of pairs the checkout won; per workload also the failed and attempted op
@@ -34,6 +33,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIRST_SEED = 31
 
 
 def git(*args):
@@ -122,40 +122,27 @@ def main(argv=None):
     spec = benchmark_spec()
     workloads = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    where = parser.add_mutually_exclusive_group(required=True)
-    where.add_argument("--base", help="git ref of the base, exported by git archive")
-    where.add_argument("--base-dir", help="an existing checkout to use as the base")
-    target = parser.add_mutually_exclusive_group(required=True)
-    target.add_argument("--pr", type=int, help="write BENCH_<pr>.json at the root")
-    target.add_argument("--out", help="write the JSON here instead")
+    parser.add_argument("--base", required=True,
+                        help="git ref of the base, exported by git archive")
+    parser.add_argument("--out", required=True,
+                        help="path of the JSON, BENCH_<pr>.json by convention")
     parser.add_argument("--pairs", type=int, default=3)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--seed", type=int, default=31,
-                        help="seed of the first pair; pair p runs at seed + p")
     parser.add_argument("--workload", action="append", choices=workloads,
                         help="repeatable; default: every workload")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    out_path = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
-
     scratch = tempfile.mkdtemp(prefix="bench_pairs-")
     try:
-        if args.base is not None:
-            base_tree = export_ref(args.base, scratch)
-            base = {"ref": args.base, "commit": git("rev-parse", args.base)}
-        else:
-            base_tree = os.path.abspath(args.base_dir)
-            base = {"dir": base_tree}
-        base["src_lines"] = src_lines(base_tree)
-        head = {"src_lines": src_lines(ROOT)}
-        try:
-            head["commit"] = git("rev-parse", "HEAD")
-            head["dirty"] = bool(git("status", "--porcelain", "--", "src"))
-        except (OSError, subprocess.CalledProcessError):
-            head["commit"] = None
+        base_tree = export_ref(args.base, scratch)
+        base = {"ref": args.base, "commit": git("rev-parse", args.base),
+                "src_lines": src_lines(base_tree)}
+        head = {"commit": git("rev-parse", "HEAD"),
+                "dirty": bool(git("status", "--porcelain", "--", "src")),
+                "src_lines": src_lines(ROOT)}
         trees = {"base": base_tree, "head": ROOT}
-        seeds = [args.seed + p for p in range(args.pairs)]
+        seeds = [FIRST_SEED + p for p in range(args.pairs)]
         result = {"base": base, "head": head, "pairs": args.pairs,
                   "seconds": args.seconds,
                   "machine": {"python": platform.python_version(),
@@ -175,10 +162,10 @@ def main(argv=None):
                                                     seeds)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(out_path)
+    print(args.out)
     return 0
 
 

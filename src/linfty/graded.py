@@ -132,12 +132,8 @@ def koszul_sign(perm, degrees):
     are the shifted degrees of g_0..g_{n-1} indexed by original position.
     Each inverted pair of odd factors contributes -1.
     """
-    try:
-        n = len(perm)
-        malformed = len(degrees) != n or sorted(perm) != list(range(n))
-    except TypeError:
-        malformed = True
-    if malformed:
+    n = len(perm)
+    if len(degrees) != n or sorted(perm) != list(range(n)):
         raise InputError(f"malformed permutation {perm!r}")
     sign = 1
     for i in range(n):
@@ -154,8 +150,8 @@ def shuffles(k, l):
     s lists original positions in output order, matching koszul_sign.
     Sh(n,0) = Sh(0,n) = {identity}.
     """
-    _check_arity(k, "shuffle block size")
-    _check_arity(l, "shuffle block size")
+    if k < 0 or l < 0:
+        raise InputError("shuffle block sizes must be nonnegative")
     n = k + l
     out = []
     for left in itertools.combinations(range(n), k):
@@ -167,12 +163,6 @@ def shuffles(k, l):
 
 def multi_shuffles(block_sizes):
     """All (k_1,...,k_p)-shuffles: permutations increasing on each block."""
-    if not isinstance(block_sizes, (tuple, list)):
-        raise InputError("shuffle block sizes must be a tuple or list, got "
-                         f"{type(block_sizes).__name__}")
-    for size in block_sizes:
-        if type(size) is not int or size < 0:
-            _check_arity(size, "shuffle block size")
     total = sum(block_sizes)
     results = [()]
     remaining = [tuple(range(total))]

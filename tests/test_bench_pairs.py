@@ -12,18 +12,18 @@ SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 def test_one_short_pair_on_the_cli_corpus_writes_the_bench_json(tmp_path):
     out = tmp_path / "BENCH_smoke.json"
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--base-dir", str(ROOT), "--out",
-         str(out), "--pairs", "1", "--seconds", "1", "--seed", "5",
-         "--workload", "cli-corpus"],
+        [sys.executable, str(SCRIPT), "--base", "HEAD", "--out", str(out),
+         "--pairs", "1", "--seconds", "1", "--workload", "cli-corpus"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text(encoding="utf-8"))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert result["pairs"] == 1 and result["seconds"] == 1
-    assert result["base"]["src_lines"] == result["head"]["src_lines"] > 0
+    assert result["base"]["commit"] == result["head"]["commit"]
+    assert result["base"]["src_lines"] > 0 and result["head"]["src_lines"] > 0
     assert list(result["workloads"]) == ["cli-corpus"]
     workload = result["workloads"]["cli-corpus"]
-    assert workload["seeds"] == [5]
+    assert workload["seeds"] == [31]
     assert workload["first"] == ["base"]
     assert workload["failed"] == {"base": [0], "head": [0]}
     assert workload["attempted"]["base"][0] > 0
