@@ -238,6 +238,7 @@ class GradedSpace:
             raise InputError("generator names must be unique")
         self.label = label
         self.generators = tuple(gens)
+        self.basis = tuple(names)
         self.nilpotency_order = nilpotency_order
         self._degree = {g[0]: g[1] for g in gens}
         self._filtration = {g[0]: g[2] for g in gens}
@@ -247,10 +248,6 @@ class GradedSpace:
         self._words = {}    # (max_arity, min_arity) -> tuple of words
         self._splits = {}   # (parities, sizes) -> shuffle-split plan
         self._powers = {}   # twist datum -> [(l, pi^l / l!), ..., None if dead]
-
-    @property
-    def basis(self):
-        return tuple(g[0] for g in self.generators)
 
     def __contains__(self, name):
         return name in self._degree
@@ -559,11 +556,14 @@ class ComponentTable:
     Each table keeps the image of every key it has been applied to, with
     coefficient 1, and so applies itself to a word once.  Images are
     computed only on canonical words, whose split blocks are read by
-    component.  It also keeps,
-    per twist datum, each twisted row and the twisted structure or
-    morphism built from it, and so twists itself by a datum once.  The
-    memos sit in slots, not in vars(table), and are never part of the
-    table's value.
+    component.  It also keeps (_kept), per twist datum, each twisted row
+    and the twisted structure or morphism built from it, and so twists
+    itself by a datum once; per cap, its inverse and each check verdict
+    that passed; and per route and datum, its Maurer-Cartan verdict.  A
+    check that fails raises and keeps nothing, so it fails the same way
+    every time.  Nothing kept refers back to its table, so a table and all
+    it keeps are freed together.  The memos sit in slots, not in
+    vars(table), and are never part of the table's value.
     """
 
     __slots__ = ("_images", "_twists")
@@ -592,6 +592,18 @@ class ComponentTable:
                 image = el_scale(self._image(canonical, compute), norm[1])
             self._images[key] = image
         return image
+
+    def _kept(self, key, build):
+        """build(), kept under key: a datum key, (datum key, arity) for a
+        twisted row, or a tagged tuple such as ("inverse", cap).
+
+        When build raises, nothing is kept.  The kept value is shared by
+        every later call; no caller mutates it.
+        """
+        value = self._twists.get(key)
+        if value is None:
+            value = self._twists[key] = build()
+        return value
 
     def _apply(self, elt, compute):
         """Sum of coeff * image over the keys of elt, in a fresh dict.
@@ -719,7 +731,9 @@ class ComponentTable:
         self.components = components
         self.max_arity = max(components, default=0)
         self._images = {}
-        self._twists = {}  # datum -> twisted table; (datum, k) -> row k
+        # datum -> twisted table; (datum, k) -> row k; tagged tuples ->
+        # the inverse, check verdicts and Maurer-Cartan verdicts (_kept)
+        self._twists = {}
 
     def _sweep(self, cap, bound=None, min_arity=0):
         """The table's keys over canonical words of arity min_arity up to

@@ -219,16 +219,21 @@ def two_chart_diagram(structure, transports=None, label=""):
 
     transports, when given, maps chart tuples to strict isomorphisms out of
     the structure; local structures are their targets and the cover
-    restrictions are the induced comparisons, so any choice yields a valid
-    diagram with identity-shaped combinatorics.
+    restrictions are the induced comparisons t_UV o t_a^{-1}, so any choice
+    yields a valid diagram with identity-shaped combinatorics.  Without
+    transports the spread is the identity one: a single identity morphism
+    serves as every transport and, being its own restriction to the
+    overlap, as both cover restrictions, so it is built and checked once.
     """
+    b = ("U", "V")
     if transports is None:
-        transports = {a: identity_morphism(structure) for a in CHARTS}
+        identity = identity_morphism(structure)
+        transports = dict.fromkeys(CHARTS, identity)
+        restrictions = {(a, b): identity for a in (("U",), ("V",))}
+    else:
+        restrictions = {(a, b): compose(transports[b], invert(transports[a]))
+                        for a in (("U",), ("V",))}
     locals_ = {a: transports[a].target for a in CHARTS}
-    restrictions = {}
-    for a in (("U",), ("V",)):
-        b = ("U", "V")
-        restrictions[(a, b)] = compose(transports[b], invert(transports[a]))
     cover = CoverDescription(["U", "V"], CHARTS, locals_, restrictions,
                              label=label)
     return build_cech_complex(

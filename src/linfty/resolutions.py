@@ -294,6 +294,11 @@ def check_resolution_morphism(ladder, max_arity=None):
     return {"ok": not failures, "failures": failures, "squares": squares}
 
 
+def _induced_at(mats, src, dst, blocks, d):
+    """mats[d] when computed already, else the degree-d map blocks induce."""
+    return mats[d] if d in mats else induced_map(src, dst, blocks, d)
+
+
 def prop_key_pipeline(ladder, pi, max_arity=None):
     """Hypotheses, exact-rows conclusion and its independent confirmation.
 
@@ -338,10 +343,12 @@ def prop_key_pipeline(ladder, pi, max_arity=None):
 
     level_flags = {}
     level_blocks = []
+    level_mats = []
     for n, u in enumerate(twisted.level_maps):
         level_blocks.append(module_morphism_blocks(u))
-        mats = induced_maps(src_cc[n + 1], tgt_cc[n + 1], level_blocks[n])
-        level_flags[n] = all(is_isomorphism(m) for m in mats.values())
+        level_mats.append(
+            induced_maps(src_cc[n + 1], tgt_cc[n + 1], level_blocks[n]))
+        level_flags[n] = all(is_isomorphism(m) for m in level_mats[n].values())
     report["level_quasi_iso"] = level_flags
     if not all(level_flags.values()):
         bad = sorted(n for n, ok in level_flags.items() if not ok)
@@ -352,14 +359,20 @@ def prop_key_pipeline(ladder, pi, max_arity=None):
     # exact-rows route: through the augmentation squares.  H(F) and H(G)
     # are injective (exactness at node 0), so H(G) X = H(U^0) H(F) pins X.
     # Node 0 of each complex list is the augmented module, node 1 level 0.
+    # H(F), H(G) and H(U^0) are read from the maps the adaptedness and level
+    # checks computed, and computed here only at a degree those lack; the
+    # direct route computes its own maps.
     u_blocks = module_morphism_blocks(twisted.augmented_map)
     degrees = sorted(set(src_cc[0].degrees()) | set(tgt_cc[0].degrees()))
+    src_aug = {d: mats[0] for d, mats in seq_src["induced"].items()}
+    tgt_aug = {d: mats[0] for d, mats in seq_tgt["induced"].items()}
     solved = {}
     direct = {}
     for d in degrees:
-        hf = induced_map(src_cc[0], src_cc[1], src_blocks[0], d)
-        hg = induced_map(tgt_cc[0], tgt_cc[1], tgt_blocks[0], d)
-        hu0 = induced_map(src_cc[1], tgt_cc[1], level_blocks[0], d)
+        hf = _induced_at(src_aug, src_cc[0], src_cc[1], src_blocks[0], d)
+        hg = _induced_at(tgt_aug, tgt_cc[0], tgt_cc[1], tgt_blocks[0], d)
+        hu0 = _induced_at(level_mats[0], src_cc[1], tgt_cc[1],
+                          level_blocks[0], d)
         if rank(hg) != hg.ncols:
             raise MathCheckError(
                 f"twisted target augmentation not injective on cohomology "

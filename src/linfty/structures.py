@@ -156,10 +156,16 @@ def check_square_zero(structure, max_arity=None):
     """Q o Q = 0 on every surviving word up to the cap; witness on failure.
 
     Q o Q is a coderivation, so its arity-one part decides; that part
-    vanishes on words above 2 m_Q - 1, the bound of the sweep.
+    vanishes on words above 2 m_Q - 1, the bound of the sweep.  A pass is
+    kept per cap; a failure raises every time.
     """
-    word = _square_zero_failure(
-        structure, default_cap(structure.space, max_arity=max_arity))
+    cap = default_cap(structure.space, max_arity=max_arity)
+    return structure._kept(("square_zero", cap),
+                           lambda: _check_square_zero(structure, cap))
+
+
+def _check_square_zero(structure, cap):
+    word = _square_zero_failure(structure, cap)
     if word is None:
         return True
     twice = coderivation_apply(
@@ -312,10 +318,16 @@ def check_morphism(morphism, max_arity=None):
     F Q - Q' F is a coderivation along F, so its arity-one part decides.
     pr1 F(Q w) reads F on words of arity |w| - a + 1 <= m_F, and
     pr1 Q'(F w) reads Q' on words of arity >= |w| / m_F; so the sweep
-    stops at max(m_F + m_Q - 1, m_Q' m_F).
+    stops at max(m_F + m_Q - 1, m_Q' m_F).  A pass is kept per cap; a
+    failure raises every time.
     """
+    cap = default_cap(morphism.source.space, max_arity=max_arity)
+    return morphism._kept(("morphism", cap),
+                          lambda: _check_morphism(morphism, cap))
+
+
+def _check_morphism(morphism, cap):
     source, target = morphism.source, morphism.target
-    cap = default_cap(source.space, max_arity=max_arity)
     m_f = morphism.max_arity
     bound = max(m_f + source.max_arity - 1, target.max_arity * m_f)
     for word in morphism._sweep(cap, bound):
@@ -377,8 +389,15 @@ def invert(morphism, max_arity=None):
     strict map is inverted by E alone.  Otherwise K := E o F is tangent to the
     identity and differs from it by a strictly arity-lowering map, so its
     inverse is the Neumann series, which ends within the word's arity;
-    components are read off by projecting to arity one.  Returns K^{-1} o E.
+    components are read off by projecting to arity one.  Returns K^{-1} o E,
+    kept per cap.
     """
+    cap = default_cap(morphism.source.space, morphism.max_arity,
+                      max_arity=max_arity)
+    return morphism._kept(("inverse", cap), lambda: _invert(morphism, cap))
+
+
+def _invert(morphism, cap):
     src = morphism.source
     tgt = morphism.target
     inverse_map = {}
@@ -392,7 +411,6 @@ def invert(morphism, max_arity=None):
                                  if coords[i]}
     strict_inverse = LInftyMorphism._made(tgt, src, {1: inverse_map})
 
-    cap = default_cap(src.space, morphism.max_arity, max_arity=max_arity)
     if morphism.is_strict() and cap >= 1:
         return strict_inverse
     tangent = compose(strict_inverse, morphism, max_arity=cap)
@@ -429,7 +447,10 @@ def conjugate(structure, components, max_arity=None):
     structure making the map an isomorphism of structures, together with
     that map, properly wired and ready for check_morphism.  A strict map
     transports Q_k to arity k alone: its sweep stops at m_Q and reads Phi_1
-    of the corestriction of Q.
+    of the corestriction of Q.  The returned map keeps, at the cap, the
+    inverse solved here: invert reads components, spaces and the cap, never
+    a structure, so the inverse of the placeholder-wired map, rewired, is
+    the inverse of the returned one.
     """
     space = structure.space
     placeholder = LInftyStructure(space, {})
@@ -446,8 +467,10 @@ def conjugate(structure, components, max_arity=None):
         if value:
             comps.setdefault(len(word), {})[word] = value
     transported = LInftyStructure._made(space, comps)
-    return transported, LInftyMorphism._made(structure, transported,
-                                             phi.components)
+    morphism = LInftyMorphism._made(structure, transported, phi.components)
+    morphism._kept(("inverse", cap), lambda: LInftyMorphism._made(
+        transported, structure, inverse.components))
+    return transported, morphism
 
 
 def chain_complex(structure):

@@ -17,18 +17,20 @@ bare tables; callers wire them to endpoints they have twisted once.
 Tables and spaces are immutable, so each twist is computed once per table
 and datum and kept, keyed by the validated datum: a table keeps each
 twisted row (so the pushforward, the Maurer-Cartan series and the full
-twist share row 0) and its twisted structure or morphism, and a space keeps
-the weighted powers pi^l / l! of each datum, built only as far as a caller
-has read them: a twist row reads at most max_arity + 1 of them, and only
-exp_element, on the full Maurer-Cartan route, reads them all.
+twist share row 0), its twisted structure or morphism and, per route, its
+mc_check verdict (a disagreement of the routes raises and is not kept),
+and a space keeps the weighted powers pi^l / l! of each datum, built only
+as far as a caller has read them: a twist row reads at most max_arity + 1
+of them, and only exp_element, on the full Maurer-Cartan route, reads them
+all.
 
 Each entry validates its datum before any lookup, so an invalid one raises
 every time and is never kept.  validate_twist_datum returns a read-only
-copy marked with its space, and takes such a copy back at once: a datum is
-checked once per public call, however deep the entries it is passed on to,
-and it cannot change after its check.  Twisted tables are made unchecked
-(ComponentTable._made) from the kept rows, read in place; twist_table
-hands out fresh dicts.
+copy marked with its space and carrying its memo key, and takes such a
+copy back at once: a datum is checked once per public call, however deep
+the entries it is passed on to, and it cannot change after its check.
+Twisted tables are made unchecked (ComponentTable._made) from the kept
+rows, read in place; twist_table hands out fresh dicts.
 
 Maurer-Cartan has one definition, the curvature of the twisted structure
 (the k = 0 case of the second line); the full-coderivation route
@@ -61,9 +63,12 @@ from .structures import (
 
 
 class _Datum(dict):
-    """A twist datum validated on space: read-only, so it stays valid."""
+    """A twist datum validated on space: read-only, so it stays valid.
 
-    __slots__ = ("space",)
+    key is its memo key, frozenset(items): equal data give one key.
+    """
+
+    __slots__ = ("space", "key")
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("a validated twist datum is read-only")
@@ -90,12 +95,8 @@ def validate_twist_datum(space, pi):
         raise InputError(f"twist datum must have shifted degree 0, got {degree}")
     if filtration_weight(space, pi) < 1:
         raise InputError("twist datum must sit in positive filtration")
+    pi.key = frozenset(pi.items())
     return pi
-
-
-def _datum_key(pi):
-    """Memo key of a validated datum: equal data give one key."""
-    return frozenset(pi.items())
 
 
 def weighted_powers(space, pi, limit=None):
@@ -106,10 +107,9 @@ def weighted_powers(space, pi, limit=None):
     it reads.  The powers are shared by every caller; no caller mutates them.
     """
     pi = validate_twist_datum(space, pi)
-    key = _datum_key(pi)
-    powers = space._powers.get(key)
+    powers = space._powers.get(pi.key)
     if powers is None:
-        powers = space._powers[key] = [(0, {(): ONE})]
+        powers = space._powers[pi.key] = [(0, {(): ONE})]
     while powers[-1] is not None and (limit is None or len(powers) < limit):
         ell, power = powers[-1]
         power = el_scale(sym_mul(space, power, co_from_element(pi)),
@@ -160,15 +160,8 @@ def _twisted_row(table, pi, k):
 
 
 def _kept_row(table, pi, k):
-    """Row k of the twist of table by the validated datum pi, kept.
-
-    The kept row is shared by every later call; no caller mutates it.
-    """
-    key = (_datum_key(pi), k)
-    row = table._twists.get(key)
-    if row is None:
-        row = table._twists[key] = _twisted_row(table, pi, k)
-    return row
+    """Row k of the twist of table by the validated datum pi, kept."""
+    return table._kept((pi.key, k), lambda: _twisted_row(table, pi, k))
 
 
 def _twist_rows(table, pi, arities=None):
@@ -216,22 +209,13 @@ def _unit_value(table, pi):
     return dict(_kept_row(table, pi, 0).get((), {}))
 
 
-def _kept_twist(table, pi, build):
-    """build(), the twist of table by the validated datum pi, kept."""
-    key = _datum_key(pi)
-    twisted = table._twists.get(key)
-    if twisted is None:
-        twisted = table._twists[key] = build()
-    return twisted
-
-
 def twist_structure(structure, pi):
     """Structure with components Q^pi_k(w) = sum (1/l!) Q_{k+l}(pi^l v w).
 
     Kept per datum: a repeated call returns the same twisted structure.
     """
     pi = validate_twist_datum(structure.space, pi)
-    return _kept_twist(structure, pi, lambda: LInftyStructure._made(
+    return structure._kept(pi.key, lambda: LInftyStructure._made(
         structure.space, _twist_rows(structure, pi), label=structure.label))
 
 
@@ -245,11 +229,18 @@ def mc_check(structure, pi, route="both"):
 
     The series route tests the twisted curvature; the full route applies the
     whole coderivation to exp(pi).  When both run, disagreement is an
-    internal inconsistency and raises instead of answering.
+    internal inconsistency and raises instead of answering.  The verdict is
+    kept per route and datum; a disagreement is not.
     """
     if route not in ("series", "full", "both"):
         raise InputError(f"unknown Maurer-Cartan route {route!r}")
     pi = validate_twist_datum(structure.space, pi)
+    return structure._kept(("mc", route, pi.key),
+                           lambda: _mc_verdict(structure, pi, route))
+
+
+def _mc_verdict(structure, pi, route):
+    """mc_check's answer on the validated datum pi, unkept."""
     results = {}
     if route in ("series", "both"):
         results["series"] = not maurer_cartan_series(structure, pi)
@@ -272,7 +263,7 @@ def twist_morphism(morphism, pi):
     Kept per datum: a repeated call returns the same twisted morphism.
     """
     pi = validate_twist_datum(morphism.word_space, pi)
-    return _kept_twist(morphism, pi, lambda: LInftyMorphism._made(
+    return morphism._kept(pi.key, lambda: LInftyMorphism._made(
         twist_structure(morphism.source, pi),
         twist_structure(morphism.target, push_mc(morphism, pi)),
         _twist_rows(morphism, pi, range(1, morphism.max_arity + 1)),

@@ -157,5 +157,7 @@ def test_a_ladder_builds_each_module_once(monkeypatch):
     cech_fixb_ladder()
     # the augmented module and two levels per diagram, nothing rebuilt
     assert len(made) == 6
-    # a strict map inverts by its strict part, with no compose of its own
-    assert len(composed) == 8
+    # a strict map inverts by its strict part, with no compose of its own,
+    # and the identity spread restricts by its identity, with no composite:
+    # two routes per diagram and the target's two cover restrictions
+    assert len(composed) == 6
