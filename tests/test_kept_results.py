@@ -152,6 +152,7 @@ def test_a_failing_check_raises_the_same_text_each_time():
         texts.append(str(caught.value))
     assert texts[0] == texts[1]
     assert texts[0].startswith("coderivation does not square to zero")
+    assert structure._twists == {}  # the failure kept nothing
 
 
 def test_an_op_frees_its_tables_without_the_collector(monkeypatch):
