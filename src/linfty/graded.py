@@ -191,7 +191,7 @@ def shuffle_splits(space, word, sizes):
     blocks of a canonical word are canonical, with sign +1: read them by
     ComponentTable.component.
     """
-    for eps, left, right, left_odd in space._split_plan(word, sizes):
+    for eps, left, right, left_odd in space._split_plan(word, tuple(sizes)):
         yield (eps, [word[i] for i in left], [word[i] for i in right],
                left_odd)
 
@@ -206,7 +206,8 @@ class GradedSpace:
     A space is immutable after construction: nothing edits its generators,
     degrees or levels.  Its word kernels memoize on that: each space keeps
     the canonical form and the weight of every word it was asked about,
-    every sweep of enumerate_words, and every shuffle-split plan; the twist
+    every sweep of enumerate_words, and every shuffle-split plan, which
+    the coderivation, morphism and module kernels read in place; the twist
     layer keeps there the weighted powers pi^l / l! of each twist datum
     built so far.
     The memos sit in slots, not in vars(space), and are never part of the
@@ -318,7 +319,7 @@ class GradedSpace:
 
     def word_weight(self, word):
         """Total filtration level of the factors of a word."""
-        key = tuple(word)
+        key = word if type(word) is tuple else tuple(word)
         weight = self._weights.get(key)
         if weight is None:
             try:
@@ -364,21 +365,22 @@ class GradedSpace:
     def _split_plan(self, word, sizes):
         """(eps, left indices, right indices, left_odd) per split of word.
 
-        eps is the Koszul sign of the (k, n-k)-shuffle for each k in sizes,
-        and left_odd the parity of the left block's degree; both depend only
-        on the parities of the word's degrees, which with sizes key the plan.
+        eps is the Koszul sign of the (k, n-k)-shuffle for each k in the
+        tuple sizes, and left_odd the parity of the left block's degree;
+        both depend only on the parities of the word's degrees, which with
+        sizes key the plan.  Plans are the one split generator: each is built
+        once from multi_shuffles((k, n - k)), and every word kernel reads them.
         """
         try:
             parities = tuple([self._degree[g] % 2 for g in word])
         except KeyError as exc:
             raise InputError(f"unknown generator {exc.args[0]!r}") from None
-        sizes = tuple(sizes)
         plan = self._splits.get((parities, sizes))
         if plan is None:
             n = len(parities)
             plan = []
             for k in sizes:
-                for sigma in shuffles(k, n - k):
+                for sigma in multi_shuffles((k, n - k)):
                     left = sigma[:k]
                     plan.append((koszul_sign(sigma, parities), left, sigma[k:],
                                  sum(parities[i] for i in left) % 2))
@@ -462,11 +464,6 @@ def filtration_weight(space, el):
 
 # -- coalgebra elements (dicts canonical word -> scalar) --------------------
 
-def co_canon(space, terms):
-    """Drop zero coefficients and words of filtration weight >= N."""
-    cap = space.nilpotency_order
-    return {w: q for w, q in terms.items() if q and space.word_weight(w) < cap}
-
 def co_from_element(el):
     """View an element of L as a sum of arity-1 words."""
     return {(g,): q for g, q in el.items()}
@@ -500,15 +497,23 @@ def expand_factors(space, factors):
 def sym_mul(space, a, b):
     """Symmetric product of two coalgebra elements, weight-truncated."""
     cap = space.nilpotency_order
+    norms, weight = space._norms, space.word_weight
+    right = [(wb, qb, weight(wb)) for wb, qb in b.items()]
     out = {}
     for wa, qa in a.items():
-        weight_a = space.word_weight(wa)
-        for wb, qb in b.items():
-            if weight_a + space.word_weight(wb) >= cap:
+        weight_a = weight(wa)
+        for wb, qb, weight_b in right:
+            if weight_a + weight_b >= cap:
                 continue
-            norm = space.normalize_word(list(wa) + list(wb))
+            factors = wa + wb
+            norm = norms.get(factors) or space.normalize_word(factors)
             if norm is not None:
-                _accumulate(out, norm[0], qa * qb * norm[1])
+                word, sign = norm
+                s = out.get(word, ZERO) + qa * qb * sign
+                if s:
+                    out[word] = s
+                else:
+                    out.pop(word, None)
     return out
 
 
@@ -573,18 +578,22 @@ class ComponentTable:
         """compute(self, key), the image of key with coefficient 1, kept.
 
         On a miss compute sees only a canonical word: a zero word's image is
-        {} and any other word's is +- the image of its canonical word.
+        {}, any other word's is +- the image of its canonical word, and an
+        unknown generator or module generator raises.
         The stored image is shared by every later apply; no caller mutates it.
         """
         image = self._images.get(key)
         if image is None:
-            word, mgen = (_as_tensor(key) if self.key_space is not None
-                          else (key, None))
+            tensor = self.key_space is not None
+            word, mgen = _as_tensor(key) if tensor else (key, None)
             word = _as_word(word)
+            if tensor and mgen not in self.key_space:
+                raise InputError(f"unknown module generator {mgen!r}")
             try:
                 norm = self.word_space.normalize_word(word)
-            except InputError:  # an unknown generator: compute raises its text
-                norm = (word, 1)
+            except InputError:
+                unknown = next(g for g in word if g not in self.word_space)
+                raise InputError(f"unknown generator {unknown!r}") from None
             if norm is None or norm == (word, 1):
                 image = {} if norm is None else compute(self, key)
             else:
@@ -635,11 +644,16 @@ class ComponentTable:
         image.
         """
         tensor = self.key_space is not None
+        components = self.components
         out = {}
         for key, coeff in elt.items():
             arity = len(key[0] if tensor else key)
-            for g, q in self.components.get(arity, {}).get(key, {}).items():
-                _accumulate(out, g, coeff * q)
+            for g, q in components.get(arity, {}).get(key, {}).items():
+                s = out.get(g, ZERO) + coeff * q
+                if s:
+                    out[g] = s
+                else:
+                    out.pop(g, None)
         return out
 
     def _set_components(self, word_space, value_space, components, degree,

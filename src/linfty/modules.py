@@ -25,24 +25,19 @@ word degree + generator degree + 1, and the dg constructor below takes its
 differential and action in those unshifted terms.
 """
 
-from itertools import groupby
-from operator import itemgetter
-
 from .graded import (
     ComponentTable,
     InputError,
     MathCheckError,
     ONE,
-    _accumulate,
+    ZERO,
     _fraction_repr,
     el_scale,
     exact_element,
-    shuffle_splits,
-    sym_mul,
 )
 from .structures import (
     _coderivation_image,
-    _square_zero_failure,
+    check_square_zero,
     morphism_apply,
     spaces_equal,
     default_cap,
@@ -54,22 +49,25 @@ from .twisting import (
 # -- tensor helpers ---------------------------------------------------------------
 
 def tensor_weight(base_space, module_space, word, mgen):
+    """Weight of word tensor mgen; perfbench's modules.check.tensors wraps it."""
     return base_space.word_weight(word) + module_space.filtration(mgen)
 
 
 def tensor_canon(base_space, module_space, terms):
     cap = base_space.nilpotency_order
-    return {
-        (w, m): q for (w, m), q in terms.items()
-        if q and tensor_weight(base_space, module_space, w, m) < cap}
+    weight, filtration = base_space.word_weight, module_space._filtration
+    return {(w, m): q for (w, m), q in terms.items()
+            if q and weight(w) + filtration[m] < cap}
 
 
 def surviving_tensors(base_space, module_space, words):
     """(word, generator) pairs over words whose weight stays below the order."""
-    cap = base_space.nilpotency_order
+    cap, weight = base_space.nilpotency_order, base_space.word_weight
+    levels = [(m, module_space._filtration[m]) for m in module_space.basis]
     for word in words:
-        for mgen in module_space.basis:
-            if tensor_weight(base_space, module_space, word, mgen) < cap:
+        room = cap - weight(word)
+        for mgen, level in levels:
+            if level < room:
                 yield word, mgen
 
 
@@ -101,23 +99,31 @@ class LInftyModule(_TensorTable):
         return (self.base, self.space.generators, self.space.nilpotency_order)
 
 
-def _split_terms(table, word, mgen, odd):
-    """Terms of sum eps (left block) tensor C(right block tensor mgen).
+def _split_terms(table, word, mgen, odd, out):
+    """Add the terms of sum eps (left block) tensor C(right block tensor mgen)
+    into out.
 
     An odd operator also carries eps' = (-1)^(degree of the left block), the
     Koszul cost of moving it past that block; even maps carry no eps'.
     word is canonical, and so are both blocks.
     """
     n = len(word)
-    sizes = range(max(0, n - table.max_arity), n + 1)
-    for eps, left, right, left_odd in shuffle_splits(table.word_space, word, sizes):
-        value = table.component(len(right), right, mgen)
+    components = table.components
+    sizes = tuple(range(max(0, n - table.max_arity), n + 1))
+    for eps, left, right, left_odd in table.word_space._split_plan(word, sizes):
+        value = components.get(len(right), {}).get(
+            (tuple([word[i] for i in right]), mgen))
         if not value:
             continue
         scale = -eps if odd and left_odd else eps
-        lword = tuple(left)
+        lword = tuple([word[i] for i in left])
         for produced, q in value.items():
-            yield (lword, produced), q * scale
+            tkey = (lword, produced)
+            total = out.get(tkey, ZERO) + q * scale
+            if total:
+                out[tkey] = total
+            else:
+                out.pop(tkey, None)
 
 
 def _module_image(module, key):
@@ -126,8 +132,7 @@ def _module_image(module, key):
     # Q-part: the base's own image of the word, generator untouched
     out = {(oword, mgen): q for oword, q
            in module.base._image(word, _coderivation_image).items()}
-    for tkey, q in _split_terms(module, word, mgen, odd=True):
-        _accumulate(out, tkey, q)
+    _split_terms(module, word, mgen, True, out)
     return tensor_canon(module.base.space, module.space, out)
 
 
@@ -143,12 +148,17 @@ def check_module_square_zero(module, max_arity=None):
     unit-word slot decides.  pr phi(phi(w tensor m)) reads phi on words of
     arity |w| - a + 1 (the Q-part) or on both blocks of a split, so the
     sweep stops at max(m_phi + m_Q - 1, 2 m_phi).  Over a base that fails
-    its own sweep up to the cap, phi o phi is no comodule map, and the
-    check falls back to its full loop over the cap.
+    check_square_zero up to the cap (a verdict the base keeps when it
+    passes), phi o phi is no comodule map, and the check falls back to its
+    full loop over the cap.
     """
     base = module.base
     cap = default_cap(base.space, max_arity=max_arity)
-    if _square_zero_failure(base, cap) is None:
+    try:
+        squares = check_square_zero(base, max_arity=cap)
+    except MathCheckError:
+        squares = False
+    if squares:
         m_phi = module.max_arity
         bound = max(m_phi + base.max_arity - 1, 2 * m_phi)
         keys = (key for key in module._sweep(cap, bound)
@@ -223,23 +233,45 @@ def module_from_morphism(morphism, max_arity=None):
 def _joined_components(morphism, cap, outer):
     """Components outer._corestrict(F(w) v m) on surviving tensors w tensor m.
 
-    F is the morphism, m runs over the target's generators, and the outer
-    table's _corestrict reads the arity-1 part of its image by
-    corestriction; F(w) is computed once per word.  F(w) v m has arity at
-    least |w| / m_F + 1 and the outer table reads arities up to m_outer, so
-    the sweep stops at m_F (m_outer - 1).
+    F is the morphism and m runs over the target's generators.  The outer
+    table's keys v are indexed once by removed letter, u -> [(m, sign,
+    value)] with u v m = sign v, so F(w), computed once per word, is read
+    only at the (u, m) that reach a key; keys come out in sweep order, then
+    basis order.  Keys weigh below the order and F(w) weighs at least w, so
+    only surviving tensors reach one.  F(w) v m has arity at least
+    |w| / m_F + 1 and the outer table reads arities up to m_outer, so the
+    sweep stops at m_F (m_outer - 1).
     """
+    space, tgt = morphism.word_space, morphism.target.space
+    floor = min(tgt._filtration.values(), default=tgt.nilpotency_order)
+    index = {}
+    for row in outer.components.values():
+        for v, value in row.items():
+            for i, m in enumerate(v):
+                if i and v[i - 1] == m:
+                    continue
+                u = v[:i] + v[i + 1:]
+                index.setdefault(u, []).append(
+                    (m, tgt.normalize_word(u + (m,))[1], value))
     bound = morphism.max_arity * (outer.max_arity - 1)
-    tensors = surviving_tensors(morphism.word_space, morphism.target.space,
-                                morphism._sweep(cap, bound))
     comps = {}
-    for word, keys in groupby(tensors, key=itemgetter(0)):
-        image = morphism_apply(morphism, {word: ONE})
-        for key in keys:
-            joined = sym_mul(morphism.target.space, image, {(key[1],): ONE})
-            value = outer._corestrict(joined)
-            if value:
-                comps.setdefault(len(word), {})[key] = value
+    for word in morphism._sweep(cap, bound):
+        if space.word_weight(word) + floor >= tgt.nilpotency_order:
+            continue
+        values = {}
+        for u, r in morphism_apply(morphism, {word: ONE}).items():
+            for m, sign, value in index.get(u, ()):
+                c = r * sign
+                out = values.setdefault(m, {})
+                for g, q in value.items():
+                    total = out.get(g, ZERO) + c * q
+                    if total:
+                        out[g] = total
+                    else:
+                        out.pop(g, None)
+        for m in tgt.basis:
+            if values.get(m):
+                comps.setdefault(len(word), {})[(word, m)] = values[m]
     return comps
 
 
@@ -267,8 +299,7 @@ class ModuleMorphism(_TensorTable):
 def _module_morphism_image(mm, key):
     """F(w tensor m): the split terms of an even map."""
     out = {}
-    for tkey, q in _split_terms(mm, *key, odd=False):
-        _accumulate(out, tkey, q)
+    _split_terms(mm, *key, False, out)
     return tensor_canon(mm.word_space, mm.target.space, out)
 
 

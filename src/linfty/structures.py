@@ -51,6 +51,9 @@ arity first; let w be such a word of least arity a.  Some subword u of w
 has pr1 R(u) != 0, so R(u) != 0, and minimality forces u = w.  So at arity
 a the words with R != 0 and with pr1 R != 0 are the same, in the same
 order, and a <= min(cap, bound) since pr1 R vanishes above the bound.
+A sweep builds only what it reads: the splits of an image that land at
+the reading table's arities (the square-zero sweep's Q(w), unkept), or one
+component (a strict map's pr1 Q(w) = Q_|w|(w)).
 Over a base that fails its own sweep phi o phi is no comodule map, so
 check_module_square_zero keeps its full loop there.
 """
@@ -60,20 +63,15 @@ from .graded import (
     InputError,
     MathCheckError,
     ONE,
-    _accumulate,
+    ZERO,
     _check_arity,
     _fraction_repr,
-    co_canon,
     co_from_element,
     co_linear_part,
     el_add,
     el_scale,
     el_sub,
     exact_element,
-    koszul_sign,
-    multi_shuffles,
-    shuffle_splits,
-    sym_mul,
 )
 from .homology import (
     Matrix,
@@ -122,18 +120,36 @@ def spaces_equal(a, b):
             and a.nilpotency_order == b.nilpotency_order)
 
 
-def _coderivation_image(structure, word):
-    """Q(word): Q_k on the left block of each shuffle split of a canonical word."""
+def _coderivation_image(structure, word, least=0):
+    """Q(word): Q_k on the left block of each shuffle split of a canonical
+    word, for k >= least; a split's terms land at arity |word| - k + 1."""
     space = structure.space
+    cap = space.nilpotency_order
+    norms, filtration = space._norms, space._filtration
+    components = structure.components
+    sizes = tuple([k for k in range(least, min(len(word), structure.max_arity) + 1)
+                   if k == 0 or k in components])
     out = {}
-    sizes = [k for k in range(min(len(word), structure.max_arity) + 1)
-             if k == 0 or k in structure.components]
-    for eps, left, right, _ in shuffle_splits(space, word, sizes):
-        for produced, q in structure.component(len(left), left).items():
-            norm = space.normalize_word([produced] + right)
-            if norm is not None:
-                _accumulate(out, norm[0], eps * q * norm[1])
-    return co_canon(space, out)
+    for eps, left, right, _ in space._split_plan(word, sizes):
+        value = components.get(len(left), {}).get(tuple([word[i] for i in left]))
+        if not value:
+            continue
+        rest = tuple([word[i] for i in right])
+        rest_weight = sum([filtration[g] for g in rest])
+        for produced, q in value.items():
+            if filtration[produced] + rest_weight >= cap:
+                continue
+            factors = (produced,) + rest
+            norm = norms.get(factors) or space.normalize_word(factors)
+            if norm is None:
+                continue
+            oword, sign = norm
+            total = out.get(oword, ZERO) + eps * q * sign
+            if total:
+                out[oword] = total
+            else:
+                out.pop(oword, None)
+    return out
 
 
 def coderivation_apply(structure, coelt):
@@ -144,11 +160,15 @@ def coderivation_apply(structure, coelt):
 def _square_zero_failure(structure, cap):
     """The first word up to min(cap, 2 m_Q - 1) with pr1 Q(Q(w)) != 0, or None.
 
-    pr1 Q_b(Q_a(w)) needs a, b <= m_Q and |w| = a + b - 1.
+    pr1 Q_b(Q_a(w)) needs a, b <= m_Q and |w| = a + b - 1, so it reads
+    only the splits of Q(w) with a >= |w| + 1 - m_Q, whose terms land at
+    arity <= m_Q: only those are built, and they are not kept.
     """
+    m_q = structure.max_arity
     return next(
-        (word for word in structure._sweep(cap, 2 * structure.max_arity - 1)
-         if structure._corestrict(coderivation_apply(structure, {word: ONE}))),
+        (word for word in structure._sweep(cap, 2 * m_q - 1)
+         if structure._corestrict(_coderivation_image(
+             structure, word, max(0, len(word) + 1 - m_q)))),
         None)
 
 
@@ -285,25 +305,54 @@ class LInftyMorphism(ComponentTable):
 
 
 def _morphism_image(morphism, word):
-    """F(word): F on each block holding the first letter, times F(rest)."""
-    src = morphism.source.space
-    tgt = morphism.target.space
+    """F(word): F on each block holding the first letter, times F(rest).
+
+    The blocks are read off the space's plan of the (k-1, n-k)-splits of
+    the word's tail: the first letter stays in front, so the sign of a
+    split of the tail is the sign of the shuffle of the word.
+    """
     n = len(word)
     if n == 0:
         return {(): ONE}
+    src, tgt = morphism.source.space, morphism.target.space
+    cap = tgt.nilpotency_order
+    norms, filtration, weight = tgt._norms, tgt._filtration, tgt.word_weight
+    first, tail = word[:1], word[1:]
     out = {}
-    degrees = [src.degree(g) for g in word]
     for k in range(1, min(n, morphism.max_arity) + 1):
-        for tail in multi_shuffles((k - 1, n - k)):
-            sigma = (0, *(i + 1 for i in tail))
-            value = morphism.component(k, [word[i] for i in sigma[:k]])
+        row = morphism.components.get(k)
+        if not row:
+            continue
+        for eps, left, right, _ in src._split_plan(tail, (k - 1,)):
+            value = row.get(first + tuple([tail[i] for i in left]))
             if not value:
                 continue
-            rest = morphism._image(tuple(word[i] for i in sigma[k:]),
+            rest = morphism._image(tuple([tail[i] for i in right]),
                                    _morphism_image)
-            eps = koszul_sign(sigma, degrees)
-            for oword, q in sym_mul(tgt, co_from_element(value), rest).items():
-                _accumulate(out, oword, eps * q)
+            # F_k(block) v F(rest) is summed before it is signed, as a
+            # product of elements, so the image keeps its key order
+            product = {}
+            for produced, q in value.items():
+                weight_p = filtration[produced]
+                for oword, r in rest.items():
+                    if weight_p + weight(oword) >= cap:
+                        continue
+                    factors = (produced,) + oword
+                    norm = norms.get(factors) or tgt.normalize_word(factors)
+                    if norm is None:
+                        continue
+                    pword, sign = norm
+                    total = product.get(pword, ZERO) + q * r * sign
+                    if total:
+                        product[pword] = total
+                    else:
+                        product.pop(pword, None)
+            for pword, q in product.items():
+                total = out.get(pword, ZERO) + eps * q
+                if total:
+                    out[pword] = total
+                else:
+                    out.pop(pword, None)
     return out
 
 
@@ -318,8 +367,9 @@ def check_morphism(morphism, max_arity=None):
     F Q - Q' F is a coderivation along F, so its arity-one part decides.
     pr1 F(Q w) reads F on words of arity |w| - a + 1 <= m_F, and
     pr1 Q'(F w) reads Q' on words of arity >= |w| / m_F; so the sweep
-    stops at max(m_F + m_Q - 1, m_Q' m_F).  A pass is kept per cap; a
-    failure raises every time.
+    stops at max(m_F + m_Q - 1, m_Q' m_F).  A strict F reads pr1 Q(w) =
+    Q_|w|(w), one lookup, and builds Q(w) on a failing word alone, for the
+    witness.  A pass is kept per cap; a failure raises every time.
     """
     cap = default_cap(morphism.source.space, max_arity=max_arity)
     return morphism._kept(("morphism", cap),
@@ -331,11 +381,14 @@ def _check_morphism(morphism, cap):
     m_f = morphism.max_arity
     bound = max(m_f + source.max_arity - 1, target.max_arity * m_f)
     for word in morphism._sweep(cap, bound):
-        image = coderivation_apply(source, {word: ONE})
-        pushed = morphism_apply(morphism, {word: ONE})
+        start = {word: ONE}
+        image = (co_from_element(source._corestrict(start)) if m_f <= 1
+                 else coderivation_apply(source, start))
+        pushed = morphism_apply(morphism, start)
         if morphism._corestrict(image) != target._corestrict(pushed):
-            diff = el_sub(morphism_apply(morphism, image),
-                          coderivation_apply(target, pushed))
+            diff = el_sub(
+                morphism_apply(morphism, coderivation_apply(source, start)),
+                coderivation_apply(target, pushed))
             raise MathCheckError(
                 "morphism does not intertwine coderivations: residual "
                 f"{_fraction_repr(diff)} on word {word}")

@@ -44,7 +44,7 @@ from .graded import (
     InputError,
     MathCheckError,
     ONE,
-    _accumulate,
+    ZERO,
     _check_arity,
     co_from_element,
     el_add,
@@ -133,7 +133,7 @@ def _twisted_row(table, pi, k):
     C_{k+l} is read in place at the canonical word, its sign on the power.
     """
     space = table.word_space
-    normalize, components = space.normalize_word, table.components
+    norms, components = space._norms, table.components
     tensor = table.key_space is not None
     powers = weighted_powers(space, pi, max(0, table.max_arity + 1 - k))
     row = {}
@@ -142,7 +142,8 @@ def _twisted_row(table, pi, k):
         total = {}
         for _, power in powers:
             for pword, pcoeff in power.items():
-                norm = normalize(pword + word)
+                factors = pword + word
+                norm = norms.get(factors) or space.normalize_word(factors)
                 if norm is None:
                     continue
                 cword, sign = norm
@@ -153,7 +154,11 @@ def _twisted_row(table, pi, k):
                 if sign < 0:
                     pcoeff = -pcoeff
                 for g, q in value.items():
-                    _accumulate(total, g, q * pcoeff)
+                    s = total.get(g, ZERO) + q * pcoeff
+                    if s:
+                        total[g] = s
+                    else:
+                        total.pop(g, None)
         if total:
             row[key] = total
     return row

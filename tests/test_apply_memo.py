@@ -32,7 +32,6 @@ from linfty.graded import (
     InputError,
     ONE,
     _accumulate,
-    co_canon,
     co_linear_part,
     el_add,
     el_scale,
@@ -103,6 +102,12 @@ from linfty.twisting import (
 
 
 # -- oracles: the uncached apply loops -----------------------------------------
+
+def co_canon(space, terms):
+    """Drop zero coefficients and words of filtration weight >= N."""
+    cap = space.nilpotency_order
+    return {w: q for w, q in terms.items() if q and space.word_weight(w) < cap}
+
 
 def oracle_coderivation_apply(structure, coelt):
     space = structure.space

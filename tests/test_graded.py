@@ -20,8 +20,8 @@ from linfty.graded import (
     ComponentTable,
     GradedSpace,
     InputError,
+    ONE,
     _accumulate,
-    co_canon,
     co_from_element,
     el_add,
     el_scale,
@@ -37,7 +37,7 @@ from linfty.graded import (
     sym_mul,
 )
 from linfty.modules import LInftyModule
-from linfty.structures import LInftyStructure
+from linfty.structures import LInftyStructure, coderivation_apply
 
 
 # -- independent oracles -----------------------------------------------------
@@ -355,10 +355,12 @@ def test_el_scale_rejects_floats_and_bools(scalar):
         el_scale({"x": Fraction(1)}, scalar)
 
 
-def test_co_canon_truncates_heavy_words():
-    sp = GradedSpace([("x", 0, 1), ("c", 1, 2)], 3)
-    raw = {("x",): Fraction(1), ("x", "c"): Fraction(5), ("c",): Fraction(0)}
-    assert co_canon(sp, raw) == {("x",): Fraction(1)}
+def test_coderivation_images_truncate_heavy_words():
+    """Q(x) = Q_1(x) + Q_0 v x, and Q_0 v x has weight 3 = N: dropped."""
+    sp = GradedSpace([("x", 0, 1), ("y", 1, 1), ("c", 1, 2)], 3)
+    q = LInftyStructure(sp, {0: {(): {"c": 1}}, 1: {("x",): {"y": 1}}})
+    assert coderivation_apply(q, {("x",): ONE}) == {("y",): 1}
+    assert coderivation_apply(q, {(): ONE}) == {("c",): 1}
 
 
 def test_expand_factors_bilinear_with_signs():

@@ -15,7 +15,7 @@ import weakref
 
 import pytest
 
-from linfty import fixtures, instances, structures
+from linfty import fixtures, instances, modules, structures
 from linfty.fixtures import jacobi_violation
 from linfty.graded import ComponentTable, MathCheckError, el_scale
 from linfty.instances import random_instance, random_ladder
@@ -182,3 +182,23 @@ def test_an_op_frees_its_tables_without_the_collector(monkeypatch):
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def test_module_checks_read_the_base_verdict_kept_on_it(monkeypatch, tmp_path,
+                                                        capsys):
+    """resolution-check of cech_fixb sweeps its one base once, where each
+    of its three module checks used to sweep it again."""
+    from pathlib import Path
+
+    from linfty.cli import main
+
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "cech_fixb.json"
+    sweeps = []
+    real = structures._square_zero_failure
+    for module in (structures, modules):  # wherever the sweep is bound
+        if hasattr(module, "_square_zero_failure"):
+            monkeypatch.setattr(module, "_square_zero_failure",
+                                lambda s, cap: sweeps.append(s) or real(s, cap))
+    assert main(["resolution-check", str(fixture),
+                 "--report", str(tmp_path / "report.json")]) == 0
+    assert len(sweeps) == 1

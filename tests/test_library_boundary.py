@@ -120,6 +120,22 @@ def test_an_apply_rejects_malformed_keys(case):
     assert apply(table, {key: ONE})
 
 
+def test_an_unknown_module_generator_raises_in_both_tensor_applies():
+    """With the constructor's text, on every call, whether or not the base's
+    Q-part of the word vanishes: () has Q(()) = Q_0 != 0, ("c",) has
+    Q(c) = 0 in fix_b."""
+    module = module_t()
+    mm = identity_module_morphism(module)
+    assert coderivation_apply(module.base, {("c",): ONE}) == {}
+    for apply, table in ((module_apply, module), (module_morphism_apply, mm)):
+        for word in ((), ("c",), ("x",)):
+            for _ in range(2):
+                with pytest.raises(InputError, match=re.escape(
+                        "unknown module generator 'zz'")):
+                    apply(table, {(word, "zz"): ONE})
+        assert apply(table, {(("x",), "x"): ONE})
+
+
 def test_a_constructor_rejects_malformed_keys():
     base = fix_b()
     with pytest.raises(InputError, match=re.escape(
