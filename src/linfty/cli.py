@@ -19,8 +19,9 @@ Exit codes: 0 every check passed, 1 a mathematical check failed,
 
 Machine-readable reports (--report PATH, and stdout for twist) carry no
 timestamps and are byte-identical across repeated runs with the same
-arguments.  --seed adds a reproducible randomized suite to the commands
-that have one.
+arguments.  --seed adds a reproducible randomized suite to
+twist-identities, module-consistency and prop-key.  Each command takes only
+the flags it reads (see --help); any other flag exits 2.
 
 main() can be called again and again in one process: the parser is built
 on the first call and reused, and no state is kept between calls.
@@ -297,17 +298,42 @@ def cmd_prop_key(doc, args):
     return ok, report, lines
 
 
+# Each command's function and the flags it reads, in --help order; every
+# command also takes --report.  A flag a command does not read is an error.
 _COMMANDS = {
-    "validate": cmd_validate,
-    "mc": cmd_mc,
-    "twist": cmd_twist,
-    "cohomology": cmd_cohomology,
-    "twist-identities": cmd_twist_identities,
-    "module-consistency": cmd_module_consistency,
-    "resolution-check": cmd_resolution_check,
-    "adapted-mc": cmd_adapted_mc,
-    "prop-key": cmd_prop_key,
+    "validate": (cmd_validate, ("--max-arity",)),
+    "mc": (cmd_mc, ("--structure", "--element", "--max-arity")),
+    "twist": (cmd_twist, ("--structure", "--element", "--max-arity")),
+    "cohomology": (cmd_cohomology, ("--structure", "--max-arity")),
+    "twist-identities": (cmd_twist_identities, (
+        "--structure", "--element", "--second-element", "--max-arity", "--seed")),
+    "module-consistency": (cmd_module_consistency, ("--element", "--max-arity", "--seed")),
+    "resolution-check": (cmd_resolution_check, ("--resolution", "--max-arity")),
+    "adapted-mc": (cmd_adapted_mc, ("--resolution", "--element")),
+    "prop-key": (cmd_prop_key, ("--ladder", "--element", "--mc", "--max-arity", "--seed")),
 }
+
+_FLAGS = {
+    "--element": dict(help="named element used as twist datum"),
+    "--mc": dict(dest="element", help="alias for --element"),
+    "--second-element": dict(help="second named element for iterated identities"),
+    "--max-arity": dict(type=int, help="cap the arity examined by the checks"),
+    "--seed": dict(type=int, help="also run the reproducible randomized suite"),
+    "--structure": dict(help="structure name when several exist"),
+    "--resolution": dict(help="resolution name when several exist"),
+    "--ladder": dict(help="ladder name when several exist"),
+    "--report": dict(help="write the machine-readable report here"),
+}
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it reports an unknown flag under its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
 
 
 def build_parser():
@@ -315,24 +341,13 @@ def build_parser():
         prog="linfty",
         description="exact checks on curved homotopy structures, their "
                     "twists, modules and resolutions")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
+    for command, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("fixture", help="path to a fixture document")
-        p.add_argument("--element", help="named element used as twist datum")
-        if command == "prop-key":
-            p.add_argument("--mc", dest="element",
-                           help="alias for --element")
-        p.add_argument("--second-element",
-                       help="second named element for iterated identities")
-        p.add_argument("--max-arity", type=int,
-                       help="cap the arity examined by the checks")
-        p.add_argument("--report", help="write the machine-readable report here")
-        p.add_argument("--seed", type=int,
-                       help="also run the reproducible randomized suite")
-        p.add_argument("--structure", help="structure name when several exist")
-        p.add_argument("--resolution", help="resolution name when several exist")
-        p.add_argument("--ladder", help="ladder name when several exist")
+        for flag in (*flags, "--report"):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -342,11 +357,12 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    run, flags = _COMMANDS[args.command]
     try:
-        if args.max_arity is not None:
+        if "--max-arity" in flags and args.max_arity is not None:
             _check_arity(args.max_arity)
         doc = _read_document(args.fixture)
-        ok, report, lines = _COMMANDS[args.command](doc, args)
+        ok, report, lines = run(doc, args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -179,23 +179,6 @@ def multi_shuffles(block_sizes):
     return results
 
 
-def shuffle_splits(space, word, sizes):
-    """Split a word along every (k, n-k)-shuffle with k in sizes.
-
-    Yields (eps, left, right, left_odd): the Koszul sign of the shuffle, the
-    left block of k generator names and the right block of the rest, and
-    whether the left block has odd total degree.  Callers choose their own
-    sign policy from these.  The signs and index blocks depend only on the
-    parities of the word's degrees and on sizes, so each space builds that
-    plan once per (parities, sizes) and every later split reads it.  The
-    blocks of a canonical word are canonical, with sign +1: read them by
-    ComponentTable.component.
-    """
-    for eps, left, right, left_odd in space._split_plan(word, tuple(sizes)):
-        yield (eps, [word[i] for i in left], [word[i] for i in right],
-               left_odd)
-
-
 class GradedSpace:
     """Finite ordered basis with shifted degrees and filtration levels.
 

@@ -39,7 +39,6 @@ from linfty.graded import (
     expand_factors,
     koszul_sign,
     multi_shuffles,
-    shuffle_splits,
 )
 from linfty.homology import is_isomorphism, linear_blocks, solve
 from linfty.io import FixtureWriter, space_json
@@ -100,6 +99,8 @@ from linfty.twisting import (
     weighted_powers,
 )
 
+from test_word_kernels import oracle_shuffle_splits
+
 
 # -- oracles: the uncached apply loops -----------------------------------------
 
@@ -117,7 +118,7 @@ def oracle_coderivation_apply(structure, coelt):
             continue
         sizes = [k for k in range(min(len(word), structure.max_arity) + 1)
                  if k == 0 or k in structure.components]
-        for eps, left, right, _ in shuffle_splits(space, word, sizes):
+        for eps, left, right, _ in oracle_shuffle_splits(space, word, sizes):
             for produced, q in structure.value(left).items():
                 norm = space.normalize_word([produced] + right)
                 if norm is not None:
@@ -174,7 +175,7 @@ def _oracle_split_terms(table, word, mgen, coeff, odd):
     space = table.word_space
     n = len(word)
     sizes = range(max(0, n - table.max_arity), n + 1)
-    for eps, left, right, left_odd in shuffle_splits(space, word, sizes):
+    for eps, left, right, left_odd in oracle_shuffle_splits(space, word, sizes):
         value = table.value(right, mgen)
         if not value:
             continue

@@ -396,26 +396,84 @@ def test_module_consistency_input_errors(tmp_path, capsys):
         assert message in err
 
 
-NEGATIVE_CAP_RUNS = {
-    "validate": ["jacobi_violation.json"],
-    "mc": ["fix_b.json", "--element", "x"],
-    "twist": ["fix_b.json", "--element", "x"],
-    "cohomology": ["fix_a.json"],
-    "twist-identities": ["fix_b_pair.json", "--structure", "fix_b",
-                         "--element", "x", "--second-element", "2x"],
-    "module-consistency": ["fix_b_pair.json", "--element", "x"],
-    "resolution-check": ["fix_c.json"],
-    "adapted-mc": ["cech_fixb.json", "--element", "x"],
-    "prop-key": ["cech_fixb_ladder.json", "--mc", "x"],
+# Per command: its fixture, the flags a run of it needs, a value for every
+# other flag it reads, and the exit code of a run with any one of those.
+COMMAND_RUNS = {
+    "validate": ("jacobi_violation.json", {}, {"--max-arity": "3"}, 1),
+    "mc": ("fix_b.json", {"--element": "x"},
+           {"--structure": "fix_b", "--max-arity": "3"}, 0),
+    "twist": ("fix_b.json", {"--element": "x"},
+              {"--structure": "fix_b", "--max-arity": "3"}, 0),
+    "cohomology": ("fix_a.json", {},
+                   {"--structure": "fix_a", "--max-arity": "3"}, 0),
+    "twist-identities": ("fix_b_pair.json", {
+        "--structure": "fix_b", "--element": "x", "--second-element": "2x"},
+        {"--max-arity": "3", "--seed": "0"}, 0),
+    "module-consistency": ("fix_b_pair.json", {"--element": "x"},
+                           {"--max-arity": "3", "--seed": "0"}, 0),
+    "resolution-check": ("fix_c.json", {},
+                         {"--resolution": "fix_c", "--max-arity": "3"}, 0),
+    "adapted-mc": ("cech_fixb.json", {"--element": "x"},
+                   {"--resolution": "cech_fixb"}, 0),
+    "prop-key": ("cech_fixb_ladder.json", {"--mc": "x"}, {
+        "--ladder": "cech_fixb_ladder", "--element": "x", "--max-arity": "3",
+        "--seed": "0"}, 0),
 }
+READ_FLAGS = [(command, flag) for command, (_, flags) in cli._COMMANDS.items()
+              for flag in (*flags, "--report")]
+UNREAD_FLAGS = [(command, flag) for command in cli._COMMANDS
+                for flag in dict.fromkeys(f for _, f in READ_FLAGS)
+                if (command, flag) not in READ_FLAGS]
 
 
-@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def command_argv(command, *extra):
+    fixture, needed, _, _ = COMMAND_RUNS[command]
+    return [command, str(FIXTURES / fixture),
+            *(arg for pair in needed.items() for arg in pair), *extra]
+
+
+def test_command_runs_cover_the_flags_each_command_reads():
+    assert sorted(COMMAND_RUNS) == sorted(cli._COMMANDS)
+    for command, (_, flags) in cli._COMMANDS.items():
+        _, needed, others, _ = COMMAND_RUNS[command]
+        assert sorted({**needed, **others}) == sorted(flags), command
+    assert len(READ_FLAGS) == 35
+
+
+@pytest.mark.parametrize("command,flag", READ_FLAGS)
+def test_each_flag_a_command_reads_keeps_its_exit_code(command, flag,
+                                                       tmp_path, capsys):
+    _, needed, others, want = COMMAND_RUNS[command]
+    report = tmp_path / "report.json"
+    value = str(report) if flag == "--report" else others.get(flag)
+    extra = [] if flag in needed else [flag, value]
+    code, out, err = run_cli(command_argv(command, *extra), capsys)
+    assert (code, err) == (want, "")
+    assert out
+    assert report.exists() == (flag == "--report")
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_a_flag_a_command_does_not_read_exits_2(command, flag, tmp_path,
+                                                capsys):
+    report = tmp_path / "report.json"
+    code, out, err = in_process(
+        command_argv(command, flag, "1", "--report", str(report)), capsys)
+    assert (code, out) == (2, "")
+    assert not report.exists()
+    usage, message = err.splitlines()[0], err.splitlines()[-1]
+    assert usage.startswith(f"usage: linfty {command} [-h]")
+    assert message == (f"linfty {command}: error: "
+                       f"unrecognized arguments: {flag} 1")
+    assert all(f in err for c, f in READ_FLAGS if c == command)
+
+
+@pytest.mark.parametrize("command", [
+    command for command, flag in READ_FLAGS if flag == "--max-arity"])
 def test_every_command_rejects_a_negative_max_arity(command, capsys):
     # an empty sweep must not report, say, the broken bracket as a pass
-    fixture, *flags = NEGATIVE_CAP_RUNS[command]
-    code, out, err = run_cli([command, str(FIXTURES / fixture), *flags,
-                              "--max-arity", "-1"], capsys)
+    code, out, err = run_cli(command_argv(command, "--max-arity", "-1"),
+                             capsys)
     assert code == 2
     assert out == ""
     assert "max_arity must be nonnegative" in err

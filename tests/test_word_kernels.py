@@ -1,6 +1,6 @@
 """The memoized word kernels of GradedSpace against the uncached loops.
 
-normalize_word, word_weight, enumerate_words and shuffle_splits keep what
+normalize_word, word_weight, enumerate_words and _split_plan keep what
 they compute per space.  The oracles below are the loops they replaced,
 kept as the reference: on random spaces with even and odd generators and
 nonzero filtration levels, every word of arity <= 5 and every set of block
@@ -18,7 +18,6 @@ from linfty.graded import (
     GradedSpace,
     InputError,
     koszul_sign,
-    shuffle_splits,
     shuffles,
 )
 
@@ -150,6 +149,12 @@ def test_enumerate_words_matches_the_oracle(seed):
             assert warm.enumerate_words(hi, lo) is words  # shared, not rebuilt
 
 
+def plan_splits(space, word, sizes):
+    """space's split plan for word, with each index block read off the word."""
+    return [(eps, [word[i] for i in left], [word[i] for i in right], odd)
+            for eps, left, right, odd in space._split_plan(word, sizes)]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_shuffle_splits_match_the_oracle(seed):
     space = random_space(seed)
@@ -159,13 +164,10 @@ def test_shuffle_splits_match_the_oracle(seed):
               for sizes in all_sizes(5)]
     cases += [(w, (len(w), 0)) for w in all_words(space, 3)]  # order kept
     expected = [list(oracle_shuffle_splits(space, w, s)) for w, s in cases]
-    assert [list(shuffle_splits(fresh(space), w, s)) for w, s in cases] \
-        == expected
+    assert [plan_splits(fresh(space), w, s) for w, s in cases] == expected
     warm = fresh(space)
     for _ in range(2):
-        assert [list(shuffle_splits(warm, w, s)) for w, s in cases] == expected
-    assert [list(shuffle_splits(warm, list(w), iter(s))) for w, s in cases] \
-        == expected
+        assert [plan_splits(warm, w, s) for w, s in cases] == expected
 
 
 # -- failures are raised on every call and never remembered --------------------------
@@ -179,11 +181,11 @@ def test_an_unknown_generator_raises_on_every_call():
         with pytest.raises(InputError, match="unknown generator 'zz' in word"):
             space.word_weight((a, "zz"))
         with pytest.raises(InputError, match="unknown generator 'zz'"):
-            list(shuffle_splits(space, (a, "zz"), [1]))
+            space._split_plan((a, "zz"), (1,))
     # the same lookups on known words still answer
     assert space.normalize_word([a]) == ((a,), 1)
-    assert list(shuffle_splits(space, (a, a), [1])) \
-        == list(oracle_shuffle_splits(space, (a, a), [1]))
+    assert plan_splits(space, (a, a), (1,)) \
+        == list(oracle_shuffle_splits(space, (a, a), (1,)))
 
 
 @pytest.mark.parametrize("bounds", [(-1, 0), (1.5, 0), (True, 0), (None, 0),
