@@ -21,7 +21,8 @@ Machine-readable reports (--report PATH, and stdout for twist) carry no
 timestamps and are byte-identical across repeated runs with the same
 arguments.  --seed adds a reproducible randomized suite to
 twist-identities, module-consistency and prop-key.  Each command takes only
-the flags it reads (see --help); any other flag exits 2.
+the flags it reads, spelled as --help lists them; any other flag or prefix
+exits 2.
 
 main() can be called again and again in one process: the parser is built
 on the first call and reused, and no state is kept between calls.
@@ -327,24 +328,36 @@ _FLAGS = {
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A command's parser: it reports an unknown flag under its own usage."""
+    """A command's parser: it reports an unknown flag under its own usage,
+    named with its value (every flag takes one) wherever the flag stands."""
 
     def parse_known_args(self, args=None, namespace=None):
-        args, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return args, extras
+        args, extras, i = list(args), [], 0
+        while i < len(args) and args[i] != "--":
+            flag = args[i].partition("=")[0]
+            if not flag.startswith("--") or flag in self._option_string_actions:
+                i += 1
+                continue
+            # the value is the next argument, unless that is a flag
+            end = i + 1 + (flag == args[i] and i + 1 < len(args)
+                           and not args[i + 1].startswith("--"))
+            extras += args[i:end]
+            del args[i:end]
+        args, more = super().parse_known_args(args, namespace)
+        if extras or more:
+            self.error(f"unrecognized arguments: {' '.join(extras + more)}")
+        return args, []
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="linfty",
+        prog="linfty", allow_abbrev=False,
         description="exact checks on curved homotopy structures, their "
                     "twists, modules and resolutions")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_CommandParser)
     for command, (_, flags) in _COMMANDS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("fixture", help="path to a fixture document")
         for flag in (*flags, "--report"):
             p.add_argument(flag, **_FLAGS[flag])

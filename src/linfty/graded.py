@@ -153,30 +153,18 @@ def shuffles(k, l):
     if k < 0 or l < 0:
         raise InputError("shuffle block sizes must be nonnegative")
     n = k + l
-    out = []
-    for left in itertools.combinations(range(n), k):
-        leftset = set(left)
-        right = tuple(i for i in range(n) if i not in leftset)
-        out.append(left + right)
-    return out
+    return [left + tuple(i for i in range(n) if i not in left)
+            for left in itertools.combinations(range(n), k)]
 
 
 def multi_shuffles(block_sizes):
     """All (k_1,...,k_p)-shuffles: permutations increasing on each block."""
-    total = sum(block_sizes)
-    results = [()]
-    remaining = [tuple(range(total))]
+    states = [((), tuple(range(sum(block_sizes))))]  # (picked, remaining)
     for size in block_sizes:
-        new_results = []
-        new_remaining = []
-        for prefix, rest in zip(results, remaining):
-            for pick in itertools.combinations(rest, size):
-                pickset = set(pick)
-                new_results.append(prefix + pick)
-                new_remaining.append(tuple(i for i in rest if i not in pickset))
-        results = new_results
-        remaining = new_remaining
-    return results
+        states = [(prefix + pick, tuple(i for i in rest if i not in pick))
+                  for prefix, rest in states
+                  for pick in itertools.combinations(rest, size)]
+    return [prefix for prefix, _ in states]
 
 
 class GradedSpace:

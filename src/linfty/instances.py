@@ -11,8 +11,9 @@ Maurer-Cartan, so every instance ships with a canonical flattening twist.
 Non-strictness comes from conjugating by random filtration-raising
 coordinate changes; richer Maurer-Cartan elements from adding multiples of
 single units (every single unit squares to zero).  Ladders spread an
-instance over a two-chart cover and transport each chart separately;
-two_chart_ladder builds such a ladder from the per-chart transports.
+instance over a two-chart cover and transport each chart separately by a
+strict map; two_chart_ladder's level maps are those transports, slot by
+slot.
 
 Everything is driven by random.Random(seed), so instances are reproducible
 from the seed alone.
@@ -21,7 +22,7 @@ from the seed alone.
 from fractions import Fraction
 import random
 
-from .graded import ONE, _accumulate, el_add, parse_scalar
+from .graded import InputError, ONE, _accumulate, el_add, parse_scalar
 from .structures import (
     compose,
     conjugate,
@@ -32,13 +33,11 @@ from .structures import (
 from .twisting import mc_check, push_mc
 from .products import (
     CoverDescription,
-    ProductStructure,
     build_cech_complex,
-    product_morphism,
-    slotwise_morphism,
+    strict_level_map,
     tuple_slot,
 )
-from .modules import identity_module_morphism, module_morphism_from_triangle
+from .modules import identity_module_morphism
 from .resolutions import ResolutionMorphism
 
 
@@ -244,32 +243,25 @@ def two_chart_diagram(structure, transports=None, label=""):
 def two_chart_ladder(structure, transports, label=""):
     """Ladder from the identity spread of a structure to a transported one.
 
-    transports maps each chart tuple to a strict map out of the structure.
-    The source is two_chart_diagram(structure), the target is
-    two_chart_diagram(structure, transports), the level maps come from the
-    fiberwise triangle construction with the transports as fibers, between
-    the diagrams' own level modules, and the augmented map is the identity.
+    transports maps each chart tuple to a strict map out of the structure,
+    else InputError names the chart before anything is built.  The source
+    is two_chart_diagram(structure), the target
+    two_chart_diagram(structure, transports); level map k sends each chart's
+    slot through its transport (products.strict_level_map) between the
+    diagrams' level modules, and the augmented map is the identity.
     """
+    for a in CHARTS:
+        if not transports[a].is_strict():
+            raise InputError(f"transport on chart {a} must be strict")
     src = two_chart_diagram(structure, label=f"{label}.src")
     tgt = two_chart_diagram(structure, transports, label=f"{label}.tgt")
-    verticals = []
-    for k in range(2):
-        level = [a for a in CHARTS if len(a) == k + 1]
-        src_product = ProductStructure(
-            {tuple_slot(a): structure for a in level})
-        tgt_product = ProductStructure(
-            {tuple_slot(a): transports[a].target for a in level})
-        fiber = slotwise_morphism(src_product, tgt_product,
-                                  {tuple_slot(a): transports[a] for a in level})
-        inner = product_morphism(src_product, {
-            tuple_slot(a): identity_morphism(structure) for a in level})
-        verticals.append(module_morphism_from_triangle(
-            fiber, inner, src.levels[k], tgt.levels[k]))
-    return ResolutionMorphism(
-        src, tgt,
-        identity_module_morphism(src.augmented),
-        verticals,
-        label=label)
+    verticals = [strict_level_map(src.levels[k], tgt.levels[k],
+                                  [(tuple_slot(a), tuple_slot(a), 1,
+                                    transports[a])
+                                   for a in CHARTS if len(a) == k + 1])
+                 for k in range(2)]
+    return ResolutionMorphism(src, tgt, identity_module_morphism(src.augmented),
+                              verticals, label=label)
 
 
 def random_ladder(seed):

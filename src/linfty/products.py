@@ -14,8 +14,10 @@ The Cech builder turns a combinatorial cover (nerve tuples, local
 structures, restriction morphisms) plus a global structure into a
 resolution diagram: level k is the product over (k+1)-tuples, made into a
 module over the global structure through the assembled restriction
-morphism, and the connecting maps are the alternating-sum differential,
-strict as module morphisms; see build_cech_complex for what it checks.
+morphism, and the connecting maps are the alternating-sum differential of
+the restrictions, strict as module morphisms (strict_level_map, which also
+places a ladder's chart transports); see build_cech_complex for what it
+checks.
 Assembled structures, product and slotwise morphisms and connecting maps
 derive from valid tables and are made unchecked (ComponentTable._made).
 """
@@ -174,14 +176,14 @@ def assemble_twist_datum(product, pis):
     return joint
 
 
-def assemble_and_twist(product, pis, slot_morphisms=None, targets=None):
+def assemble_and_twist(product, pis, slot_morphisms=None):
     """Verify that twisting and the product construction commute.
 
     Always checked, raising on failure since these are identities:
       - the Maurer-Cartan series of the joint datum is the tuple of the
         factor series, so the datum is Maurer-Cartan iff every slot is;
       - the twist of the assembled structure equals the assembled twist.
-    When a slotwise morphism family (and its target product) is given, also:
+    When a slotwise morphism family is given, also:
       - the twist of the slotwise morphism equals the slotwise twists.
     Returns a report with per-factor and joint Maurer-Cartan flags and the
     slots carrying a nonzero residual.
@@ -191,10 +193,7 @@ def assemble_and_twist(product, pis, slot_morphisms=None, targets=None):
     factor_series = {i: maurer_cartan_series(product.factors[i], pis[i])
                      for i in product.index}
     joint_series = maurer_cartan_series(product.assembled, joint)
-    merged = {}
-    for i, series in factor_series.items():
-        merged.update(rename_element(i, series))
-    if merged != joint_series:
+    if assemble_twist_datum(product, factor_series) != joint_series:
         raise MathCheckError(
             "Maurer-Cartan series of the joint datum is not slotwise")
     twisted_joint = twist_structure(product.assembled, joint)
@@ -211,9 +210,8 @@ def assemble_and_twist(product, pis, slot_morphisms=None, targets=None):
         "morphism_slotwise": None,
     }
     if slot_morphisms is not None:
-        if targets is None:
-            targets = ProductStructure(
-                {i: slot_morphisms[i].target for i in product.index})
+        targets = ProductStructure(
+            {i: slot_morphisms[i].target for i in product.index})
         joint_morphism = slotwise_morphism(product, targets, slot_morphisms)
         lhs = twist_morphism(joint_morphism, joint)
         twisted_family = {i: twist_morphism(slot_morphisms[i], pis[i])
@@ -321,6 +319,24 @@ def tuple_slot(a):
     return ",".join(a)
 
 
+def strict_level_map(source, target, pieces, label=""):
+    """Strict module map between two Cech levels, from per-chart strict maps.
+
+    Each piece (a, b, sign, r) sends slot a's generator g to sign r_1(g) in
+    slot b; pieces that land on one key add up.  Made unchecked: callers
+    pass checked strict maps that commute with the levels' restrictions,
+    and the sum of such maps intertwines the level modules.
+    """
+    table = {}
+    for a, b, sign, r in pieces:
+        for g in r.word_space.basis:
+            key = ((), slot_name(a, g))
+            image = r.component(1, (g,))
+            table[key] = el_add(table.get(key, {}), {
+                slot_name(b, t): q * sign for t, q in image.items()})
+    return ModuleMorphism._made(source, target, {0: table}, label=label)
+
+
 def build_cech_complex(cover, global_structure, global_restrictions, label=""):
     """Resolution diagram of the cover's alternating-sum differential.
 
@@ -384,26 +400,14 @@ def build_cech_complex(cover, global_structure, global_restrictions, label=""):
 
     connecting = []
     for k in range(cover.depth() - 1):
-        table = {}
-        for a in cover.level(k):
-            src_sp = cover.local_structures[a].space
-            for b in cover.level(k + 1):
-                extras = [j for j in range(len(b)) if b[j] not in a]
-                if len(extras) != 1 or not _is_subtuple(a, b):
-                    continue
-                j = extras[0]
-                sign = -1 if j % 2 else 1
-                r = cover.restrictions[(a, b)]
-                for g in src_sp.basis:
-                    image = r.component(1, (g,))
-                    if not image:
-                        continue
-                    key = ((), slot_name(tuple_slot(a), g))
-                    value = {slot_name(tuple_slot(b), t): q * sign
-                             for t, q in image.items()}
-                    table[key] = el_add(table.get(key, {}), value)
-        connecting.append(ModuleMorphism._made(levels[k], levels[k + 1],
-                                               {0: table}, label=f"d.{k}"))
+        # the face of b missing its j-th open carries the sign (-1)^j
+        pieces = [(tuple_slot(a), tuple_slot(b),
+                   (-1) ** next(j for j, x in enumerate(b) if x not in a),
+                   cover.restrictions[(a, b)])
+                  for a in cover.level(k) for b in cover.level(k + 1)
+                  if _is_subtuple(a, b)]
+        connecting.append(strict_level_map(levels[k], levels[k + 1], pieces,
+                                           label=f"d.{k}"))
 
     diagram = ResolutionDiagram(global_structure, augmented, levels,
                                 augmentation, connecting, label=label)

@@ -154,16 +154,13 @@ def _sequence_skeleton(diagram):
 def _sequence_report(complexes, blocks):
     """The induced_cohomology_sequence report of a checked skeleton."""
     degrees = sorted({d for cc in complexes for d in cc.degrees()})
-    betti = []
-    for cc in complexes:
-        betti.append({d: cc.cohomology(d)[0] for d in degrees})
+    betti = [{d: cc.cohomology(d)[0] for d in degrees} for cc in complexes]
     induced = {}
     exact_at = {}
     for d in degrees:
-        mats = {}
-        for p in range(len(blocks)):
-            mats[p] = induced_map(complexes[p], complexes[p + 1], blocks[p], d)
-        induced[d] = mats
+        induced[d] = mats = {
+            p: induced_map(complexes[p], complexes[p + 1], blocks[p], d)
+            for p in range(len(blocks))}
         dims = {p: betti[p][d] for p in range(len(complexes))}
         try:
             seq = ChainComplex(dims, mats)

@@ -456,16 +456,47 @@ def test_each_flag_a_command_reads_keeps_its_exit_code(command, flag,
 @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
 def test_a_flag_a_command_does_not_read_exits_2(command, flag, tmp_path,
                                                 capsys):
+    """The flag is named with its value after the fixture and before it."""
     report = tmp_path / "report.json"
+    argv = command_argv(command, "--report", str(report))
+    for at in (len(argv), 1):
+        code, out, err = in_process(argv[:at] + [flag, "1"] + argv[at:],
+                                    capsys)
+        assert (code, out) == (2, "")
+        assert not report.exists()
+        usage, message = err.splitlines()[0], err.splitlines()[-1]
+        assert usage.startswith(f"usage: linfty {command} [-h]")
+        assert message == (f"linfty {command}: error: "
+                           f"unrecognized arguments: {flag} 1")
+        assert all(f in err for c, f in READ_FLAGS if c == command)
+
+
+@pytest.mark.parametrize("command,flag", READ_FLAGS)
+def test_a_prefix_of_a_flag_a_command_reads_exits_2(command, flag, tmp_path,
+                                                    capsys):
+    """Flags are taken only as --help spells them: argparse's abbreviations
+    are off, so a prefix is an unknown flag, named with its value."""
+    report = tmp_path / "report.json"
+    prefix = flag[:-1]
+    pair = [prefix, str(report) if flag == "--report" else "1"]
+    extra = [] if flag == "--report" else ["--report", str(report)]
     code, out, err = in_process(
-        command_argv(command, flag, "1", "--report", str(report)), capsys)
+        [command, str(FIXTURES / COMMAND_RUNS[command][0]), *pair, *extra],
+        capsys)
     assert (code, out) == (2, "")
     assert not report.exists()
-    usage, message = err.splitlines()[0], err.splitlines()[-1]
-    assert usage.startswith(f"usage: linfty {command} [-h]")
-    assert message == (f"linfty {command}: error: "
-                       f"unrecognized arguments: {flag} 1")
-    assert all(f in err for c, f in READ_FLAGS if c == command)
+    assert err.splitlines()[-1] == (f"linfty {command}: error: "
+                                    f"unrecognized arguments: {' '.join(pair)}")
+
+
+def test_the_reported_misspellings_name_their_flag_and_value(capsys):
+    fix_a = str(FIXTURES / "fix_a.json")
+    for argv, named in ((["validate", "--seed", "5", fix_a], "--seed 5"),
+                        (["validate", fix_a, "--max", "2"], "--max 2"),
+                        (["validate", fix_a, "--max=2"], "--max=2")):
+        code, out, err = in_process(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"unrecognized arguments: {named}\n")
 
 
 @pytest.mark.parametrize("command", [

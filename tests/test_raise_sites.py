@@ -2,7 +2,8 @@
 
 The exact-rows route of prop_key_pipeline, the Maurer-Cartan route
 agreement, mc_preservation's target clause, the iterated-twist and
-pushforward identities and the module-twist consistency each compare two
+pushforward identities, the module-twist consistency, the slotwise clauses
+of assemble_and_twist and the Betti audit of ChainComplex each compare two
 independent computations, which agree on correct code, so no valid input
 can make them raise.  Each test breaks exactly one side of one comparison
 with monkeypatch and asserts the documented error text: a check whose two
@@ -16,15 +17,17 @@ import sys
 
 import pytest
 
-from linfty import modules, resolutions, twisting
-from linfty.fixtures import fix_b
+from linfty import homology, modules, products, resolutions, twisting
+from linfty.fixtures import fix_b, fix_b2
 from linfty.graded import MathCheckError, ONE, el_scale
-from linfty.homology import Matrix
+from linfty.homology import ChainComplex, Matrix
 from linfty.instances import random_instance, random_ladder
 from linfty.modules import check_module_twist_consistency
+from linfty.products import ProductStructure, assemble_and_twist
 from linfty.resolutions import prop_key_pipeline
 from linfty.modules import LInftyModule
-from linfty.structures import LInftyMorphism, LInftyStructure, invert
+from linfty.structures import (
+    LInftyMorphism, LInftyStructure, invert, strict_morphism)
 from linfty.twisting import (
     check_morphism_twist_identities,
     check_pushforward_functoriality,
@@ -245,3 +248,67 @@ def test_a_broken_twisted_module_is_reported(monkeypatch, instance):
     with raises("twisting and the module constructor do not commute on this "
                 "input"):
         check(f, pi)
+
+
+# -- the slotwise clauses of assemble_and_twist and the Betti audit ---------------
+
+@pytest.fixture
+def slotwise_scene():
+    """Two fix_b slots, the datum x on both, and the doubling map per slot."""
+    product = ProductStructure({"1": fix_b(), "2": fix_b()})
+    family = {i: strict_morphism(fix_b(), fix_b2(),
+                                 {"x": {"x": ONE}, "c": {"c": 2}})
+              for i in product.index}
+    pis = {i: {"x": ONE} for i in product.index}
+    assert assemble_and_twist(product, pis, family)["morphism_slotwise"]
+    return product, pis, family
+
+
+def test_a_joint_maurer_cartan_series_that_is_not_slotwise_is_reported(
+        monkeypatch, slotwise_scene):
+    product, pis, family = slotwise_scene
+    monkeypatch.setattr(products, "maurer_cartan_series", broken(
+        products, "maurer_cartan_series", assemble_and_twist,
+        lambda q, d: q is product.assembled,
+        lambda value: {**value, "1.c": ONE}))
+    with raises("Maurer-Cartan series of the joint datum is not slotwise"):
+        assemble_and_twist(product, pis, family)
+
+
+def test_a_broken_twist_of_the_product_is_reported(monkeypatch,
+                                                   slotwise_scene):
+    product, pis, family = slotwise_scene
+    monkeypatch.setattr(products, "twist_structure", broken(
+        products, "twist_structure", assemble_and_twist,
+        lambda q, d: q is product.assembled, bumped_structure))
+    with raises("twist of the product differs from the product of twists"):
+        assemble_and_twist(product, pis, family)
+
+
+def test_a_broken_twist_of_the_slotwise_morphism_is_reported(monkeypatch,
+                                                             slotwise_scene):
+    product, pis, family = slotwise_scene
+    monkeypatch.setattr(products, "twist_morphism", broken(
+        products, "twist_morphism", assemble_and_twist,
+        lambda g, d: g.source is product.assembled,
+        lambda g: LInftyMorphism._made(g.source, g.target,
+                                       bumped(g.components))))
+    with raises("twist of the slotwise morphism differs from the slotwise "
+                "twists"):
+        assemble_and_twist(product, pis, family)
+
+
+def test_a_betti_number_that_disagrees_with_the_representatives_is_reported(
+        monkeypatch):
+    """Bareiss rank against the RREF representatives: an off-by-one rank in
+    the audit's own call, on C^0 -> C^1 an isomorphism of lines."""
+    def line_iso():
+        return ChainComplex({0: 1, 1: 1}, {0: [[1]]})
+
+    assert line_iso().cohomology(1) == (0, [])
+    check = ChainComplex._cohomology_record
+    monkeypatch.setattr(homology, "rank", broken(
+        homology, "rank", check, lambda m: True, lambda r: r - 1))
+    with raises("cohomology audit failed at degree 1: 0 representatives vs "
+                "Betti 1"):
+        line_iso().cohomology(1)
