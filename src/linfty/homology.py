@@ -9,6 +9,18 @@ through rank-nullity, so a bug in either one surfaces as a hard error rather
 than a silent wrong Betti number.  Each linear system takes one elimination:
 solve_columns reduces [m | B] once for all its right-hand sides.
 
+No elimination runs where its answer is fixed in advance.  A product with a
+zero factor is the zero matrix.  At a degree whose two differentials are both
+zero, every vector is a cycle and none is a boundary, so the cohomology is
+the whole space with the unit basis as its representatives, and a map
+induced into such a degree has the images of the source representatives as
+its columns: exactly what the general path returns there.  Exactness of a
+sequence of maps between cohomologies is read from ranks, with no complex
+built per degree: node p is exact when its dimension is the sum of the ranks
+of the maps into and out of it.  Each nonzero map of such a sequence is
+ranked by Bareiss and by RREF, and a disagreement, like a nonzero composite,
+marks every node of the sequence not exact.
+
 Complexes are cochain complexes: d(k) maps degree k to degree k + 1.
 Zero-dimensional degrees are fully supported (shape-checked empty matrices);
 resolution diagrams rely on that for their virtual zero ends.
@@ -109,6 +121,8 @@ class Matrix:
         if self.ncols != other.nrows:
             raise InputError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
+        if self.is_zero() or other.is_zero():
+            return Matrix._zero(self.nrows, other.ncols)
         cols = other.transpose().rows
         return Matrix._made(self.nrows, other.ncols, tuple([
             _fold([sum([a * b for a, b in zip(row, col)], ZERO) for col in cols])
@@ -154,7 +168,7 @@ class Matrix:
         return tuple(self.rows[i][j] for i in range(self.nrows))
 
     def is_zero(self):
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
 
 def rank(m):
@@ -334,15 +348,25 @@ class ChainComplex:
     def cycle_basis(self, k):
         return nullspace(self.d(k))
 
+    def _flat_at(self, k):
+        """True when both differentials at degree k are zero."""
+        return k - 1 not in self.differentials and k not in self.differentials
+
     def _cohomology_record(self, k):
         """(Betti number, representatives, boundary basis rows) at degree k.
 
         Representatives are cycle vectors reduced against the RREF of the
         boundary space and re-reduced among themselves; they are unique for a
         given basis ordering.  Rank-nullity audit: representative count must
-        equal dim ker - rank(previous d).  Computed once per degree.
+        equal dim ker - rank(previous d).  Where both differentials are zero
+        the record is the whole space, its unit basis and no boundaries, with
+        nothing to eliminate.  Computed once per degree.
         """
         if k not in self._homology:
+            if self._flat_at(k):
+                n = self.dim(k)
+                self._homology[k] = (n, Matrix.identity(n).rows, ())
+                return self._homology[k]
             cycles = self.cycle_basis(k)
             bred, bpivots = rref(self.d(k - 1).transpose())
             boundary = bred.rows[:len(bpivots)]
@@ -408,15 +432,20 @@ def induced_map(src, dst, maps, k):
 
     Solves for coordinates of each mapped representative in the basis
     [target representatives | target boundaries]; solvability is exactly the
-    cycle condition, so a non chain map fails loudly here.
+    cycle condition, so a non chain map fails loudly here.  Where both
+    target differentials are zero that basis is the unit basis and every
+    vector is a cycle, so the images are the coordinates.
     """
     _, src_reps = src.cohomology(k)
-    betti_dst, dst_reps = dst.cohomology(k)
     f = maps[k] if k in maps else Matrix._zero(dst.dim(k), src.dim(k))
     if not isinstance(f, Matrix):
         f = Matrix.from_rows(f, ncols=src.dim(k))
+    images = [f._apply(rep) for rep in src_reps]
+    if dst._flat_at(k):
+        return _from_columns(dst.dim(k), images)
+    betti_dst, dst_reps = dst.cohomology(k)
     basis = _from_columns(dst.dim(k), dst_reps + list(dst.boundary_basis(k)))
-    cols = solve_columns(basis, [f._apply(rep) for rep in src_reps])
+    cols = solve_columns(basis, images)
     if cols is None:
         raise MathCheckError(
             f"image of a cycle is not a cycle at degree {k}; not a chain map")
@@ -431,6 +460,29 @@ def induced_maps(src, dst, blocks):
     check_chain_map(src, dst, blocks)
     degrees = sorted(set(src.degrees()) | set(dst.degrees()))
     return {d: induced_map(src, dst, blocks, d) for d in degrees}
+
+
+def _exact_at_nodes(dims, maps):
+    """Exactness at each node of a sequence of maps, read from ranks.
+
+    dims[p] is the dimension of node p and maps[p] the matrix from node p
+    to node p + 1.  Node p is exact when dims[p] - rank maps[p] - rank
+    maps[p - 1] is 0, a missing map having rank 0.  Every node is reported
+    not exact when a composite maps[p + 1] maps[p] is nonzero, or when the
+    Bareiss and RREF ranks of a nonzero map disagree.
+    """
+    if any(not (b * a).is_zero() for a, b in zip(maps, maps[1:])):
+        return [False] * len(dims)
+    ranks = []
+    for m in maps:
+        r = 0
+        if not m.is_zero():
+            r = rank(m)
+            if r != len(rref(m)[1]):
+                return [False] * len(dims)
+        ranks.append(r)
+    ranks = [0, *ranks, 0]
+    return [n == ranks[p] + ranks[p + 1] for p, n in enumerate(dims)]
 
 
 def linear_blocks(source, target, image, shift=0):

@@ -22,8 +22,10 @@ from the seed alone.
 from fractions import Fraction
 import random
 
-from .graded import InputError, ONE, _accumulate, el_add, parse_scalar
+from .graded import (
+    InputError, ONE, _accumulate, _dict_of, el_add, parse_scalar)
 from .structures import (
+    LInftyMorphism,
     compose,
     conjugate,
     from_curved_lie,
@@ -213,13 +215,26 @@ def random_strict_transport(rng, structure):
 CHARTS = (("U",), ("V",), ("U", "V"))
 
 
+def _check_transports(transports):
+    """InputError naming the first chart without a morphism in transports."""
+    transports = _dict_of(transports, "transports")
+    for a in CHARTS:
+        t = transports.get(a)
+        if t is None:
+            raise InputError(f"no transport on chart {a}")
+        if not isinstance(t, LInftyMorphism):
+            raise InputError(f"transport on chart {a} must be a morphism, "
+                             f"got {type(t).__name__}")
+
+
 def two_chart_diagram(structure, transports=None, label=""):
     """Spread a structure over a two-chart cover.
 
-    transports, when given, maps chart tuples to strict isomorphisms out of
-    the structure; local structures are their targets and the cover
-    restrictions are the induced comparisons t_UV o t_a^{-1}, so any choice
-    yields a valid diagram with identity-shaped combinatorics.  Without
+    transports, when given, maps each chart tuple to a strict isomorphism
+    out of the structure, else InputError names the chart; local structures
+    are their targets and the cover restrictions are the induced
+    comparisons t_UV o t_a^{-1}, so any choice yields a valid diagram with
+    identity-shaped combinatorics.  Without
     transports the spread is the identity one: a single identity morphism
     serves as every transport and, being its own restriction to the
     overlap, as both cover restrictions, so it is built and checked once.
@@ -230,6 +245,7 @@ def two_chart_diagram(structure, transports=None, label=""):
         transports = dict.fromkeys(CHARTS, identity)
         restrictions = {(a, b): identity for a in (("U",), ("V",))}
     else:
+        _check_transports(transports)
         restrictions = {(a, b): compose(transports[b], invert(transports[a]))
                         for a in (("U",), ("V",))}
     locals_ = {a: transports[a].target for a in CHARTS}
@@ -250,6 +266,7 @@ def two_chart_ladder(structure, transports, label=""):
     slot through its transport (products.strict_level_map) between the
     diagrams' level modules, and the augmented map is the identity.
     """
+    _check_transports(transports)
     for a in CHARTS:
         if not transports[a].is_strict():
             raise InputError(f"transport on chart {a} must be strict")

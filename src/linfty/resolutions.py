@@ -19,7 +19,7 @@ raises instead of picking a side.
 
 from .graded import InputError, MathCheckError
 from .homology import (
-    ChainComplex,
+    _exact_at_nodes,
     check_chain_map,
     induced_map,
     induced_maps,
@@ -161,14 +161,8 @@ def _sequence_report(complexes, blocks):
         induced[d] = mats = {
             p: induced_map(complexes[p], complexes[p + 1], blocks[p], d)
             for p in range(len(blocks))}
-        dims = {p: betti[p][d] for p in range(len(complexes))}
-        try:
-            seq = ChainComplex(dims, mats)
-            for p in range(len(complexes)):
-                exact_at[(d, p)] = seq.is_exact_at(p)
-        except MathCheckError:
-            for p in range(len(complexes)):
-                exact_at[(d, p)] = False
+        flags = _exact_at_nodes([b[d] for b in betti], list(mats.values()))
+        exact_at.update(((d, p), ok) for p, ok in enumerate(flags))
     return {
         "degrees": degrees,
         "betti": betti,

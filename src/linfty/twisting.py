@@ -130,7 +130,10 @@ def exp_element(space, pi):
 def _twisted_row(table, pi, k):
     """Row k of the twist: sum (1/l!) C_{k+l}(pi^l v w) on each key of arity k.
 
-    C_{k+l} is read in place at the canonical word, its sign on the power.
+    C_{k+l} is read in place at the canonical word.  The normalizing sign
+    is always +1, so it is not read: the letters of pi have shifted degree
+    0, so they are even, and each key is canonical, so normalizing pi^l v w
+    never passes one odd letter over another.
     """
     space = table.word_space
     norms, components = space._norms, table.components
@@ -146,13 +149,11 @@ def _twisted_row(table, pi, k):
                 norm = norms.get(factors) or space.normalize_word(factors)
                 if norm is None:
                     continue
-                cword, sign = norm
+                cword = norm[0]
                 value = components.get(len(cword), {}).get(
                     (cword, key[1]) if tensor else cword)
                 if not value:
                     continue
-                if sign < 0:
-                    pcoeff = -pcoeff
                 for g, q in value.items():
                     s = total.get(g, ZERO) + q * pcoeff
                     if s:

@@ -7,8 +7,10 @@ input error, not a word of its letters, in an apply and in a table
 constructor; element data that are not dicts (a twist datum, a table's
 components, one arity's table) raise InputError, not AttributeError.  A
 tensor key that is not a (word, generator) pair and a word that is not
-iterable are input errors too, as are malformed arguments of twist_table.
-The sign and shuffle kernels are internal and not exported.
+iterable are input errors too, as are malformed arguments of twist_table
+and a two-chart transports dict that lacks a chart or maps one to
+something other than a morphism.  The sign and shuffle kernels are internal
+and not exported.
 """
 
 from fractions import Fraction
@@ -20,6 +22,7 @@ import linfty
 from linfty import graded
 from linfty.fixtures import fix_b, morphism_t
 from linfty.graded import GradedSpace, InputError, ONE, exact_element
+from linfty.instances import CHARTS, two_chart_diagram, two_chart_ladder
 from linfty.modules import (
     LInftyModule,
     identity_module_morphism,
@@ -161,6 +164,22 @@ def test_twist_table_checks_its_arities_like_a_cap():
                           ([0, -1], "arity must be nonnegative, got -1")):
         with pytest.raises(InputError, match=re.escape(text)):
             twist_table(base, {"x": ONE}, arities=arities)
+
+
+@pytest.mark.parametrize("build", [two_chart_diagram, two_chart_ladder])
+def test_two_chart_transports_name_a_missing_or_malformed_chart(build):
+    base, t = fix_b(), morphism_t()
+    for transports, text in (
+            ({("U",): t}, "no transport on chart ('V',)"),
+            ({("U",): t, ("V",): t}, "no transport on chart ('U', 'V')"),
+            ({**dict.fromkeys(CHARTS, t), ("V",): 5},
+             "transport on chart ('V',) must be a morphism, got int"),
+            ({**dict.fromkeys(CHARTS, t), ("U", "V"): None},
+             "no transport on chart ('U', 'V')"),
+            ([t, t, t], "transports must be a dict, got list")):
+        with pytest.raises(InputError, match=re.escape(text)):
+            build(base, transports)
+    assert build(base, dict.fromkeys(CHARTS, t))
 
 
 def test_the_sign_and_shuffle_kernels_are_not_exported():

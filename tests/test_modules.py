@@ -7,11 +7,13 @@ arbitrary component tables on spaces where truncation never fires.
 """
 
 from fractions import Fraction
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from linfty.graded import GradedSpace, InputError, MathCheckError, ONE, koszul_sign, shuffles
+from linfty.instances import matrix_structure
 from linfty.structures import (
     LInftyStructure,
     check_morphism,
@@ -292,6 +294,26 @@ def test_from_dg_module_differential_sign():
                             differential={"m": {"n": ONE}}, action={})
     assert module.component(0, (), "m") == {"n": Fraction(-1)}
     assert check_module_square_zero(module)
+
+
+def test_from_dg_module_action_sign_of_an_even_generator():
+    """The -1 side of the action sign: the standard representation
+    e_ij v_j = v_i of the 3 x 3 units in unshifted degree 0, each unit of
+    even unshifted degree, so each phi_1 is -rho.  It is a module; with
+    rho(e13) negated it is not, and the witness names e12 e23 on v3."""
+    base, _ = matrix_structure(3, [0, 0, 0])
+    generators = [("v1", 0, 2), ("v2", 0, 1), ("v3", 0, 0)]
+    action = {("e12", "v2"): {"v1": ONE}, ("e23", "v3"): {"v2": ONE},
+              ("e13", "v3"): {"v1": ONE}}
+    module = from_dg_module(base, generators, {}, action)
+    assert module.component(1, ("e13",), "v3") == {"v1": -1}
+    assert check_module_square_zero(module)
+    negated = from_dg_module(base, generators, {},
+                             {**action, ("e13", "v3"): {"v1": -1}})
+    with pytest.raises(MathCheckError, match=re.escape(
+            "module operator does not square to zero: residual "
+            "{((), 'v1'): Fraction(-2, 1)} on ('e12', 'e23') tensor v3")):
+        check_module_square_zero(negated)
 
 
 def test_dg_module_square_condition_is_curved():

@@ -12,8 +12,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linfty import twisting
+from linfty.fixtures import morphism_t
 from linfty.graded import GradedSpace, InputError, MathCheckError, ONE, el_add, el_scale
 from linfty.homology import Matrix
+from linfty.instances import random_instance, random_ladder
+from linfty.modules import check_module_twist_consistency
+from linfty.resolutions import prop_key_pipeline
 from linfty.structures import (
     LInftyMorphism,
     LInftyStructure,
@@ -273,3 +278,49 @@ def test_twist_datum_must_be_exact(scalar):
         validate_twist_datum(s.space, {"x": scalar})
     with pytest.raises(InputError, match="exact scalars required"):
         twist_structure(s, {"x": scalar})
+
+
+def test_a_twist_power_before_a_canonical_key_normalizes_with_sign_plus_one(
+        monkeypatch):
+    """_twisted_row reads no normalizing sign: the letters of pi are even
+    (shifted degree 0) and each key is canonical.  Every twist row the
+    tier-1 families compute (random instances: structure, morphism,
+    iterated and module twists; random ladders through the criterion; the
+    curved pair) is recorded, and each of its normal forms of pi^l v w
+    has sign +1."""
+    rows = []
+    twisted_row = twisting._twisted_row
+
+    def recorded(table, pi, k):
+        rows.append((table, pi, k))
+        return twisted_row(table, pi, k)
+
+    monkeypatch.setattr(twisting, "_twisted_row", recorded)
+    x, second = {"x": ONE}, {"x": Fraction(2)}
+    assert check_structure_twist_identities(fix_b(), x, second)
+    assert check_morphism_twist_identities(morphism_t(), x, second)
+    for seed in range(25):
+        inst = random_instance(seed)
+        base, pi, f = inst["base"], inst["pi"], inst["morphism"]
+        assert check_structure_twist_identities(base, pi, el_scale(pi, 2))
+        assert check_morphism_twist_identities(f, pi, el_scale(pi, 2))
+        assert check_module_twist_consistency(f, pi)
+        assert prop_key_pipeline(*random_ladder(seed))["verdict"] == \
+            "quasi-isomorphism"
+    tensor_rows = 0
+    signs = set()
+    for table, pi, k in rows:
+        space = table.word_space
+        tensor = table.key_space is not None
+        tensor_rows += tensor
+        powers = twisting.weighted_powers(
+            space, pi, max(0, table.max_arity + 1 - k))
+        for key in table._sweep(k, min_arity=k):
+            word = key[0] if tensor else key
+            for _, power in powers:
+                for pword in power:
+                    norm = space.normalize_word(pword + word)
+                    if norm is not None:
+                        signs.add(norm[1])
+    assert len(rows) > 1000 and tensor_rows > 100
+    assert signs == {1}
