@@ -72,6 +72,14 @@ def _dict_of(value, what):
     return value
 
 
+def _instance_of(value, cls, what):
+    """value when it is a cls, else InputError naming the type it should be."""
+    if not isinstance(value, cls):
+        raise InputError(f"{what} must be of type {cls.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def _as_word(word):
     """A word as a tuple of generator names; a str is not split into letters."""
     if isinstance(word, str):

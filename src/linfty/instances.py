@@ -23,9 +23,11 @@ from fractions import Fraction
 import random
 
 from .graded import (
-    InputError, ONE, _accumulate, _dict_of, el_add, parse_scalar)
+    InputError, ONE, _accumulate, _check_arity, _dict_of, _instance_of, _is_int,
+    el_add, parse_scalar)
 from .structures import (
     LInftyMorphism,
+    LInftyStructure,
     compose,
     conjugate,
     from_curved_lie,
@@ -67,26 +69,33 @@ def matrix_structure(n, weights=None, xi=None, label=""):
     weights: length-n nondecreasing integers; unit e_ij gets unshifted
     degree weights[j] - weights[i] and filtration j - i, truncation order n.
     xi: coefficient dict over degree-1 units (default: every superdiagonal
-    unit of degree 1 with coefficient 1).  Returns (structure, xi).
+    unit of degree 1 with coefficient 1).  Returns (structure, xi).  An n
+    that is not an int of at least 2, malformed weights, a non-dict xi or
+    an xi entry of the wrong degree is an InputError.
     """
+    _check_arity(n, "n")
     if n < 2:
-        raise ValueError("need at least two rows")
+        raise InputError(f"need at least two rows, got {n}")
     if weights is None:
         weights = list(range(n))
+    if not isinstance(weights, (list, tuple)) \
+            or not all(map(_is_int, weights)):
+        raise InputError(f"weights must be a list of integers, got {weights!r}")
     if len(weights) != n:
-        raise ValueError("one weight per row")
+        raise InputError(f"one weight per row: {n} rows, {len(weights)} weights")
     pairs = _unit_pairs(n)
     deg = {(i, j): weights[j - 1] - weights[i - 1] for (i, j) in pairs}
     gens = [(unit_name(i, j), deg[(i, j)], j - i) for (i, j) in pairs]
     if xi is None:
         xi = {unit_name(i, i + 1): ONE for i in range(1, n)
               if deg[(i, i + 1)] == 1}
+    _dict_of(xi, "xi")
     xi_mat = {}
     for (i, j) in pairs:
         q = xi.get(unit_name(i, j))
         if q:
             if deg[(i, j)] != 1:
-                raise ValueError(f"xi entry {unit_name(i, j)} has degree "
+                raise InputError(f"xi entry {unit_name(i, j)} has degree "
                                  f"{deg[(i, j)]}, needs 1")
             xi_mat[(i, j)] = parse_scalar(q)
 
@@ -238,7 +247,9 @@ def two_chart_diagram(structure, transports=None, label=""):
     transports the spread is the identity one: a single identity morphism
     serves as every transport and, being its own restriction to the
     overlap, as both cover restrictions, so it is built and checked once.
+    A structure that is not an LInftyStructure is an InputError.
     """
+    _instance_of(structure, LInftyStructure, "structure")
     b = ("U", "V")
     if transports is None:
         identity = identity_morphism(structure)
@@ -264,8 +275,10 @@ def two_chart_ladder(structure, transports, label=""):
     is two_chart_diagram(structure), the target
     two_chart_diagram(structure, transports); level map k sends each chart's
     slot through its transport (products.strict_level_map) between the
-    diagrams' level modules, and the augmented map is the identity.
+    diagrams' level modules, and the augmented map is the identity.  A
+    structure that is not an LInftyStructure is an InputError.
     """
+    _instance_of(structure, LInftyStructure, "structure")
     _check_transports(transports)
     for a in CHARTS:
         if not transports[a].is_strict():

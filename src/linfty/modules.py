@@ -14,7 +14,11 @@ are recovered as the unit-word slot of the extension, read by corestriction
 without building the extension.  Both go through one shuffle-split loop that
 differs only in that sign policy.  Each module and module morphism applies
 itself to a tensor once, keeping the image of w tensor m with coefficient 1;
-a module's Q-part is the base's own kept image of w.
+a module's Q-part is the base's own kept image of w.  A strict module map
+(m_F = 0: every vertical, augmentation and connecting map of a ladder) sends
+w tensor m to w tensor F_0(m), and any map sends 1 tensor m to
+1 tensor F_0(m); check_module_morphism and compose_module_morphisms read
+such images at that unit word, without the shuffle-split apply.
 
 Tensors are dicts (word, module generator) -> coefficient, truncated when
 word weight plus generator level reaches the shared truncation order; module
@@ -308,6 +312,18 @@ def module_morphism_apply(mm, tensor_elt):
     return mm._apply(tensor_elt, _module_morphism_image)
 
 
+def _unit_word_image(mm, word, mgen):
+    """w tensor F_0(m), cut at the truncation order, for a canonical word w.
+
+    This is F(w tensor m) when F is strict (m_F = 0), and F(1 tensor m) for
+    any F: the only split that reads a component is the one whose right
+    block is empty, with sign +1.
+    """
+    value = mm.components.get(0, {}).get(((), mgen), {})
+    return tensor_canon(mm.word_space, mm.target.space,
+                        {(word, g): q for g, q in value.items()})
+
+
 def check_module_morphism(mm, max_arity=None):
     """F phi = phi' F on surviving tensors up to the cap (default_cap).
 
@@ -316,8 +332,10 @@ def check_module_morphism(mm, max_arity=None):
     left block of a split, and pr phi'(F(w tensor m)) reads phi' on the left
     block of one; so the sweep stops at
     max(m_F + m_Q - 1, m_F + m_phi, m_F + m_phi').  A strict F (m_F = 0)
-    reads only the unit-word part of phi(w tensor m), which is
-    phi_|w|(w tensor m): one component lookup replaces the full image.
+    sends w tensor m to w tensor F_0(m), so both sides are read at the unit
+    word: the source side needs only phi_|w|(w tensor m), and the target
+    side is phi' on w tensor F_0(m); one component lookup each replaces a
+    full image.
     """
     source, target = mm.source, mm.target
     cap = default_cap(mm.word_space, max_arity=max_arity)
@@ -326,10 +344,13 @@ def check_module_morphism(mm, max_arity=None):
                 m_f + target.max_arity)
     for word, mgen in mm._sweep(cap, bound):
         start = {(word, mgen): ONE}
-        image = ({((), g): q for g, q in source._corestrict(start).items()}
-                 if m_f == 0 else module_apply(source, start))
-        if mm._corestrict(image) \
-                != target._corestrict(module_morphism_apply(mm, start)):
+        if m_f == 0:
+            image = {((), g): q for g, q in source._corestrict(start).items()}
+            moved = _unit_word_image(mm, word, mgen)
+        else:
+            image = module_apply(source, start)
+            moved = module_morphism_apply(mm, start)
+        if mm._corestrict(image) != target._corestrict(moved):
             raise MathCheckError(
                 f"module morphism does not intertwine operators "
                 f"on {word} tensor {mgen}")
@@ -341,14 +362,17 @@ def compose_module_morphisms(outer, inner):
 
     inner(w tensor m) puts a block of arity at most m_inner beside m, and
     outer reads the rest at arity at most m_outer, so words stop at
-    m_inner + m_outer.
+    m_inner + m_outer.  On an arity-0 key 1 tensor m, inner gives
+    1 tensor inner_0(m), read without the full apply; two strict maps
+    compose over those keys alone.
     """
     if not spaces_equal(inner.target.space, outer.source.space):
         raise InputError("module morphism composition endpoints do not match")
     comps = {}
     for word, mgen in inner._sweep(inner.max_arity + outer.max_arity):
-        value = outer._corestrict(
-            module_morphism_apply(inner, {(word, mgen): ONE}))
+        image = (module_morphism_apply(inner, {(word, mgen): ONE}) if word
+                 else _unit_word_image(inner, word, mgen))
+        value = outer._corestrict(image)
         if value:
             comps.setdefault(len(word), {})[(word, mgen)] = value
     return ModuleMorphism._made(inner.source, outer.target, comps)

@@ -17,7 +17,7 @@ direct cohomology computation; the two routes must agree, and a disagreement
 raises instead of picking a side.
 """
 
-from .graded import InputError, MathCheckError
+from .graded import InputError, MathCheckError, _instance_of
 from .homology import (
     _exact_at_nodes,
     check_chain_map,
@@ -36,6 +36,7 @@ from .modules import (
     check_module_square_zero,
     compose_module_morphisms,
 )
+from .structures import LInftyStructure
 from .twisting import (
     _twist_rows, mc_check, twist_structure, validate_twist_datum)
 
@@ -47,6 +48,7 @@ def module_chain_complex(module):
     (phi_0^2 picks up a curvature action term), and then there is no
     underlying complex to take cohomology of.
     """
+    _instance_of(module, LInftyModule, "module")
     try:
         return operator_complex(module.space,
                                 lambda s: module.component(0, (), s))
@@ -58,6 +60,7 @@ def module_chain_complex(module):
 
 def module_morphism_blocks(mm):
     """degree -> matrix of the arity-0 unit-word part of a module morphism."""
+    _instance_of(mm, ModuleMorphism, "module morphism")
     blocks = linear_blocks(mm.source.space, mm.target.space,
                            lambda s: mm.component(0, (), s))
     return {deg: block for deg, (block, _, _) in blocks.items()}
@@ -74,6 +77,11 @@ class ResolutionDiagram:
                  label=""):
         levels = list(levels)
         connecting = list(connecting)
+        _instance_of(base, LInftyStructure, "base")
+        for m in [augmented] + levels:
+            _instance_of(m, LInftyModule, "diagram module")
+        for f in [augmentation] + connecting:
+            _instance_of(f, ModuleMorphism, "diagram map")
         if not levels:
             raise InputError("a resolution diagram needs at least one level")
         if len(connecting) != len(levels) - 1:
@@ -127,6 +135,7 @@ def _twist_diagram(diagram, pi, base):
 
 
 def twist_resolution(diagram, pi):
+    _instance_of(diagram, ResolutionDiagram, "diagram")
     pi = validate_twist_datum(diagram.base.space, pi)
     return _twist_diagram(diagram, pi, twist_structure(diagram.base, pi))
 
@@ -139,6 +148,7 @@ def induced_cohomology_sequence(diagram):
     i + 1 is level i.  Exactness at the ends means injectivity at node 0
     and surjectivity at the last node.
     """
+    _instance_of(diagram, ResolutionDiagram, "diagram")
     return _sequence_report(*_sequence_skeleton(diagram))
 
 
@@ -178,6 +188,7 @@ def check_resolution(diagram, max_arity=None):
     Collects failures into the report rather than raising, so broken
     diagrams can be described; "ok" is the conjunction of everything.
     """
+    _instance_of(diagram, ResolutionDiagram, "diagram")
     failures = []
     for p, m in enumerate(diagram.modules()):
         try:
@@ -216,6 +227,7 @@ def check_adapted_mc(diagram, pi):
     pi must be Maurer-Cartan for the base (checked first; this is what makes
     the twisted arity-0 operators square to zero).  Returns (adapted, report).
     """
+    _instance_of(diagram, ResolutionDiagram, "diagram")
     if not mc_check(diagram.base, pi):
         raise MathCheckError(
             "twist datum is not Maurer-Cartan for the base; "
@@ -230,6 +242,10 @@ class ResolutionMorphism:
 
     def __init__(self, source, target, augmented_map, level_maps, label=""):
         level_maps = list(level_maps)
+        _instance_of(source, ResolutionDiagram, "ladder source")
+        _instance_of(target, ResolutionDiagram, "ladder target")
+        for u in [augmented_map] + level_maps:
+            _instance_of(u, ModuleMorphism, "vertical map")
         if source.base != target.base:
             raise InputError("ladder endpoints must share a base")
         if len(level_maps) != len(source.levels) or \
@@ -253,6 +269,7 @@ class ResolutionMorphism:
 
 def twist_resolution_morphism(ladder, pi):
     """Twist both diagrams over one twisted base and wire the verticals."""
+    _instance_of(ladder, ResolutionMorphism, "ladder")
     pi = validate_twist_datum(ladder.source.base.space, pi)
     base = twist_structure(ladder.source.base, pi)
     source = _twist_diagram(ladder.source, pi, base)
@@ -266,6 +283,7 @@ def twist_resolution_morphism(ladder, pi):
 
 def check_resolution_morphism(ladder, max_arity=None):
     """Every square commutes; square 0 is the augmentation square."""
+    _instance_of(ladder, ResolutionMorphism, "ladder")
     failures = []
     for p, u in enumerate(ladder.verticals()):
         try:
@@ -303,6 +321,7 @@ def prop_key_pipeline(ladder, pi, max_arity=None):
     isomorphisms; a mismatch here convicts the library, not the input,
     so it raises instead of reporting a verdict.
     """
+    _instance_of(ladder, ResolutionMorphism, "ladder")
     report = {"verdict": None, "failing_clause": None}
 
     ladder_report = check_resolution_morphism(ladder, max_arity=max_arity)

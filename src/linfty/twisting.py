@@ -11,8 +11,12 @@ here is a finite sum, evaluated literally:
 
 The last three lines are one loop, twist_table, run on any component table:
 the pushforward is the k = 0 value of F's table, and modules and their maps
-are twisted by the same loop over (word, generator) keys.  The loop returns
-bare tables; callers wire them to endpoints they have twisted once.
+are twisted by the same loop over (word, generator) keys.  The l = 0 term
+of each line is the table's own row k: a twisted row starts from a copy of
+it and sweeps keys only for the powers l >= 1, and where none of those can
+land (k >= max_arity, so every row of a strict module map and the top row
+of every table) the twisted row is that copy, with no sweep.  The loop
+returns bare tables; callers wire them to endpoints they have twisted once.
 
 Tables and spaces are immutable, so each twist is computed once per table
 and datum and kept, keyed by the validated datum: a table keeps each
@@ -30,7 +34,8 @@ copy marked with its space and carrying its memo key, and takes such a
 copy back at once: a datum is checked once per public call, however deep
 the entries it is passed on to, and it cannot change after its check.
 Twisted tables are made unchecked (ComponentTable._made) from the kept
-rows, read in place; twist_table hands out fresh dicts.
+rows, read in place; twist_table hands out fresh dicts.  A kept row never
+shares a dict with its table.
 
 Maurer-Cartan has one definition, the curvature of the twisted structure
 (the k = 0 case of the second line); the full-coderivation route
@@ -102,10 +107,13 @@ def validate_twist_datum(space, pi):
 def weighted_powers(space, pi, limit=None):
     """The first limit (default: all) of (l, pi^l / l!) until the power dies.
 
-    The space keeps the powers of each datum built so far and extends them
-    only when a caller asks for more, so a twist row builds only the powers
-    it reads.  The powers are shared by every caller; no caller mutates them.
+    limit, when given, is checked like a cap: a nonnegative int.  The space
+    keeps the powers of each datum built so far and extends them only when
+    a caller asks for more, so a twist row builds only the powers it reads.
+    The powers are shared by every caller; no caller mutates them.
     """
+    if limit is not None:
+        _check_arity(limit, "limit")
     pi = validate_twist_datum(space, pi)
     powers = space._powers.get(pi.key)
     if powers is None:
@@ -130,19 +138,27 @@ def exp_element(space, pi):
 def _twisted_row(table, pi, k):
     """Row k of the twist: sum (1/l!) C_{k+l}(pi^l v w) on each key of arity k.
 
-    C_{k+l} is read in place at the canonical word.  The normalizing sign
-    is always +1, so it is not read: the letters of pi have shifted degree
-    0, so they are even, and each key is canonical, so normalizing pi^l v w
-    never passes one odd letter over another.
+    The l = 0 term is the table's own row k, so each key's total starts
+    from a copy of its own value, and keys are swept only for the powers
+    l >= 1.  When none of those can land (k >= max_arity: every row of a
+    strict module map and the top row of every table), the row is a fresh
+    copy of the own row, with no sweep and no normalization.  C_{k+l} is
+    read in place at the canonical word.  The normalizing sign is always
+    +1, so it is not read: the letters of pi have shifted degree 0, so they
+    are even, and each key is canonical, so normalizing pi^l v w never
+    passes one odd letter over another.
     """
     space = table.word_space
     norms, components = space._norms, table.components
+    own = components.get(k, {})
+    powers = weighted_powers(space, pi, max(0, table.max_arity + 1 - k))[1:]
+    if not powers:
+        return {key: dict(value) for key, value in own.items()}
     tensor = table.key_space is not None
-    powers = weighted_powers(space, pi, max(0, table.max_arity + 1 - k))
     row = {}
     for key in table._sweep(k, min_arity=k):
         word = key[0] if tensor else key
-        total = {}
+        total = dict(own.get(key, ()))
         for _, power in powers:
             for pword, pcoeff in power.items():
                 factors = pword + word

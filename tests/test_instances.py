@@ -8,7 +8,7 @@ import pytest
 
 from linfty import modules, structures
 from linfty.fixtures import cech_fixb_ladder
-from linfty.graded import ONE
+from linfty.graded import InputError, ONE
 from linfty.structures import (
     check_morphism,
     check_square_zero,
@@ -61,7 +61,7 @@ def test_weights_change_degrees():
 
 
 def test_xi_entry_degree_is_validated():
-    with pytest.raises(ValueError, match="degree"):
+    with pytest.raises(InputError, match="degree"):
         matrix_structure(3, weights=[0, 1, 3], xi={"e13": ONE})
 
 

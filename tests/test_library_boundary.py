@@ -7,9 +7,13 @@ input error, not a word of its letters, in an apply and in a table
 constructor; element data that are not dicts (a twist datum, a table's
 components, one arity's table) raise InputError, not AttributeError.  A
 tensor key that is not a (word, generator) pair and a word that is not
-iterable are input errors too, as are malformed arguments of twist_table
-and a two-chart transports dict that lacks a chart or maps one to
-something other than a morphism.  The sign and shuffle kernels are internal
+iterable are input errors too, as are malformed arguments of twist_table,
+a two-chart transports dict that lacks a chart or maps one to something
+other than a morphism, a weighted_powers limit that is not a nonnegative
+int, and matrix_structure arguments out of range.  The resolution entry
+points and the two-chart builders name the type they expect when given
+another (a diagram for a ladder, an int for a structure) instead of
+failing on a missing attribute.  The sign and shuffle kernels are internal
 and not exported.
 """
 
@@ -22,7 +26,8 @@ import linfty
 from linfty import graded
 from linfty.fixtures import fix_b, morphism_t
 from linfty.graded import GradedSpace, InputError, ONE, exact_element
-from linfty.instances import CHARTS, two_chart_diagram, two_chart_ladder
+from linfty.instances import (
+    CHARTS, matrix_structure, random_ladder, two_chart_diagram, two_chart_ladder)
 from linfty.modules import (
     LInftyModule,
     identity_module_morphism,
@@ -30,12 +35,26 @@ from linfty.modules import (
     module_from_morphism,
     module_morphism_apply,
 )
+from linfty.resolutions import (
+    ResolutionDiagram,
+    ResolutionMorphism,
+    check_adapted_mc,
+    check_resolution,
+    check_resolution_morphism,
+    induced_cohomology_sequence,
+    module_chain_complex,
+    module_morphism_blocks,
+    prop_key_pipeline,
+    twist_resolution,
+    twist_resolution_morphism,
+)
 from linfty.structures import (
     LInftyStructure,
     coderivation_apply,
     morphism_apply,
 )
-from linfty.twisting import mc_check, twist_structure, twist_table
+from linfty.twisting import (
+    mc_check, twist_structure, twist_table, weighted_powers)
 
 
 def module_t():
@@ -180,6 +199,79 @@ def test_two_chart_transports_name_a_missing_or_malformed_chart(build):
         with pytest.raises(InputError, match=re.escape(text)):
             build(base, transports)
     assert build(base, dict.fromkeys(CHARTS, t))
+
+
+def test_resolution_entry_points_name_the_type_they_expect():
+    ladder, xi = random_ladder(0)
+    diagram = ladder.source
+    wants_ladder = "ladder must be of type ResolutionMorphism, got ResolutionDiagram"
+    wants_diagram = "diagram must be of type ResolutionDiagram, got ResolutionMorphism"
+    for call, text in (
+            (lambda: prop_key_pipeline(diagram, xi), wants_ladder),
+            (lambda: check_resolution_morphism(diagram), wants_ladder),
+            (lambda: twist_resolution_morphism(diagram, xi), wants_ladder),
+            (lambda: induced_cohomology_sequence(ladder), wants_diagram),
+            (lambda: twist_resolution(ladder, xi), wants_diagram),
+            (lambda: check_resolution(ladder), wants_diagram),
+            (lambda: check_adapted_mc(ladder, xi), wants_diagram),
+            (lambda: module_chain_complex(diagram),
+             "module must be of type LInftyModule, got ResolutionDiagram"),
+            (lambda: module_morphism_blocks(diagram.augmented),
+             "module morphism must be of type ModuleMorphism, got LInftyModule"),
+            (lambda: ResolutionMorphism(ladder, diagram, ladder.augmented_map,
+                                        ladder.level_maps),
+             "ladder source must be of type ResolutionDiagram, "
+             "got ResolutionMorphism"),
+            (lambda: ResolutionMorphism(diagram, diagram, diagram.augmented,
+                                        ladder.level_maps),
+             "vertical map must be of type ModuleMorphism, got LInftyModule"),
+            (lambda: ResolutionDiagram(diagram.base, diagram.augmented,
+                                       diagram.levels, diagram.augmented,
+                                       diagram.connecting),
+             "diagram map must be of type ModuleMorphism, got LInftyModule"),
+            (lambda: ResolutionDiagram(5, diagram.augmented, diagram.levels,
+                                       diagram.augmentation, diagram.connecting),
+             "base must be of type LInftyStructure, got int")):
+        with pytest.raises(InputError, match=re.escape(text)):
+            call()
+    assert prop_key_pipeline(ladder, xi)["verdict"] == "quasi-isomorphism"
+
+
+@pytest.mark.parametrize("build", [two_chart_diagram, two_chart_ladder])
+def test_two_chart_builders_name_the_structure_type(build):
+    t = morphism_t()
+    with pytest.raises(InputError, match=re.escape(
+            "structure must be of type LInftyStructure, got int")):
+        build(5, dict.fromkeys(CHARTS, t))
+    with pytest.raises(InputError, match=re.escape(
+            "structure must be of type LInftyStructure, got LInftyMorphism")):
+        build(t, dict.fromkeys(CHARTS, t))
+
+
+def test_matrix_structure_raises_input_errors():
+    for args, text in (
+            ((2.5,), "n must be an integer, got float"),
+            ((True,), "n must be an integer, got bool"),
+            ((1,), "need at least two rows, got 1"),
+            ((3, [0, 1]), "one weight per row: 3 rows, 2 weights"),
+            ((3, 5), "weights must be a list of integers, got 5"),
+            ((3, [0, 0.5, 1]), "weights must be a list of integers"),
+            ((3, None, [1]), "xi must be a dict, got list"),
+            ((3, [0, 1, 3], {"e13": ONE}), "xi entry e13 has degree 3, needs 1")):
+        with pytest.raises(InputError, match=re.escape(text)):
+            matrix_structure(*args)
+
+
+def test_weighted_powers_checks_its_limit_like_a_cap():
+    base = fix_b()
+    assert weighted_powers(base.space, {"x": ONE}, 0) == ()
+    assert weighted_powers(base.space, {"x": ONE}, 1) == ((0, {(): ONE}),)
+    for limit, text in ((1.5, "limit must be an integer, got float"),
+                        (True, "limit must be an integer, got bool"),
+                        ("2", "limit must be an integer, got str"),
+                        (-1, "limit must be nonnegative, got -1")):
+        with pytest.raises(InputError, match=re.escape(text)):
+            weighted_powers(base.space, {"x": ONE}, limit)
 
 
 def test_the_sign_and_shuffle_kernels_are_not_exported():
