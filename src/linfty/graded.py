@@ -72,6 +72,13 @@ def _dict_of(value, what):
     return value
 
 
+def _list_of(value, what):
+    """value as a list when it is a list or a tuple, else InputError."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{what} must be a list, got {type(value).__name__}")
+    return list(value)
+
+
 def _instance_of(value, cls, what):
     """value when it is a cls, else InputError naming the type it should be."""
     if not isinstance(value, cls):
@@ -165,14 +172,27 @@ def shuffles(k, l):
             for left in itertools.combinations(range(n), k)]
 
 
+# block sizes -> tuple of every shuffle, shared by every space (multi_shuffles)
+_SHUFFLES = {}
+
+
 def multi_shuffles(block_sizes):
-    """All (k_1,...,k_p)-shuffles: permutations increasing on each block."""
-    states = [((), tuple(range(sum(block_sizes))))]  # (picked, remaining)
-    for size in block_sizes:
-        states = [(prefix + pick, tuple(i for i in rest if i not in pick))
-                  for prefix, rest in states
-                  for pick in itertools.combinations(rest, size)]
-    return [prefix for prefix, _ in states]
+    """All (k_1,...,k_p)-shuffles: permutations increasing on each block.
+
+    The shuffles of each tuple of block sizes are computed once per
+    process and kept in a table; every call returns a fresh list of them,
+    so a caller that mutates its list leaves the table as it was.
+    """
+    key = tuple(block_sizes)
+    table = _SHUFFLES.get(key)
+    if table is None:
+        states = [((), tuple(range(sum(key))))]  # (picked, remaining)
+        for size in key:
+            states = [(prefix + pick, tuple(i for i in rest if i not in pick))
+                      for prefix, rest in states
+                      for pick in itertools.combinations(rest, size)]
+        table = _SHUFFLES[key] = tuple(prefix for prefix, _ in states)
+    return list(table)
 
 
 class GradedSpace:
@@ -183,19 +203,20 @@ class GradedSpace:
     total filtration weight >= N counts as zero.
 
     A space is immutable after construction: nothing edits its generators,
-    degrees or levels.  Its word kernels memoize on that: each space keeps
-    the canonical form and the weight of every word it was asked about,
-    every sweep of enumerate_words, and every shuffle-split plan, which
-    the coderivation, morphism and module kernels read in place; the twist
-    layer keeps there the weighted powers pi^l / l! of each twist datum
-    built so far.
+    degrees or levels.  Its word kernels memoize on that.  Each space keeps
+    the canonical form (_norms) and the weight (_weights) of every word it
+    was asked about; the canonical words of each arity built so far, each
+    with its weight (_arities); every sweep of enumerate_words (_words);
+    and every shuffle-split plan (_splits).  The coderivation, morphism and
+    module kernels read these in place.  The twist layer keeps there the
+    weighted powers pi^l / l! of each twist datum built so far (_powers).
     The memos sit in slots, not in vars(space), and are never part of the
     space's value; a failed lookup (an unknown generator, an invalid
     datum) is never stored.
     """
 
-    __slots__ = ("_norms", "_words", "_weights", "_splits", "_powers",
-                 "__dict__")
+    __slots__ = ("_norms", "_words", "_arities", "_weights", "_splits",
+                 "_powers", "__dict__")
 
     def __init__(self, generators, nilpotency_order, label=""):
         if not _is_int(nilpotency_order) or nilpotency_order < 1:
@@ -226,6 +247,9 @@ class GradedSpace:
         self._norms = {}    # tuple of factors -> (word, sign) or None
         self._weights = {}  # tuple of factors -> total filtration weight
         self._words = {}    # (max_arity, min_arity) -> tuple of words
+        # arity a -> tuple of (word, first index its next letter may take,
+        # weight), canonical and light words only; built up by _extend
+        self._arities = [(((), 0, 0),)]
         self._splits = {}   # (parities, sizes) -> shuffle-split plan
         self._powers = {}   # twist datum -> [(l, pi^l / l!), ..., None if dead]
 
@@ -272,22 +296,20 @@ class GradedSpace:
         return norm
 
     def _normalize(self, factors):
+        degree, index = self._degree, self._index
         for f in factors:
-            if f not in self._degree:
+            if f not in degree:
                 raise InputError(f"unknown generator {f!r} in word")
-        n = len(factors)
-        sign = 1
-        for i in range(n):
-            di = self._degree[factors[i]]
-            for j in range(i + 1, n):
-                if self._index[factors[i]] > self._index[factors[j]]:
-                    if di % 2 and self._degree[factors[j]] % 2:
-                        sign = -sign
-        word = tuple(sorted(factors, key=self._index.__getitem__))
-        for a, b in zip(word, word[1:]):
-            if a == b and self._degree[a] % 2:
-                return None
-        return word, sign
+        odd = [index[f] for f in factors if degree[f] % 2]
+        if len(set(odd)) < len(odd):
+            return None
+        inversions = 0
+        for i, a in enumerate(odd):
+            for b in odd[i + 1:]:
+                if a > b:
+                    inversions += 1
+        return (tuple(sorted(factors, key=index.__getitem__)),
+                -1 if inversions % 2 else 1)
 
     def word_degree(self, word):
         try:
@@ -317,29 +339,39 @@ class GradedSpace:
         lexicographically in basis indices.  A max_arity or min_arity that
         is negative or not an int (a bool, a float, a string) is an input
         error, raised at call time, not an empty or silently rounded sweep
-        that would pass every check.  The sweep is built once per
-        (max_arity, min_arity) and returned as a tuple shared by every
-        caller.
+        that would pass every check.  A sweep is the concatenation of the
+        space's per-arity tuples (_arities), each built once from the one
+        below it by _extend; it is kept per (max_arity, min_arity) and
+        returned as a tuple shared by every caller.
         """
         _check_arity(max_arity)
         _check_arity(min_arity, "min_arity")
         key = (max_arity, min_arity)
         words = self._words.get(key)
         if words is None:
-            words = tuple(self._build_words(max_arity, min_arity))
-            self._words[key] = words
+            rows = self._arities
+            while len(rows) <= max_arity and rows[-1]:
+                rows.append(self._extend(rows[-1]))
+            words = self._words[key] = tuple(
+                [word for row in rows[min_arity:max_arity + 1]
+                 for word, _, _ in row])
         return words
 
-    def _build_words(self, max_arity, min_arity):
-        names = self.basis
-        for arity in range(min_arity, max_arity + 1):
-            for combo in itertools.combinations_with_replacement(names, arity):
-                if any(a == b and self._degree[a] % 2
-                       for a, b in zip(combo, combo[1:])):
-                    continue
-                if self.word_weight(combo) >= self.nilpotency_order:
-                    continue
-                yield combo
+    def _extend(self, row):
+        """The words of one arity more than row's, as (word, start, weight).
+
+        Each word of row takes one more letter at or after its last in
+        basis order (after it when that letter is odd, which may not
+        repeat), while the running weight stays below the truncation
+        order; so the words come out lexicographic in basis indices.
+        """
+        cap = self.nilpotency_order
+        letters = [(name, filt, j + degree % 2)
+                   for j, (name, degree, filt) in enumerate(self.generators)]
+        return tuple([(word + (name,), start, total)
+                      for word, first, weight in row
+                      for name, filt, start in letters[first:]
+                      if (total := weight + filt) < cap])
 
     def _split_plan(self, word, sizes):
         """(eps, left indices, right indices, left_odd) per split of word.
@@ -348,7 +380,10 @@ class GradedSpace:
         tuple sizes, and left_odd the parity of the left block's degree;
         both depend only on the parities of the word's degrees, which with
         sizes key the plan.  Plans are the one split generator: each is built
-        once from multi_shuffles((k, n - k)), and every word kernel reads them.
+        once per space from multi_shuffles((k, n - k)), and every word kernel
+        reads them.  eps is read in one pass over the left block: each odd
+        left letter passes the odd right letters before it, that is the odd
+        positions before it less the odd left letters before it.
         """
         try:
             parities = tuple([self._degree[g] % 2 for g in word])
@@ -357,12 +392,18 @@ class GradedSpace:
         plan = self._splits.get((parities, sizes))
         if plan is None:
             n = len(parities)
+            odd_before = list(itertools.accumulate(parities, initial=0))
             plan = []
             for k in sizes:
                 for sigma in multi_shuffles((k, n - k)):
                     left = sigma[:k]
-                    plan.append((koszul_sign(sigma, parities), left, sigma[k:],
-                                 sum(parities[i] for i in left) % 2))
+                    passed = odd_left = 0
+                    for i in left:
+                        if parities[i]:
+                            passed += odd_before[i] - odd_left
+                            odd_left += 1
+                    plan.append((-1 if passed % 2 else 1, left, sigma[k:],
+                                 odd_left % 2))
             self._splits[parities, sizes] = plan
         return plan
 

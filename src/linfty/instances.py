@@ -70,8 +70,9 @@ def matrix_structure(n, weights=None, xi=None, label=""):
     degree weights[j] - weights[i] and filtration j - i, truncation order n.
     xi: coefficient dict over degree-1 units (default: every superdiagonal
     unit of degree 1 with coefficient 1).  Returns (structure, xi).  An n
-    that is not an int of at least 2, malformed weights, a non-dict xi or
-    an xi entry of the wrong degree is an InputError.
+    that is not an int of at least 2, malformed weights, a non-dict xi, an
+    xi key that names no unit or an xi entry of the wrong degree is an
+    InputError.
     """
     _check_arity(n, "n")
     if n < 2:
@@ -90,6 +91,11 @@ def matrix_structure(n, weights=None, xi=None, label=""):
         xi = {unit_name(i, i + 1): ONE for i in range(1, n)
               if deg[(i, i + 1)] == 1}
     _dict_of(xi, "xi")
+    units = {unit_name(i, j) for (i, j) in pairs}
+    for key in xi:
+        if key not in units:
+            raise InputError(f"xi key {key!r} names no unit of the {n} x {n} "
+                             f"strictly upper triangular matrices")
     xi_mat = {}
     for (i, j) in pairs:
         q = xi.get(unit_name(i, j))

@@ -17,7 +17,7 @@ direct cohomology computation; the two routes must agree, and a disagreement
 raises instead of picking a side.
 """
 
-from .graded import InputError, MathCheckError, _instance_of
+from .graded import InputError, MathCheckError, _instance_of, _list_of
 from .homology import (
     _exact_at_nodes,
     check_chain_map,
@@ -75,8 +75,8 @@ class ResolutionDiagram:
 
     def __init__(self, base, augmented, levels, augmentation, connecting,
                  label=""):
-        levels = list(levels)
-        connecting = list(connecting)
+        levels = _list_of(levels, "diagram levels")
+        connecting = _list_of(connecting, "connecting maps")
         _instance_of(base, LInftyStructure, "base")
         for m in [augmented] + levels:
             _instance_of(m, LInftyModule, "diagram module")
@@ -241,7 +241,7 @@ class ResolutionMorphism:
     """Ladder between two diagrams over the same base."""
 
     def __init__(self, source, target, augmented_map, level_maps, label=""):
-        level_maps = list(level_maps)
+        level_maps = _list_of(level_maps, "level maps")
         _instance_of(source, ResolutionDiagram, "ladder source")
         _instance_of(target, ResolutionDiagram, "ladder target")
         for u in [augmented_map] + level_maps:

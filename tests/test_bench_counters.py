@@ -6,8 +6,10 @@ function by name, and a ratio is left undefined when its denominator is 0
 (a fast path that skips the work it divides by), either of which makes a
 traced run malformed.  This test runs one op of each workload under the
 tracer, in memory, and checks that every metric is there and defined and
-that each op's output still matches perfbench/golden.json.  It reads
-perfbench/ and writes nothing there.
+that each op's output still matches perfbench/golden.json.  It runs the
+three ops a second time in the same process, where a memo kept across ops
+could hide the work a ratio divides by, and checks the same again.  It
+reads perfbench/ and writes nothing there.
 """
 
 import json
@@ -40,13 +42,9 @@ def bench():
     return tracing, workloads
 
 
-def test_one_traced_op_per_workload_defines_every_metric(bench, tmp_path,
-                                                          monkeypatch):
-    tracing, workloads = bench
-    monkeypatch.chdir(ROOT)  # the corpus names its fixtures from the root
-    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        names = [m["name"] for m in json.load(fh)["per_layer"]]
-    assert workloads.CLI_RUNS[CLI_INDEX][0][0] == "prop-key"
+def traced_ops(tracing, workloads, names, report):
+    """One op of each workload under a fresh tracer: (metrics, undefined,
+    op results)."""
     tracer = tracing.Tracer()
     with tracing.traced(tracer, names):
         with tracer.op_span(0):
@@ -54,17 +52,37 @@ def test_one_traced_op_per_workload_defines_every_metric(bench, tmp_path,
         with tracer.op_span(1):
             instance, _ = workloads.instance_op(INSTANCE_SEED)
         with tracer.op_span(2):
-            cli, _ = workloads.cli_op(CLI_INDEX, str(tmp_path / "report.json"))
+            cli, _ = workloads.cli_op(CLI_INDEX, report)
     metrics, undefined = tracing.layer_metrics(tracer, untraced_s=1.0,
                                                traced_s=1.0)
-    assert undefined == []
-    assert sorted(metrics) == sorted(names)
+    return metrics, undefined, [ladder, instance, cli]
+
+
+def test_one_traced_op_per_workload_defines_every_metric(bench, tmp_path,
+                                                          monkeypatch):
+    """Twice in one process: a memo kept across ops must not hide, on the
+    second pass, the work that a traced ratio divides by."""
+    tracing, workloads = bench
+    monkeypatch.chdir(ROOT)  # the corpus names its fixtures from the root
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    assert workloads.CLI_RUNS[CLI_INDEX][0][0] == "prop-key"
     golden = workloads.load_golden()
-    assert [ladder.digest, instance.digest, cli.digest] == [
-        golden["ladders"][str(LADDER_SEED)]["digest"],
-        golden["instances"][str(INSTANCE_SEED)]["digest"],
-        golden["cli-corpus"][str(CLI_INDEX)]["digest"]]
-    assert ladder.ok and instance.ok and cli.ok
+    passes = [traced_ops(tracing, workloads, names,
+                         str(tmp_path / f"report-{run}.json"))
+              for run in range(2)]
+    for metrics, undefined, ops in passes:
+        assert undefined == []
+        assert sorted(metrics) == sorted(names)
+        assert [op.digest for op in ops] == [
+            golden["ladders"][str(LADDER_SEED)]["digest"],
+            golden["instances"][str(INSTANCE_SEED)]["digest"],
+            golden["cli-corpus"][str(CLI_INDEX)]["digest"]]
+        assert all(op.ok for op in ops)
+    # the count metrics read the same work on the warm pass
+    first, second = (metrics for metrics, _, _ in passes)
+    counted = [name for name in names if name.endswith((".terms", ".words"))]
+    assert [second[name] for name in counted] == [first[name] for name in counted]
 
 
 def test_profile_ops_prints_both_tables(capsys, monkeypatch):

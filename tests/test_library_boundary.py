@@ -257,9 +257,46 @@ def test_matrix_structure_raises_input_errors():
             ((3, 5), "weights must be a list of integers, got 5"),
             ((3, [0, 0.5, 1]), "weights must be a list of integers"),
             ((3, None, [1]), "xi must be a dict, got list"),
-            ((3, [0, 1, 3], {"e13": ONE}), "xi entry e13 has degree 3, needs 1")):
+            ((3, [0, 1, 3], {"e13": ONE}), "xi entry e13 has degree 3, needs 1"),
+            ((3, None, {"bogus": 1}), "xi key 'bogus' names no unit of the "
+             "3 x 3 strictly upper triangular matrices"),
+            ((3, None, {"e12": ONE, "e21": 0}), "xi key 'e21' names no unit"),
+            ((3, None, {("e12",): ONE}), "xi key ('e12',) names no unit")):
         with pytest.raises(InputError, match=re.escape(text)):
             matrix_structure(*args)
+    # a unit named with a zero coefficient is still a unit
+    assert matrix_structure(3, xi={"e12": ONE, "e13": 0})[1] == {"e12": ONE}
+
+
+def test_resolution_constructors_name_the_sequence_they_expect():
+    ladder, _ = random_ladder(0)
+    diagram = ladder.source
+    base, augmented, augmentation = (
+        diagram.base, diagram.augmented, diagram.augmentation)
+    for call, text in (
+            (lambda: ResolutionDiagram(base, augmented, 5, augmentation, []),
+             "diagram levels must be a list, got int"),
+            (lambda: ResolutionDiagram(base, augmented, diagram.levels,
+                                       augmentation, None),
+             "connecting maps must be a list, got NoneType"),
+            (lambda: ResolutionDiagram(base, augmented, iter(diagram.levels),
+                                       augmentation, diagram.connecting),
+             "diagram levels must be a list, got list_iterator"),
+            (lambda: ResolutionMorphism(5, 5, None, 7),
+             "level maps must be a list, got int"),
+            (lambda: ResolutionMorphism(diagram, ladder.target,
+                                        ladder.augmented_map, "maps"),
+             "level maps must be a list, got str")):
+        with pytest.raises(InputError, match=re.escape(text)):
+            call()
+    # tuples are sequences too, and are kept as lists
+    rebuilt = ResolutionDiagram(base, augmented, tuple(diagram.levels),
+                                augmentation, tuple(diagram.connecting))
+    assert rebuilt == diagram and type(rebuilt.levels) is list
+    again = ResolutionMorphism(diagram, ladder.target, ladder.augmented_map,
+                               tuple(ladder.level_maps))
+    assert type(again.level_maps) is list
+    assert again.level_maps == ladder.level_maps
 
 
 def test_weighted_powers_checks_its_limit_like_a_cap():
