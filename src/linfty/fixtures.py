@@ -24,8 +24,8 @@ from .instances import CHARTS, two_chart_diagram, two_chart_ladder
 
 
 def fix_a():
-    space = GradedSpace([("a", 0, 1), ("b", 1, 1)], 3, label="fix_a")
-    return LInftyStructure(space, {1: {("a",): {"b": ONE}}}, label="fix_a")
+    space = GradedSpace([("a", 0, 1), ("b", 1, 1)], 3)
+    return LInftyStructure(space, {1: {("a",): {"b": ONE}}})
 
 
 def fix_b():
@@ -33,8 +33,7 @@ def fix_b():
         [("x", 1, 1), ("c", 2, 2)], 3,
         curvature={"c": ONE},
         differential={},
-        bracket={("x", "x"): {"c": 2}},
-        label="fix_b")
+        bracket={("x", "x"): {"c": 2}})
 
 
 def fix_b2():
@@ -42,15 +41,13 @@ def fix_b2():
         [("x", 1, 1), ("c", 2, 2)], 3,
         curvature={"c": 2},
         differential={},
-        bracket={("x", "x"): {"c": 4}},
-        label="fix_b2")
+        bracket={("x", "x"): {"c": 4}})
 
 
 def morphism_t():
     """Strict isomorphism fix_b -> fix_b2 doubling the curvature generator."""
     return strict_morphism(fix_b(), fix_b2(),
-                           {"x": {"x": ONE}, "c": {"c": 2}},
-                           label="t")
+                           {"x": {"x": ONE}, "c": {"c": 2}})
 
 
 def jacobi_violation():
@@ -59,20 +56,18 @@ def jacobi_violation():
         [("e1", 0, 0), ("e2", 0, 0), ("e3", 0, 0)], 1,
         curvature={},
         differential={},
-        bracket={("e1", "e2"): {"e2": ONE}, ("e2", "e3"): {"e3": ONE}},
-        label="jacobi_violation")
+        bracket={("e1", "e2"): {"e2": ONE}, ("e2", "e3"): {"e3": ONE}})
 
 
-def _constants_chart(label):
-    space = GradedSpace([("f", -1, 0)], 1, label=label)
-    return LInftyStructure(space, {}, label=label)
+def _constants_chart():
+    return LInftyStructure(GradedSpace([("f", -1, 0)], 1), {})
 
 
 def fix_c_cover():
     charts = {
-        ("U",): _constants_chart("U"),
-        ("V",): _constants_chart("V"),
-        ("U", "V"): _constants_chart("UV"),
+        ("U",): _constants_chart(),
+        ("V",): _constants_chart(),
+        ("U", "V"): _constants_chart(),
     }
     restrictions = {
         (("U",), ("U", "V")): strict_morphism(
@@ -80,13 +75,12 @@ def fix_c_cover():
         (("V",), ("U", "V")): strict_morphism(
             charts[("V",)], charts[("U", "V")], {"f": {"f": ONE}}),
     }
-    return CoverDescription(["U", "V"], list(charts), charts, restrictions,
-                            label="fix_c")
+    return CoverDescription(["U", "V"], list(charts), charts, restrictions)
 
 
 def fix_c_diagram():
     """Two-chart spread of the constants: the Cech diagram of fix_c_cover()."""
-    return two_chart_diagram(_constants_chart("global"), label="fix_c")
+    return two_chart_diagram(_constants_chart())
 
 
 def fix_c_identity_ladder():
@@ -95,8 +89,7 @@ def fix_c_identity_ladder():
     return ResolutionMorphism(
         src, tgt,
         identity_module_morphism(src.augmented),
-        [identity_module_morphism(m) for m in src.levels],
-        label="fix_c_identity")
+        [identity_module_morphism(m) for m in src.levels])
 
 
 def perturbed_ladder():
@@ -107,17 +100,15 @@ def perturbed_ladder():
         last.source, last.target,
         {k: {key: {g: 2 * q for g, q in value.items()}
              for key, value in table.items()}
-         for k, table in last.components.items()},
-        label="doubled")
+         for k, table in last.components.items()})
     return ResolutionMorphism(ladder.source, ladder.target,
                               ladder.augmented_map,
-                              ladder.level_maps[:-1] + [doubled],
-                              label="perturbed")
+                              ladder.level_maps[:-1] + [doubled])
 
 
 def cech_fixb_diagram():
     """fix_b spread over two charts with identity restrictions."""
-    return two_chart_diagram(fix_b(), label="cech_fixb")
+    return two_chart_diagram(fix_b())
 
 
 def cech_fixb_ladder():
@@ -127,8 +118,7 @@ def cech_fixb_ladder():
     transported structure and are reached through the doubling morphism
     morphism_t(), the transport of every chart in two_chart_ladder.
     """
-    return two_chart_ladder(fix_b(), {a: morphism_t() for a in CHARTS},
-                            label="cech_fixb_ladder")
+    return two_chart_ladder(fix_b(), {a: morphism_t() for a in CHARTS})
 
 
 def nonadapted_diagram():
@@ -139,19 +129,15 @@ def nonadapted_diagram():
     the connecting map has arity parts that cancel after twisting by x.
     """
     base = fix_b()
-    empty = LInftyModule(base, GradedSpace([], 3, label="zero"), {},
-                         label="zero")
-    m0 = LInftyModule(base, GradedSpace([("u", 0, 1)], 3, label="m0"), {},
-                      label="m0")
-    m1 = LInftyModule(base, GradedSpace([("v", 0, 2)], 3, label="m1"), {},
-                      label="m1")
-    augmentation = ModuleMorphism(empty, m0, {}, label="aug")
+    empty = LInftyModule(base, GradedSpace([], 3), {})
+    m0 = LInftyModule(base, GradedSpace([("u", 0, 1)], 3), {})
+    m1 = LInftyModule(base, GradedSpace([("v", 0, 2)], 3), {})
+    augmentation = ModuleMorphism(empty, m0, {})
     d0 = ModuleMorphism(m0, m1, {
         0: {((), "u"): {"v": ONE}},
         1: {(("x",), "u"): {"v": -1}},
-    }, label="d0")
-    return ResolutionDiagram(base, empty, [m0, m1], augmentation, [d0],
-                             label="nonadapted")
+    })
+    return ResolutionDiagram(base, empty, [m0, m1], augmentation, [d0])
 
 
 REGISTRY = {

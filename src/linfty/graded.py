@@ -79,6 +79,16 @@ def _list_of(value, what):
     return list(value)
 
 
+def _triples(generators):
+    """generators as a list of (name, degree, level) rows, else InputError."""
+    rows = _list_of(generators, "generators")
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise InputError(
+                f"generator {row!r} is not a (name, degree, level) triple")
+    return rows
+
+
 def _instance_of(value, cls, what):
     """value when it is a cls, else InputError naming the type it should be."""
     if not isinstance(value, cls):
@@ -163,7 +173,10 @@ def shuffles(k, l):
 
     A shuffle is returned as a tuple s with s[:k] and s[k:] both increasing;
     s lists original positions in output order, matching koszul_sign.
-    Sh(n,0) = Sh(0,n) = {identity}.
+    Sh(n,0) = Sh(0,n) = {identity}.  Nothing in the package calls it; it
+    stays because perfbench's graded.shuffles.terms metric wraps it, and
+    perfbench/run.py --trace 1 raises RuntimeError when a traced function
+    is missing.
     """
     if k < 0 or l < 0:
         raise InputError("shuffle block sizes must be nonnegative")
@@ -218,11 +231,11 @@ class GradedSpace:
     __slots__ = ("_norms", "_words", "_arities", "_weights", "_splits",
                  "_powers", "__dict__")
 
-    def __init__(self, generators, nilpotency_order, label=""):
+    def __init__(self, generators, nilpotency_order):
         if not _is_int(nilpotency_order) or nilpotency_order < 1:
             raise InputError("nilpotency order must be a positive integer")
         gens = []
-        for name, degree, filt in generators:
+        for name, degree, filt in _triples(generators):
             if not isinstance(name, str) or not name:
                 raise InputError(f"generator name must be a nonempty string, got {name!r}")
             if _FORBIDDEN_NAME_CHARS & set(name):
@@ -237,7 +250,6 @@ class GradedSpace:
         names = [g[0] for g in gens]
         if len(set(names)) != len(names):
             raise InputError("generator names must be unique")
-        self.label = label
         self.generators = tuple(gens)
         self.basis = tuple(names)
         self.nilpotency_order = nilpotency_order
@@ -499,8 +511,10 @@ def expand_factors(space, factors):
     factors is a list of elements (dicts).  Returns dict word -> scalar
     with canonical words and Koszul signs folded in.  No weight truncation:
     heavy words are left for filtration compatibility to annihilate.
-    Morphism images no longer use it (they multiply by sym_mul); it stays
-    for perfbench, whose graded.expand_factors.* metrics read it.
+    Nothing in the package calls it (morphism images sum the product of
+    their factors inline); it stays because perfbench's
+    graded.expand_factors.* metrics wrap it, and perfbench/run.py
+    --trace 1 raises RuntimeError when a traced function is missing.
     """
     out = {}
     for combo in itertools.product(*[list(el.items()) for el in factors]):
@@ -742,8 +756,8 @@ class ComponentTable:
         self._keep(out)
 
     @classmethod
-    def _made(cls, *args, label=""):
-        """cls(*args, label=label) on trusted components (the last of args).
+    def _made(cls, *args):
+        """cls(*args) on trusted components (the last of args).
 
         For tables derived from valid tables: keys are canonical and values
         have the right degree and filtration, so only the endpoint checks
@@ -752,7 +766,7 @@ class ComponentTable:
         """
         *ends, components = args
         table = object.__new__(cls)
-        table._wire(*ends, label=label)
+        table._wire(*ends)
         rows = {}
         for arity, row in components.items():
             kept = {key: _folded(value) for key, value in row.items() if value}

@@ -63,7 +63,7 @@ def _multiply(n, a, b):
     return out
 
 
-def matrix_structure(n, weights=None, xi=None, label=""):
+def matrix_structure(n, weights=None, xi=None):
     """Curved Lie structure on the strictly upper triangular n x n units.
 
     weights: length-n nondecreasing integers; unit e_ij gets unshifted
@@ -130,8 +130,7 @@ def matrix_structure(n, weights=None, xi=None, label=""):
             differential[unit_name(*a)] = as_element(mat)
     xi_sq = commutator(xi_mat, xi_mat, 1, 1)
     curvature = as_element({k: Fraction(-q, 2) for k, q in xi_sq.items()})
-    structure = from_curved_lie(gens, n, curvature, differential, bracket,
-                                label=label or f"upper{n}")
+    structure = from_curved_lie(gens, n, curvature, differential, bracket)
     return structure, as_element(xi_mat)
 
 
@@ -202,7 +201,7 @@ def random_instance(seed):
     rng = random.Random(seed)
     n = rng.choice((3, 3, 4))
     weights = random_weights(rng, n)
-    base, xi = matrix_structure(n, weights, label=f"inst{seed}")
+    base, xi = matrix_structure(n, weights)
     candidates = [g for g in base.space.basis if base.space.degree(g) == 0]
     pi = dict(xi)
     if candidates and rng.random() < 0.7:
@@ -242,7 +241,7 @@ def _check_transports(transports):
                              f"got {type(t).__name__}")
 
 
-def two_chart_diagram(structure, transports=None, label=""):
+def two_chart_diagram(structure, transports=None):
     """Spread a structure over a two-chart cover.
 
     transports, when given, maps each chart tuple to a strict isomorphism
@@ -266,14 +265,12 @@ def two_chart_diagram(structure, transports=None, label=""):
         restrictions = {(a, b): compose(transports[b], invert(transports[a]))
                         for a in (("U",), ("V",))}
     locals_ = {a: transports[a].target for a in CHARTS}
-    cover = CoverDescription(["U", "V"], CHARTS, locals_, restrictions,
-                             label=label)
+    cover = CoverDescription(["U", "V"], CHARTS, locals_, restrictions)
     return build_cech_complex(
-        cover, structure, {name: transports[(name,)] for name in ("U", "V")},
-        label=label)
+        cover, structure, {name: transports[(name,)] for name in ("U", "V")})
 
 
-def two_chart_ladder(structure, transports, label=""):
+def two_chart_ladder(structure, transports):
     """Ladder from the identity spread of a structure to a transported one.
 
     transports maps each chart tuple to a strict map out of the structure,
@@ -289,15 +286,15 @@ def two_chart_ladder(structure, transports, label=""):
     for a in CHARTS:
         if not transports[a].is_strict():
             raise InputError(f"transport on chart {a} must be strict")
-    src = two_chart_diagram(structure, label=f"{label}.src")
-    tgt = two_chart_diagram(structure, transports, label=f"{label}.tgt")
+    src = two_chart_diagram(structure)
+    tgt = two_chart_diagram(structure, transports)
     verticals = [strict_level_map(src.levels[k], tgt.levels[k],
                                   [(tuple_slot(a), tuple_slot(a), 1,
                                     transports[a])
                                    for a in CHARTS if len(a) == k + 1])
                  for k in range(2)]
     return ResolutionMorphism(src, tgt, identity_module_morphism(src.augmented),
-                              verticals, label=label)
+                              verticals)
 
 
 def random_ladder(seed):
@@ -310,6 +307,6 @@ def random_ladder(seed):
     rng = random.Random(seed)
     n = rng.choice((3, 3, 4))
     weights = random_weights(rng, n)
-    base, xi = matrix_structure(n, weights, label=f"ladder{seed}")
+    base, xi = matrix_structure(n, weights)
     transports = {a: random_strict_transport(rng, base)[1] for a in CHARTS}
-    return two_chart_ladder(base, transports, label=f"ladder{seed}"), xi
+    return two_chart_ladder(base, transports), xi

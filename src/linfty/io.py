@@ -232,7 +232,7 @@ class FixtureDocument:
         if codec:
             args.append(components_from_json(obj.get("components", {}), where,
                                              codec[0]))
-        getattr(self, section)[name] = cls(*args, label=name)
+        getattr(self, section)[name] = cls(*args)
 
     def _build_spaces(self, section, name, obj):
         where = f"{section}.{name}"
@@ -252,7 +252,7 @@ class FixtureDocument:
         order = obj.get("order")
         if not isinstance(order, int) or isinstance(order, bool):
             raise InputError(f"{where}: order must be an integer")
-        self.spaces[name] = GradedSpace(triples, order, label=name)
+        self.spaces[name] = GradedSpace(triples, order)
 
     def _build_elements(self, section, name, obj):
         where = f"{section}.{name}"
@@ -295,8 +295,7 @@ class FixtureDocument:
             a, b = key.split("->")
             restrictions[(tuple(a.split(",")), tuple(b.split(",")))] = self._ref(
                 "morphisms", ref, f"{where}.restrictions.{key}")
-        self.covers[name] = CoverDescription(opens, nerve, locals_,
-                                             restrictions, label=name)
+        self.covers[name] = CoverDescription(opens, nerve, locals_, restrictions)
 
     def _build_resolutions(self, section, name, obj):
         if not (isinstance(obj, dict) and "cech_of" in obj):
@@ -312,8 +311,7 @@ class FixtureDocument:
         restrictions = {
             open_: self._ref("morphisms", ref, f"{where}.restrictions.{open_}")
             for open_, ref in restrictions_raw.items()}
-        self.resolutions[name] = build_cech_complex(
-            cover, base, restrictions, label=name)
+        self.resolutions[name] = build_cech_complex(cover, base, restrictions)
 
 
 def load_document(text):

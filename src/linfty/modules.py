@@ -31,15 +31,19 @@ differential and action in those unshifted terms.
 
 from .graded import (
     ComponentTable,
+    GradedSpace,
     InputError,
     MathCheckError,
     ONE,
     ZERO,
+    _dict_of,
     _fraction_repr,
+    _instance_of,
     el_scale,
     exact_element,
 )
 from .structures import (
+    LInftyStructure,
     _coderivation_image,
     check_square_zero,
     morphism_apply,
@@ -53,7 +57,12 @@ from .twisting import (
 # -- tensor helpers ---------------------------------------------------------------
 
 def tensor_weight(base_space, module_space, word, mgen):
-    """Weight of word tensor mgen; perfbench's modules.check.tensors wraps it."""
+    """Weight of word tensor mgen.
+
+    Nothing in the package calls it; it stays because perfbench's
+    modules.check.tensors metric wraps it, and perfbench/run.py --trace 1
+    raises RuntimeError when a traced function is missing.
+    """
     return base_space.word_weight(word) + module_space.filtration(mgen)
 
 
@@ -87,17 +96,17 @@ class _TensorTable(ComponentTable):
 class LInftyModule(_TensorTable):
     """Components phi_k of a degree +1 module operator over a base structure."""
 
-    def __init__(self, base, space, components, label=""):
-        self._wire(base, space, label)
+    def __init__(self, base, space, components):
+        self._wire(_instance_of(base, LInftyStructure, "module base"),
+                   _instance_of(space, GradedSpace, "module space"))
         self._set_components(base.space, space, components, 1, key_space=space)
 
-    def _wire(self, base, space, label=""):
+    def _wire(self, base, space):
         if space.nilpotency_order != base.space.nilpotency_order:
             raise InputError("module and base must share one truncation order")
         self.base = base
         self.space = self.key_space = space
         self.word_space = base.space
-        self.label = label
 
     def _ends(self):
         return (self.base, self.space.generators, self.space.nilpotency_order)
@@ -178,7 +187,7 @@ def check_module_square_zero(module, max_arity=None):
     return True
 
 
-def from_dg_module(base, module_generators, differential, action, label=""):
+def from_dg_module(base, module_generators, differential, action):
     """Module of a dg module (b, rho) over a curved Lie base, unshifted input.
 
     module_generators list (name, degree, filtration) in the module's own
@@ -190,12 +199,9 @@ def from_dg_module(base, module_generators, differential, action, label=""):
     -(-1)^(unshifted degree of gamma) rho(gamma)(m).  The square-zero check
     then demands b^2 = -rho(R), the curved replacement for b^2 = 0.
     """
-    from .graded import GradedSpace
-
-    space = GradedSpace(module_generators, base.space.nilpotency_order,
-                        label=label)
+    space = GradedSpace(module_generators, base.space.nilpotency_order)
     comp0 = {}
-    for m, image in differential.items():
+    for m, image in _dict_of(differential, "differential").items():
         if m not in space:
             raise InputError(f"differential on unknown module generator {m!r}")
         image = exact_element(image)
@@ -206,7 +212,7 @@ def from_dg_module(base, module_generators, differential, action, label=""):
             comp0[((), m)] = el_scale(image, -1)
 
     comp1 = {}
-    for (gamma, m), image in action.items():
+    for (gamma, m), image in _dict_of(action, "action").items():
         if gamma not in base.space or m not in space:
             raise InputError(f"action on unknown pair ({gamma!r}, {m!r})")
         image = exact_element(image)
@@ -217,7 +223,7 @@ def from_dg_module(base, module_generators, differential, action, label=""):
         if image:
             comp1[((gamma,), m)] = el_scale(image, 1 if unshifted % 2 else -1)
 
-    return LInftyModule(base, space, {0: comp0, 1: comp1}, label=label)
+    return LInftyModule(base, space, {0: comp0, 1: comp1})
 
 
 def module_from_morphism(morphism, max_arity=None):
@@ -282,19 +288,19 @@ def _joined_components(morphism, cap, outer):
 class ModuleMorphism(_TensorTable):
     """Components of a degree 0 map of modules over one base."""
 
-    def __init__(self, source, target, components, label=""):
-        self._wire(source, target, label)
+    def __init__(self, source, target, components):
+        self._wire(_instance_of(source, LInftyModule, "module morphism source"),
+                   _instance_of(target, LInftyModule, "module morphism target"))
         self._set_components(source.base.space, target.space, components, 0,
                              key_space=source.space)
 
-    def _wire(self, source, target, label=""):
+    def _wire(self, source, target):
         if source.base != target.base:
             raise InputError("module morphism endpoints must share the base")
         self.source = source
         self.target = target
         self.word_space = source.base.space
         self.key_space = source.space
-        self.label = label
 
     def _ends(self):
         return (self.source, self.target)
@@ -410,7 +416,7 @@ def twist_module(module, pi):
     """Module with components (phi^pi)_k(w tensor m), over the twisted base."""
     pi = validate_twist_datum(module.word_space, pi)
     return LInftyModule._made(twist_structure(module.base, pi), module.space,
-                              _twist_rows(module, pi), label=module.label)
+                              _twist_rows(module, pi))
 
 
 def twist_module_morphism(mm, pi):
@@ -418,7 +424,7 @@ def twist_module_morphism(mm, pi):
     pi = validate_twist_datum(mm.word_space, pi)
     return ModuleMorphism._made(twist_module(mm.source, pi),
                                 twist_module(mm.target, pi),
-                                _twist_rows(mm, pi), label=mm.label)
+                                _twist_rows(mm, pi))
 
 
 def check_module_twist_consistency(morphism, pi, max_arity=None):

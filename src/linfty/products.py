@@ -91,7 +91,7 @@ def _merge_slots(tables, key):
 class ProductStructure:
     """Slotwise product; `assembled` is the structure on the joint space."""
 
-    def __init__(self, factors, label=""):
+    def __init__(self, factors):
         if not factors:
             raise InputError("product over an empty index set is not supported")
         for i in factors:
@@ -107,12 +107,10 @@ class ProductStructure:
             sp = self.factors[i].space
             for g in sp.basis:
                 gens.append((slot_name(i, g), sp.degree(g), sp.filtration(g)))
-        self.space = GradedSpace(gens, orders.pop(), label=label)
+        self.space = GradedSpace(gens, orders.pop())
         components = _merge_slots(
             {i: self.factors[i].components for i in self.index}, rename_word)
-        self.assembled = LInftyStructure._made(self.space, components,
-                                               label=label)
-        self.label = label
+        self.assembled = LInftyStructure._made(self.space, components)
 
 
 def projection(product, i):
@@ -122,11 +120,10 @@ def projection(product, i):
     for name in product.space.basis:
         idx, g = split_slot(name)
         mapping[name] = {g: ONE} if idx == i else {}
-    return strict_morphism(product.assembled, product.factors[i], mapping,
-                           label=f"pr.{i}")
+    return strict_morphism(product.assembled, product.factors[i], mapping)
 
 
-def product_morphism(product, family, label=""):
+def product_morphism(product, family):
     """Unique morphism into the product with pr_i composed after it = family[i].
 
     family maps each index to a morphism from one common source into that
@@ -145,11 +142,10 @@ def product_morphism(product, family, label=""):
     components = _merge_slots(
         {i: family[i].components for i in product.index},
         lambda i, word: word)
-    return LInftyMorphism._made(source, product.assembled, components,
-                                label=label)
+    return LInftyMorphism._made(source, product.assembled, components)
 
 
-def slotwise_morphism(source_product, target_product, family, label=""):
+def slotwise_morphism(source_product, target_product, family):
     """Coordinatewise morphism between two products over the same index set."""
     if source_product.index != target_product.index:
         raise InputError("slotwise morphism needs matching index sets")
@@ -162,8 +158,7 @@ def slotwise_morphism(source_product, target_product, family, label=""):
     components = _merge_slots(
         {i: family[i].components for i in source_product.index}, rename_word)
     return LInftyMorphism._made(source_product.assembled,
-                                target_product.assembled, components,
-                                label=label)
+                                target_product.assembled, components)
 
 
 def assemble_twist_datum(product, pis):
@@ -245,7 +240,7 @@ class CoverDescription:
     so restrictions go from shorter tuples to longer ones.
     """
 
-    def __init__(self, opens, nerve, local_structures, restrictions, label=""):
+    def __init__(self, opens, nerve, local_structures, restrictions):
         opens = list(opens)
         if not opens or len(set(opens)) != len(opens):
             raise InputError("opens must be a nonempty list of distinct names")
@@ -306,7 +301,6 @@ class CoverDescription:
         self.nerve = sorted(nerve, key=lambda a: (len(a), tuple(order[x] for x in a)))
         self.local_structures = dict(local_structures)
         self.restrictions = dict(restrictions)
-        self.label = label
 
     def depth(self):
         return max(len(a) for a in self.nerve)
@@ -319,7 +313,7 @@ def tuple_slot(a):
     return ",".join(a)
 
 
-def strict_level_map(source, target, pieces, label=""):
+def strict_level_map(source, target, pieces):
     """Strict module map between two Cech levels, from per-chart strict maps.
 
     Each piece (a, b, sign, r) sends slot a's generator g to sign r_1(g) in
@@ -334,10 +328,10 @@ def strict_level_map(source, target, pieces, label=""):
             image = r.component(1, (g,))
             table[key] = el_add(table.get(key, {}), {
                 slot_name(b, t): q * sign for t, q in image.items()})
-    return ModuleMorphism._made(source, target, {0: table}, label=label)
+    return ModuleMorphism._made(source, target, {0: table})
 
 
-def build_cech_complex(cover, global_structure, global_restrictions, label=""):
+def build_cech_complex(cover, global_structure, global_restrictions):
     """Resolution diagram of the cover's alternating-sum differential.
 
     global_restrictions maps each open to a morphism from the global
@@ -389,8 +383,7 @@ def build_cech_complex(cover, global_structure, global_restrictions, label=""):
         product = ProductStructure(
             {tuple_slot(a): cover.local_structures[a] for a in tuples})
         family = {tuple_slot(a): total[a] for a in tuples}
-        assembled_restrictions.append(
-            product_morphism(product, family, label=f"cech.{k}"))
+        assembled_restrictions.append(product_morphism(product, family))
 
     identity = identity_morphism(global_structure)
     augmented = module_from_morphism(identity)
@@ -406,11 +399,10 @@ def build_cech_complex(cover, global_structure, global_restrictions, label=""):
                    cover.restrictions[(a, b)])
                   for a in cover.level(k) for b in cover.level(k + 1)
                   if _is_subtuple(a, b)]
-        connecting.append(strict_level_map(levels[k], levels[k + 1], pieces,
-                                           label=f"d.{k}"))
+        connecting.append(strict_level_map(levels[k], levels[k + 1], pieces))
 
     diagram = ResolutionDiagram(global_structure, augmented, levels,
-                                augmentation, connecting, label=label)
+                                augmentation, connecting)
 
     maps = diagram.maps()
     for p in range(len(maps) - 1):

@@ -73,8 +73,7 @@ def _is_zero_module_morphism(mm):
 class ResolutionDiagram:
     """Augmented module, levels, augmentation and connecting maps."""
 
-    def __init__(self, base, augmented, levels, augmentation, connecting,
-                 label=""):
+    def __init__(self, base, augmented, levels, augmentation, connecting):
         levels = _list_of(levels, "diagram levels")
         connecting = _list_of(connecting, "connecting maps")
         _instance_of(base, LInftyStructure, "base")
@@ -101,7 +100,6 @@ class ResolutionDiagram:
         self.levels = levels
         self.augmentation = augmentation
         self.connecting = connecting
-        self.label = label
 
     def modules(self):
         return [self.augmented] + self.levels
@@ -124,14 +122,11 @@ def _twist_diagram(diagram, pi, base):
     The twisted tables are made on the kept twist rows of the validated
     datum pi, trusted, since they derive from the diagram's own tables.
     """
-    modules = [LInftyModule._made(base, m.space, _twist_rows(m, pi),
-                                  label=m.label)
+    modules = [LInftyModule._made(base, m.space, _twist_rows(m, pi))
                for m in diagram.modules()]
-    maps = [ModuleMorphism._made(modules[p], modules[p + 1],
-                                 _twist_rows(f, pi), label=f.label)
+    maps = [ModuleMorphism._made(modules[p], modules[p + 1], _twist_rows(f, pi))
             for p, f in enumerate(diagram.maps())]
-    return ResolutionDiagram(base, modules[0], modules[1:], maps[0], maps[1:],
-                             label=diagram.label)
+    return ResolutionDiagram(base, modules[0], modules[1:], maps[0], maps[1:])
 
 
 def twist_resolution(diagram, pi):
@@ -240,7 +235,7 @@ def check_adapted_mc(diagram, pi):
 class ResolutionMorphism:
     """Ladder between two diagrams over the same base."""
 
-    def __init__(self, source, target, augmented_map, level_maps, label=""):
+    def __init__(self, source, target, augmented_map, level_maps):
         level_maps = _list_of(level_maps, "level maps")
         _instance_of(source, ResolutionDiagram, "ladder source")
         _instance_of(target, ResolutionDiagram, "ladder target")
@@ -261,7 +256,6 @@ class ResolutionMorphism:
         self.target = target
         self.augmented_map = augmented_map
         self.level_maps = level_maps
-        self.label = label
 
     def verticals(self):
         return [self.augmented_map] + self.level_maps
@@ -274,11 +268,10 @@ def twist_resolution_morphism(ladder, pi):
     base = twist_structure(ladder.source.base, pi)
     source = _twist_diagram(ladder.source, pi, base)
     target = _twist_diagram(ladder.target, pi, base)
-    verticals = [ModuleMorphism._made(s, t, _twist_rows(u, pi), label=u.label)
+    verticals = [ModuleMorphism._made(s, t, _twist_rows(u, pi))
                  for u, s, t in zip(ladder.verticals(), source.modules(),
                                     target.modules())]
-    return ResolutionMorphism(source, target, verticals[0], verticals[1:],
-                              label=ladder.label)
+    return ResolutionMorphism(source, target, verticals[0], verticals[1:])
 
 
 def check_resolution_morphism(ladder, max_arity=None):

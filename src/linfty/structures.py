@@ -60,12 +60,16 @@ check_module_square_zero keeps its full loop there.
 
 from .graded import (
     ComponentTable,
+    GradedSpace,
     InputError,
     MathCheckError,
     ONE,
     ZERO,
     _check_arity,
+    _dict_of,
     _fraction_repr,
+    _instance_of,
+    _triples,
     co_from_element,
     co_linear_part,
     el_add,
@@ -95,14 +99,13 @@ def default_cap(space, *arities, max_arity=None):
 class LInftyStructure(ComponentTable):
     """Taylor components of a degree +1 coderivation on one graded space."""
 
-    def __init__(self, space, components, label=""):
-        self._wire(space, label)
+    def __init__(self, space, components):
+        self._wire(_instance_of(space, GradedSpace, "structure space"))
         self._set_components(space, space, components, 1)
 
-    def _wire(self, space, label=""):
+    def _wire(self, space):
         self.space = self.word_space = space
         self.key_space = None
-        self.label = label
 
     def curvature(self):
         """Q_0 applied to the unit word."""
@@ -196,7 +199,7 @@ def _check_square_zero(structure, cap):
 
 
 def from_curved_lie(generators, nilpotency_order, curvature, differential,
-                    bracket, label=""):
+                    bracket):
     """Structure of a curved Lie algebra given in unshifted degrees.
 
     generators: (name, unshifted degree, filtration level) triples.
@@ -208,10 +211,9 @@ def from_curved_lie(generators, nilpotency_order, curvature, differential,
     Components on the shifted space: Q_0(1) = -R, Q_1 = -d, and on a word
     g v h the quadratic part is -(-1)^{|g|}[g,h] with |g| unshifted.
     """
-    from .graded import GradedSpace
-
+    generators = _triples(generators)
     shifted = [(name, deg - 1, filt) for name, deg, filt in generators]
-    space = GradedSpace(shifted, nilpotency_order, label=label)
+    space = GradedSpace(shifted, nilpotency_order)
     unshifted_degree = {name: deg for name, deg, _ in generators}
 
     def checked_element(el, expected_deg, what):
@@ -231,7 +233,7 @@ def from_curved_lie(generators, nilpotency_order, curvature, differential,
         comp0[()] = el_scale(curvature, -1)
 
     comp1 = {}
-    for g, image in differential.items():
+    for g, image in _dict_of(differential, "differential").items():
         if g not in unshifted_degree:
             raise InputError(f"differential defined on unknown generator {g!r}")
         image = checked_element(image, unshifted_degree[g] + 1, f"d({g})")
@@ -240,7 +242,7 @@ def from_curved_lie(generators, nilpotency_order, curvature, differential,
 
     # collect the bracket on unordered pairs, enforcing antisymmetry
     table = {}
-    for (g, h), value in bracket.items():
+    for (g, h), value in _dict_of(bracket, "bracket").items():
         if g not in unshifted_degree or h not in unshifted_degree:
             raise InputError(f"bracket on unknown pair ({g!r}, {h!r})")
         value = checked_element(
@@ -274,26 +276,26 @@ def from_curved_lie(generators, nilpotency_order, curvature, differential,
             if unshifted_degree[g] % 2 == 0:
                 raise InputError(f"[{g},{g}] must vanish for even {g}")
 
-    return LInftyStructure(space, {0: comp0, 1: comp1, 2: comp2}, label=label)
+    return LInftyStructure(space, {0: comp0, 1: comp1, 2: comp2})
 
 
 class LInftyMorphism(ComponentTable):
     """Taylor components of a coalgebra morphism between two structures."""
 
-    def __init__(self, source, target, components, label=""):
-        self._wire(source, target, label)
+    def __init__(self, source, target, components):
+        self._wire(_instance_of(source, LInftyStructure, "morphism source"),
+                   _instance_of(target, LInftyStructure, "morphism target"))
         self._set_components(source.space, target.space, components, 0)
         if 0 in self.components:
             raise InputError("morphism components start at arity 1")
 
-    def _wire(self, source, target, label=""):
+    def _wire(self, source, target):
         if source.space.nilpotency_order != target.space.nilpotency_order:
             raise InputError("morphism endpoints must share one truncation order")
         self.source = source
         self.target = target
         self.word_space = source.space
         self.key_space = None
-        self.label = label
 
     def is_strict(self):
         return self.max_arity <= 1
@@ -395,10 +397,11 @@ def _check_morphism(morphism, cap):
     return True
 
 
-def strict_morphism(source, target, mapping, label=""):
+def strict_morphism(source, target, mapping):
     """Morphism with only an arity-1 component, given generator by generator."""
-    comp1 = {(g,): dict(image) for g, image in mapping.items() if image}
-    return LInftyMorphism(source, target, {1: comp1}, label=label)
+    comp1 = {(g,): dict(image)
+             for g, image in _dict_of(mapping, "mapping").items() if image}
+    return LInftyMorphism(source, target, {1: comp1})
 
 
 def identity_morphism(structure):
@@ -455,11 +458,15 @@ def _invert(morphism, cap):
     tgt = morphism.target
     inverse_map = {}
     for deg, (block, s_names, t_names) in _strict_blocks(morphism).items():
-        if len(s_names) != len(t_names) or not is_isomorphism(block):
+        # a square block is invertible exactly when B x = e_i solves for
+        # every unit column: a singular one puts a pivot of [B | I] past B
+        columns = None
+        if len(s_names) == len(t_names):
+            columns = solve_columns(block, Matrix.identity(len(t_names)).rows)
+        if columns is None:
             raise MathCheckError(
                 f"strict part is not invertible in degree {deg}")
-        units = Matrix.identity(len(t_names)).rows
-        for t, coords in zip(t_names, solve_columns(block, units)):
+        for t, coords in zip(t_names, columns):
             inverse_map[(t,)] = {s: coords[i] for i, s in enumerate(s_names)
                                  if coords[i]}
     strict_inverse = LInftyMorphism._made(tgt, src, {1: inverse_map})

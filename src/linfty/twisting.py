@@ -238,7 +238,7 @@ def twist_structure(structure, pi):
     """
     pi = validate_twist_datum(structure.space, pi)
     return structure._kept(pi.key, lambda: LInftyStructure._made(
-        structure.space, _twist_rows(structure, pi), label=structure.label))
+        structure.space, _twist_rows(structure, pi)))
 
 
 def maurer_cartan_series(structure, pi):
@@ -288,8 +288,7 @@ def twist_morphism(morphism, pi):
     return morphism._kept(pi.key, lambda: LInftyMorphism._made(
         twist_structure(morphism.source, pi),
         twist_structure(morphism.target, push_mc(morphism, pi)),
-        _twist_rows(morphism, pi, range(1, morphism.max_arity + 1)),
-        label=morphism.label))
+        _twist_rows(morphism, pi, range(1, morphism.max_arity + 1))))
 
 
 def mc_preservation(morphism, pi):

@@ -238,7 +238,7 @@ def odd_space(seed):
     rng = random.Random(seed)
     gens = [("a", 0, 1), ("b", 1, 1), ("c", -1, 0), ("d", 1, 2),
             ("e", 0, rng.choice((2, 3))), ("f", 2, rng.choice((2, 3)))]
-    return GradedSpace(gens, 4, label=f"odd{seed}")
+    return GradedSpace(gens, 4)
 
 
 # seeds of matrix_structure(4) whose random_conjugation has an arity-2 part
@@ -436,7 +436,7 @@ def deep_space():
     """Filtration-0 generators of both parities, so words of any arity
     survive order 6."""
     return GradedSpace([("a", 0, 0), ("e", 0, 0), ("c", -1, 0), ("b", 1, 0),
-                        ("d", 0, 1), ("f", 1, 1)], 6, label="deep")
+                        ("d", 0, 1), ("f", 1, 1)], 6)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -738,7 +738,7 @@ def test_space_memos_stay_out_of_vars_equality_and_fixtures():
     it equals a cold copy and the fixture writer stores the two once."""
     ladder, xi = random_ladder(0)
     space = ladder.source.base.space
-    cold = GradedSpace(space.generators, space.nilpotency_order, space.label)
+    cold = GradedSpace(space.generators, space.nilpotency_order)
     before = copy.deepcopy(vars(space))
     assert prop_key_pipeline(ladder, xi)["verdict"] == "quasi-isomorphism"
     assert all(getattr(space, memo) for memo in SPACE_MEMOS)

@@ -110,8 +110,8 @@ def non_square_zero_chart_scene():
     chart's differential, which does not square to zero."""
     chart = LInftyStructure(
         GradedSpace([("a", 0, 0), ("b", 1, 0), ("c", 2, 0)], 1),
-        {1: {("a",): {"b": ONE}, ("b",): {"c": ONE}}}, label="chart")
-    base = LInftyStructure(GradedSpace([("g", 0, 0)], 1), {}, label="base")
+        {1: {("a",): {"b": ONE}, ("b",): {"c": ONE}}})
+    base = LInftyStructure(GradedSpace([("g", 0, 0)], 1), {})
     cover = CoverDescription(["U"], [("U",)], {("U",): chart}, {})
     return cover, base, {"U": LInftyMorphism(base, chart, {})}
 
@@ -141,17 +141,16 @@ def test_the_kept_square_zero_check_fires_on_a_flipped_connecting_sign(
     """Flip the sign of one chart in d.0: d o augmentation no longer cancels."""
 
     class FlippedDiagram(ResolutionDiagram):
-        def __init__(self, base, augmented, levels, augmentation, connecting,
-                     label=""):
+        def __init__(self, base, augmented, levels, augmentation, connecting):
             d = connecting[0]
             flipped = {k: {key: ({g: -q for g, q in value.items()}
                                  if key[1].startswith("V.") else value)
                            for key, value in row.items()}
                        for k, row in d.components.items()}
-            connecting = [ModuleMorphism(d.source, d.target, flipped,
-                                         label=d.label), *connecting[1:]]
+            connecting = [ModuleMorphism(d.source, d.target, flipped),
+                          *connecting[1:]]
             super().__init__(base, augmented, levels, augmentation,
-                             connecting, label=label)
+                             connecting)
 
     s, _ = matrix_structure(3)
     assert two_chart_diagram(s).connecting

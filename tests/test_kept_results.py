@@ -122,9 +122,9 @@ def test_the_identity_spread_restricts_by_its_one_identity(monkeypatch):
     covers = []
     build = instances.build_cech_complex
 
-    def recording(cover, structure, restrictions, label=""):
+    def recording(cover, structure, restrictions):
         covers.append((cover, structure, restrictions))
-        return build(cover, structure, restrictions, label=label)
+        return build(cover, structure, restrictions)
 
     monkeypatch.setattr(instances, "build_cech_complex", recording)
     fixtures.fix_c_diagram()

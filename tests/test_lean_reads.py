@@ -267,8 +267,10 @@ def records():
 
 
 def odd_pool(space):
-    """A space of odd_case: random tables over three odd generators."""
-    return space.label.startswith("odd")
+    """A space of odd_case: random tables over three odd generators.
+
+    odd_space is the one space of the pool with a generator named a."""
+    return "a" in space
 
 
 def has_fraction(comps):

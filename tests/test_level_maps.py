@@ -84,7 +84,7 @@ def alternating_sum_maps(cover, levels):
                              for t, q in image.items()}
                     table[key] = el_add(table.get(key, {}), value)
         connecting.append(ModuleMorphism._made(levels[k], levels[k + 1],
-                                               {0: table}, label=f"d.{k}"))
+                                               {0: table}))
     return connecting
 
 

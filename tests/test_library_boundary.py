@@ -13,11 +13,15 @@ other than a morphism, a weighted_powers limit that is not a nonnegative
 int, and matrix_structure arguments out of range.  The resolution entry
 points and the two-chart builders name the type they expect when given
 another (a diagram for a ladder, an int for a structure) instead of
-failing on a missing attribute.  The sign and shuffle kernels are internal
-and not exported.
+failing on a missing attribute, as do the table constructors for their
+endpoints; generator lists and the maps given to strict_morphism,
+from_curved_lie and from_dg_module are checked for shape.  No constructor
+takes a label.  The sign and shuffle kernels are internal and not exported.
 """
 
 from fractions import Fraction
+import inspect
+from pathlib import Path
 import re
 
 import pytest
@@ -28,8 +32,11 @@ from linfty.fixtures import fix_b, morphism_t
 from linfty.graded import GradedSpace, InputError, ONE, exact_element
 from linfty.instances import (
     CHARTS, matrix_structure, random_ladder, two_chart_diagram, two_chart_ladder)
+from linfty.io import _SECTIONS, load_document
 from linfty.modules import (
     LInftyModule,
+    ModuleMorphism,
+    from_dg_module,
     identity_module_morphism,
     module_apply,
     module_from_morphism,
@@ -48,13 +55,20 @@ from linfty.resolutions import (
     twist_resolution,
     twist_resolution_morphism,
 )
+from linfty.products import strict_level_map
 from linfty.structures import (
+    LInftyMorphism,
     LInftyStructure,
     coderivation_apply,
+    from_curved_lie,
     morphism_apply,
+    strict_morphism,
 )
 from linfty.twisting import (
     mc_check, twist_structure, twist_table, weighted_powers)
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def module_t():
@@ -317,3 +331,114 @@ def test_the_sign_and_shuffle_kernels_are_not_exported():
         assert name not in linfty.__all__
         assert not hasattr(linfty, name)
         assert callable(getattr(graded, name))
+
+
+# each generator list is malformed, once per way a space is built from one
+SPACE_BUILDS = {
+    "GradedSpace": lambda gens: GradedSpace(gens, 3),
+    "from_curved_lie": lambda gens: from_curved_lie(gens, 3, {}, {}, {}),
+    "from_dg_module": lambda gens: from_dg_module(fix_b(), gens, {}, {}),
+}
+
+
+@pytest.mark.parametrize("build", sorted(SPACE_BUILDS))
+def test_generators_that_are_not_a_list_raise_input_errors(build):
+    for gens, name in ((None, "NoneType"), ("a", "str"), ({"a": 0}, "dict")):
+        with pytest.raises(InputError, match=re.escape(
+                f"generators must be a list, got {name}")):
+            SPACE_BUILDS[build](gens)
+    assert SPACE_BUILDS[build](()) is not None
+
+
+@pytest.mark.parametrize("build", sorted(SPACE_BUILDS))
+def test_a_generator_that_is_not_a_triple_raises_an_input_error(build):
+    for row in (("a", 0), ["a", 0, 1, 2], "abc", None):
+        with pytest.raises(InputError, match=re.escape(
+                f"generator {row!r} is not a (name, degree, level) triple")):
+            SPACE_BUILDS[build]([("b", 1, 1), row])
+    assert SPACE_BUILDS[build]([["b", 1, 1]]) is not None
+
+
+def test_table_constructors_name_the_endpoint_type_they_expect():
+    base = fix_b()
+    module = module_t()
+    m = module.space
+    for call, text in (
+            (lambda: LInftyStructure(None, {}),
+             "structure space must be of type GradedSpace, got NoneType"),
+            (lambda: LInftyStructure(base, {}),
+             "structure space must be of type GradedSpace, got LInftyStructure"),
+            (lambda: LInftyMorphism(1, base, {}),
+             "morphism source must be of type LInftyStructure, got int"),
+            (lambda: LInftyMorphism(base, base.space, {}),
+             "morphism target must be of type LInftyStructure, got GradedSpace"),
+            (lambda: LInftyModule(base.space, m, {}),
+             "module base must be of type LInftyStructure, got GradedSpace"),
+            (lambda: LInftyModule(base, module, {}),
+             "module space must be of type GradedSpace, got LInftyModule"),
+            (lambda: ModuleMorphism(base, module, {}),
+             "module morphism source must be of type LInftyModule, "
+             "got LInftyStructure"),
+            (lambda: ModuleMorphism(module, None, {}),
+             "module morphism target must be of type LInftyModule, "
+             "got NoneType")):
+        with pytest.raises(InputError, match=re.escape(text)):
+            call()
+
+
+def test_constructor_maps_that_are_not_dicts_raise_input_errors():
+    base = fix_b()
+    gens = [("x", 1, 1), ("c", 2, 2)]
+    for call, text in (
+            (lambda: strict_morphism(base, base, []),
+             "mapping must be a dict, got list"),
+            (lambda: from_curved_lie(gens, 3, {}, [], {}),
+             "differential must be a dict, got list"),
+            (lambda: from_curved_lie(gens, 3, {}, {}, None),
+             "bracket must be a dict, got NoneType"),
+            (lambda: from_dg_module(base, [("u", 0, 1)], [], {}),
+             "differential must be a dict, got list"),
+            (lambda: from_dg_module(base, [("u", 0, 1)], {}, []),
+             "action must be a dict, got list")):
+        with pytest.raises(InputError, match=re.escape(text)):
+            call()
+
+
+def _linfty_objects(value, seen):
+    """Every package object reachable from value through attributes,
+    lists, tuples and dict values."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, (list, tuple)):
+        inner = value
+    elif isinstance(value, dict):
+        inner = value.values()
+    elif type(value).__module__.startswith("linfty."):
+        yield value
+        inner = vars(value).values()
+    else:
+        return
+    for item in inner:
+        yield from _linfty_objects(item, seen)
+
+
+def test_no_constructor_takes_a_label_and_no_loaded_object_carries_one():
+    """Objects are fixed by their data; names live in a fixture document's
+    sections and in the hints given to FixtureWriter.add."""
+    callables = [getattr(linfty, name) for name in linfty.__all__]
+    callables += [matrix_structure, two_chart_diagram, two_chart_ladder,
+                  strict_level_map]
+    for f in callables:
+        if callable(f) and not (isinstance(f, type)
+                                and issubclass(f, Exception)):
+            assert "label" not in inspect.signature(f).parameters, f
+    paths = sorted(FIXTURES.glob("*.json"))
+    assert paths
+    for path in paths:
+        doc = load_document(path.read_text())
+        objects = list(_linfty_objects(
+            [getattr(doc, section) for section in _SECTIONS], set()))
+        assert any(isinstance(o, GradedSpace) for o in objects), path.name
+        for obj in objects:
+            assert not hasattr(obj, "label"), (path.name, obj)

@@ -160,7 +160,7 @@ def test_slotwise_morphism_needs_matching_indices():
 
 
 def test_cover_validation():
-    chart = _constants_chart("U")
+    chart = _constants_chart()
     with pytest.raises(InputError):
         CoverDescription(["U"], [], {}, {})  # missing singleton
     with pytest.raises(InputError):
@@ -171,7 +171,7 @@ def test_cover_validation():
 
 
 def test_cover_restrictions_must_be_functorial():
-    charts = {a: _constants_chart(str(a)) for a in
+    charts = {a: _constants_chart() for a in
               [("A",), ("B",), ("C",), ("A", "B"), ("A", "C"), ("B", "C"),
                ("A", "B", "C")]}
     ident = lambda a, b, q=1: strict_morphism(
@@ -188,7 +188,7 @@ def test_cover_restrictions_must_be_functorial():
 
 def test_cech_routes_must_agree():
     cover = fix_c_cover()
-    global_structure = _constants_chart("g")
+    global_structure = _constants_chart()
     restrictions = {
         "U": strict_morphism(global_structure, cover.local_structures[("U",)],
                              {"f": {"f": ONE}}),
@@ -200,9 +200,9 @@ def test_cech_routes_must_agree():
 
 
 def test_single_chart_cover_gives_identity_augmentation():
-    chart = _constants_chart("U")
+    chart = _constants_chart()
     cover = CoverDescription(["U"], [("U",)], {("U",): chart}, {})
-    global_structure = _constants_chart("g")
+    global_structure = _constants_chart()
     diagram = build_cech_complex(
         cover, global_structure,
         {"U": strict_morphism(global_structure, chart, {"f": {"f": ONE}})})

@@ -41,13 +41,12 @@ from linfty.fixtures import (
 
 
 def flat_point():
-    return LInftyStructure(GradedSpace([("e", 0, 0)], 1, label="pt"), {})
+    return LInftyStructure(GradedSpace([("e", 0, 0)], 1), {})
 
 
 def line_module(base, name):
     return LInftyModule(
-        base, GradedSpace([(f"{name}", 0, 0)], 1, label=name), {},
-        label=name)
+        base, GradedSpace([(f"{name}", 0, 0)], 1), {})
 
 
 def identity_resolution():

@@ -190,7 +190,7 @@ def fractional_ladder():
         4, xi={"e12": Fraction(1, 2), "e23": Fraction(-2, 3), "e34": 3})
     rng = random.Random(1)
     transports = {a: random_strict_transport(rng, base)[1] for a in CHARTS}
-    return two_chart_ladder(base, transports, label="fractional"), xi
+    return two_chart_ladder(base, transports), xi
 
 
 def test_random_ladders_store_and_return_exact_scalars(homology_answers):

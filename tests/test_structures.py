@@ -447,6 +447,14 @@ def test_invert_rejects_degenerate_strict_part():
         invert(f)
 
 
+def test_invert_rejects_a_singular_square_strict_part():
+    """The degree-1 block c -> c is the 1 x 1 zero matrix."""
+    qb = fix_b()
+    f = strict_morphism(qb, qb, {"x": {"x": ONE}, "c": {}})
+    with pytest.raises(MathCheckError, match="not invertible in degree 1"):
+        invert(f)
+
+
 def test_conjugate_transports_structure():
     sp = nested_space()
     s = LInftyStructure(sp, {1: {("v",): {"z": ONE}}})

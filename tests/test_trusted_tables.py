@@ -41,8 +41,8 @@ def made_tables(monkeypatch):
     made = []
     make = ComponentTable._made.__func__
 
-    def checked(cls, *args, label=""):
-        table = make(cls, *args, label=label)
+    def checked(cls, *args):
+        table = make(cls, *args)
         assert_equals_validated_rebuild(table, args[:-1])
         made.append(table)
         return table
@@ -52,7 +52,7 @@ def made_tables(monkeypatch):
 
 
 def assert_equals_validated_rebuild(table, ends):
-    rebuilt = type(table)(*ends, table.components, label=table.label)
+    rebuilt = type(table)(*ends, table.components)
     assert table.components == rebuilt.components
     for arity, row in rebuilt.components.items():
         assert list(table.components[arity]) == list(row)
