@@ -424,17 +424,22 @@ class GradedSpace:
 #
 # Elements (generator -> scalar), coalgebra elements (canonical word ->
 # scalar) and module tensors ((word, generator) -> scalar) are plain dicts
-# without zero entries; they share one add, one scale and one accumulator.
+# that hold no zero entries.  Every in-place sum in the package goes through
+# the three accumulators below, which keep that invariant term by term: a
+# key whose sum vanishes is removed at once, and a later term re-inserts it
+# at the end, so zeros are never filtered at the end.  Error texts print
+# residuals (_fraction_repr) in that insertion order.
 # A scalar is an int when integral, else a Fraction, never a float; stored
 # values pass through parse_scalar, while sums and products inside a loop
 # may hold a Fraction that happens to be integral.
 
 def _accumulate(out, key, q):
-    """Add q at key in place, dropping the key when the sum vanishes.
+    """Add q at key in place; a key whose sum vanishes is removed.
 
-    Called once per term inside the apply and twist loops of every layer.
-    It is private because perfbench's tracer wraps public functions, and
-    a span per term would cost more than the term.
+    The removed key re-enters at the end of out if a later term lands on
+    it.  It is private because perfbench's tracer wraps public functions,
+    and a span per term would cost more than the term; so are the two
+    accumulators below, which apply the same rule to many terms per call.
     """
     s = out.get(key, ZERO) + q
     if s:
@@ -442,14 +447,40 @@ def _accumulate(out, key, q):
     else:
         out.pop(key, None)
 
+def _add_scaled(out, terms, c=1):
+    """out += c * terms in place, key by key in terms' order (_accumulate)."""
+    unscaled = type(c) is int and c == 1
+    for key, q in terms.items():
+        s = out.get(key, ZERO) + (q if unscaled else c * q)
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+
+def _add_word(out, space, factors, q):
+    """Add q at the canonical form of the tuple factors, sign folded in.
+
+    Reads the space's normal forms in place; a zero word adds nothing.
+    The rule is _accumulate's, inline, so a term costs one call.
+    """
+    norm = space._norms.get(factors) or space.normalize_word(factors)
+    if norm is not None:
+        word, sign = norm
+        s = out.get(word, ZERO) + q * sign
+        if s:
+            out[word] = s
+        else:
+            out.pop(word, None)
+
 def el_add(a, b):
     out = dict(a)
-    for key, q in b.items():
-        _accumulate(out, key, q)
+    _add_scaled(out, b)
     return out
 
 def el_sub(a, b):
-    return el_add(a, el_scale(b, -1))
+    out = dict(a)
+    _add_scaled(out, b, -1)
+    return out
 
 def el_scale(a, q):
     q = parse_scalar(q)
@@ -531,23 +562,14 @@ def expand_factors(space, factors):
 def sym_mul(space, a, b):
     """Symmetric product of two coalgebra elements, weight-truncated."""
     cap = space.nilpotency_order
-    norms, weight = space._norms, space.word_weight
+    weight = space.word_weight
     right = [(wb, qb, weight(wb)) for wb, qb in b.items()]
     out = {}
     for wa, qa in a.items():
         weight_a = weight(wa)
         for wb, qb, weight_b in right:
-            if weight_a + weight_b >= cap:
-                continue
-            factors = wa + wb
-            norm = norms.get(factors) or space.normalize_word(factors)
-            if norm is not None:
-                word, sign = norm
-                s = out.get(word, ZERO) + qa * qb * sign
-                if s:
-                    out[word] = s
-                else:
-                    out.pop(word, None)
+            if weight_a + weight_b < cap:
+                _add_word(out, space, wa + wb, qa * qb)
     return out
 
 
@@ -663,9 +685,8 @@ class ComponentTable:
             image = self._image(key, compute)
             if not out and coeff == 1:  # the common {word: ONE} call
                 out.update(image)
-                continue
-            for okey, q in image.items():
-                _accumulate(out, okey, coeff * q)
+            else:
+                _add_scaled(out, image, coeff)
         return out
 
     def _corestrict(self, elt):
@@ -681,13 +702,9 @@ class ComponentTable:
         components = self.components
         out = {}
         for key, coeff in elt.items():
-            arity = len(key[0] if tensor else key)
-            for g, q in components.get(arity, {}).get(key, {}).items():
-                s = out.get(g, ZERO) + coeff * q
-                if s:
-                    out[g] = s
-                else:
-                    out.pop(g, None)
+            value = components.get(len(key[0] if tensor else key), {}).get(key)
+            if value:
+                _add_scaled(out, value, coeff)
         return out
 
     def _set_components(self, word_space, value_space, components, degree,
@@ -728,9 +745,8 @@ class ComponentTable:
                 ckey = (norm[0], mgen) if tensor else norm[0]
                 if element and ckey not in canon:
                     canon[ckey] = element if norm[1] > 0 else el_scale(element, -1)
-                else:
-                    for g, q in element.items():
-                        _accumulate(canon[ckey], g, q * norm[1])
+                elif element:
+                    _add_scaled(canon[ckey], element, norm[1])
             for key, value in list(canon.items()):
                 if not value:
                     del canon[key]

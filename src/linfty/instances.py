@@ -23,8 +23,8 @@ from fractions import Fraction
 import random
 
 from .graded import (
-    InputError, ONE, _accumulate, _check_arity, _dict_of, _instance_of, _is_int,
-    el_add, parse_scalar)
+    InputError, ONE, _accumulate, _add_scaled, _check_arity, _dict_of,
+    _instance_of, _is_int, el_add, parse_scalar)
 from .structures import (
     LInftyMorphism,
     LInftyStructure,
@@ -106,12 +106,9 @@ def matrix_structure(n, weights=None, xi=None):
             xi_mat[(i, j)] = parse_scalar(q)
 
     def commutator(a, b, par_a, par_b):
-        ab = _multiply(n, a, b)
-        ba = _multiply(n, b, a)
         sign = -1 if (par_a % 2) and (par_b % 2) else 1
-        out = dict(ab)
-        for key, q in ba.items():
-            _accumulate(out, key, -sign * q)
+        out = _multiply(n, a, b)
+        _add_scaled(out, _multiply(n, b, a), -sign)
         return out
 
     def as_element(mat):

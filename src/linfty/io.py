@@ -56,6 +56,9 @@ def _reject_float(value):
 
 
 def parse_fixture_text(text):
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise InputError(
+            f"fixture text must be a str or bytes, got {type(text).__name__}")
     try:
         doc = json.loads(text, parse_float=_reject_float,
                          parse_constant=_reject_float)
@@ -237,22 +240,7 @@ class FixtureDocument:
     def _build_spaces(self, section, name, obj):
         where = f"{section}.{name}"
         _check_fields(obj, ("generators", "order"), where)
-        gens = obj.get("generators")
-        if not isinstance(gens, list):
-            raise InputError(f"{where}: generators must be a list")
-        triples = []
-        for row in gens:
-            if not (isinstance(row, list) and len(row) == 3
-                    and isinstance(row[0], str)
-                    and isinstance(row[1], int) and not isinstance(row[1], bool)
-                    and isinstance(row[2], int) and not isinstance(row[2], bool)):
-                raise InputError(
-                    f"{where}: each generator is [name, degree, filtration]")
-            triples.append((row[0], row[1], row[2]))
-        order = obj.get("order")
-        if not isinstance(order, int) or isinstance(order, bool):
-            raise InputError(f"{where}: order must be an integer")
-        self.spaces[name] = GradedSpace(triples, order)
+        self.spaces[name] = GradedSpace(obj.get("generators"), obj.get("order"))
 
     def _build_elements(self, section, name, obj):
         where = f"{section}.{name}"

@@ -35,7 +35,8 @@ from .graded import (
     InputError,
     MathCheckError,
     ONE,
-    ZERO,
+    _accumulate,
+    _add_scaled,
     _dict_of,
     _fraction_repr,
     _instance_of,
@@ -131,12 +132,7 @@ def _split_terms(table, word, mgen, odd, out):
         scale = -eps if odd and left_odd else eps
         lword = tuple([word[i] for i in left])
         for produced, q in value.items():
-            tkey = (lword, produced)
-            total = out.get(tkey, ZERO) + q * scale
-            if total:
-                out[tkey] = total
-            else:
-                out.pop(tkey, None)
+            _accumulate(out, (lword, produced), q * scale)
 
 
 def _module_image(module, key):
@@ -271,14 +267,7 @@ def _joined_components(morphism, cap, outer):
         values = {}
         for u, r in morphism_apply(morphism, {word: ONE}).items():
             for m, sign, value in index.get(u, ()):
-                c = r * sign
-                out = values.setdefault(m, {})
-                for g, q in value.items():
-                    total = out.get(g, ZERO) + c * q
-                    if total:
-                        out[g] = total
-                    else:
-                        out.pop(g, None)
+                _add_scaled(values.setdefault(m, {}), value, r * sign)
         for m in tgt.basis:
             if values.get(m):
                 comps.setdefault(len(word), {})[(word, m)] = values[m]

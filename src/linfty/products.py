@@ -27,7 +27,8 @@ from .graded import (
     InputError,
     MathCheckError,
     ONE,
-    el_add,
+    _FORBIDDEN_NAME_CHARS,
+    _add_scaled,
 )
 from .structures import (
     LInftyMorphism,
@@ -51,7 +52,7 @@ from .resolutions import ResolutionDiagram, _is_zero_module_morphism
 def _check_index(i):
     if not isinstance(i, str) or not i:
         raise InputError(f"product index {i!r} must be a nonempty string")
-    if "." in i or any(ch in i for ch in "|@ \t\n"):
+    if set(i) & (_FORBIDDEN_NAME_CHARS | {"."}):
         raise InputError(f"product index {i!r} contains a reserved character")
 
 
@@ -84,7 +85,7 @@ def _merge_slots(tables, key):
             out = components.setdefault(k, {})
             for word, value in table.items():
                 joint = key(i, word)
-                out[joint] = el_add(out.get(joint, {}), rename_element(i, value))
+                _add_scaled(out.setdefault(joint, {}), rename_element(i, value))
     return components
 
 
@@ -326,8 +327,8 @@ def strict_level_map(source, target, pieces):
         for g in r.word_space.basis:
             key = ((), slot_name(a, g))
             image = r.component(1, (g,))
-            table[key] = el_add(table.get(key, {}), {
-                slot_name(b, t): q * sign for t, q in image.items()})
+            _add_scaled(table.setdefault(key, {}), rename_element(b, image),
+                        sign)
     return ModuleMorphism._made(source, target, {0: table})
 
 

@@ -64,7 +64,8 @@ from .graded import (
     InputError,
     MathCheckError,
     ONE,
-    ZERO,
+    _add_scaled,
+    _add_word,
     _check_arity,
     _dict_of,
     _fraction_repr,
@@ -72,7 +73,6 @@ from .graded import (
     _triples,
     co_from_element,
     co_linear_part,
-    el_add,
     el_scale,
     el_sub,
     exact_element,
@@ -128,7 +128,7 @@ def _coderivation_image(structure, word, least=0):
     word, for k >= least; a split's terms land at arity |word| - k + 1."""
     space = structure.space
     cap = space.nilpotency_order
-    norms, filtration = space._norms, space._filtration
+    filtration = space._filtration
     components = structure.components
     sizes = tuple([k for k in range(least, min(len(word), structure.max_arity) + 1)
                    if k == 0 or k in components])
@@ -140,18 +140,8 @@ def _coderivation_image(structure, word, least=0):
         rest = tuple([word[i] for i in right])
         rest_weight = sum([filtration[g] for g in rest])
         for produced, q in value.items():
-            if filtration[produced] + rest_weight >= cap:
-                continue
-            factors = (produced,) + rest
-            norm = norms.get(factors) or space.normalize_word(factors)
-            if norm is None:
-                continue
-            oword, sign = norm
-            total = out.get(oword, ZERO) + eps * q * sign
-            if total:
-                out[oword] = total
-            else:
-                out.pop(oword, None)
+            if filtration[produced] + rest_weight < cap:
+                _add_word(out, space, (produced,) + rest, eps * q)
     return out
 
 
@@ -318,7 +308,7 @@ def _morphism_image(morphism, word):
         return {(): ONE}
     src, tgt = morphism.source.space, morphism.target.space
     cap = tgt.nilpotency_order
-    norms, filtration, weight = tgt._norms, tgt._filtration, tgt.word_weight
+    filtration, weight = tgt._filtration, tgt.word_weight
     first, tail = word[:1], word[1:]
     out = {}
     for k in range(1, min(n, morphism.max_arity) + 1):
@@ -331,30 +321,17 @@ def _morphism_image(morphism, word):
                 continue
             rest = morphism._image(tuple([tail[i] for i in right]),
                                    _morphism_image)
-            # F_k(block) v F(rest) is summed before it is signed, as a
-            # product of elements, so the image keeps its key order
+            # F_k(block) v F(rest) is summed on its own, then scaled by eps
+            # into out: adding its terms to out one by one would drop and
+            # re-insert keys whose partial sums cancel, and so change the
+            # order in which error texts print residuals
             product = {}
             for produced, q in value.items():
                 weight_p = filtration[produced]
                 for oword, r in rest.items():
-                    if weight_p + weight(oword) >= cap:
-                        continue
-                    factors = (produced,) + oword
-                    norm = norms.get(factors) or tgt.normalize_word(factors)
-                    if norm is None:
-                        continue
-                    pword, sign = norm
-                    total = product.get(pword, ZERO) + q * r * sign
-                    if total:
-                        product[pword] = total
-                    else:
-                        product.pop(pword, None)
-            for pword, q in product.items():
-                total = out.get(pword, ZERO) + eps * q
-                if total:
-                    out[pword] = total
-                else:
-                    out.pop(pword, None)
+                    if weight_p + weight(oword) < cap:
+                        _add_word(product, tgt, (produced,) + oword, q * r)
+            _add_scaled(out, product, eps)
     return out
 
 
@@ -485,8 +462,10 @@ def _invert(morphism, cap):
         for _ in range(len(word) + 1):
             if not term:
                 break
-            total = el_add(total, term) if sign > 0 else el_sub(total, term)
-            term = el_sub(morphism_apply(tangent, term), term)
+            _add_scaled(total, term, sign)
+            image = morphism_apply(tangent, term)  # a fresh dict
+            _add_scaled(image, term, -1)
+            term = image
             sign = -sign
         if term:
             raise MathCheckError(

@@ -49,7 +49,7 @@ from .graded import (
     InputError,
     MathCheckError,
     ONE,
-    ZERO,
+    _add_scaled,
     _check_arity,
     co_from_element,
     el_add,
@@ -131,7 +131,7 @@ def exp_element(space, pi):
     """exp(pi) in the truncated coalgebra; a finite sum by weight."""
     total = {}
     for _, power in weighted_powers(space, pi):
-        total = el_add(total, power)
+        _add_scaled(total, power)
     return total
 
 
@@ -168,14 +168,8 @@ def _twisted_row(table, pi, k):
                 cword = norm[0]
                 value = components.get(len(cword), {}).get(
                     (cword, key[1]) if tensor else cword)
-                if not value:
-                    continue
-                for g, q in value.items():
-                    s = total.get(g, ZERO) + q * pcoeff
-                    if s:
-                        total[g] = s
-                    else:
-                        total.pop(g, None)
+                if value:
+                    _add_scaled(total, value, pcoeff)
         if total:
             row[key] = total
     return row

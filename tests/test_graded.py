@@ -3,17 +3,21 @@
 The oracles here recompute signs and shuffles by a different method than the
 package (adjacent transpositions vs inversion pairs, permutation filtering vs
 combination enumeration) so agreement is meaningful.  Component tables are
-checked against the two-pass construction loop they replaced, kept here.
+checked against the two-pass construction loop they replaced, kept here, and
+the many-term accumulators against the per-term loop of _accumulate; a guard
+keeps the zero-drop rule written out in graded.py alone.
 """
 
+import ast
 import copy
 from fractions import Fraction
 import itertools
+from pathlib import Path
 import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linfty.graded import (
     _MESSAGES,
@@ -22,6 +26,8 @@ from linfty.graded import (
     InputError,
     ONE,
     _accumulate,
+    _add_scaled,
+    _add_word,
     co_from_element,
     el_add,
     el_scale,
@@ -642,3 +648,118 @@ def test_a_component_arity_that_is_not_an_int_is_an_input_error(arity):
     with pytest.raises(InputError,
                        match="^module component arities must be nonnegative$"):
         LInftyModule(base, module, {-2: {}})
+
+
+# -- accumulators ------------------------------------------------------------
+#
+# _add_scaled and _add_word inline _accumulate's rule; the per-term loop is
+# the reference, in keys, values, their types and their order.  Few keys
+# and small coefficients make sums cancel often.
+
+# Fraction(1) is an integral Fraction, as a sum inside a loop may hold.
+COEFFS = st.sampled_from(
+    [1, -1, 2, -2, Fraction(1), Fraction(1, 2), Fraction(-1, 2)])
+ACC_SPACE = GradedSpace(
+    [("x", 0, 0), ("y", 0, 0), ("a", 1, 0), ("b", 1, 0)], 3)
+# a vanishes in the second step and comes back in the third
+VANISHING_TERMS = [({"a": 1, "b": 1}, 1), ({"a": 1}, -1), ({"a": 2}, 1)]
+# a v b cancels against b v a = -(a v b), then comes back
+VANISHING_WORDS = [(("a", "b"), 1), (("b", "a"), 1), (("x",), 1),
+                   (("a", "b"), 2)]
+
+
+def typed(out):
+    return [(key, q, type(q)) for key, q in out.items()]
+
+
+@settings(derandomize=True, max_examples=200)
+@example(VANISHING_TERMS)
+@given(st.lists(st.tuples(
+    st.dictionaries(st.sampled_from("abcd"), COEFFS, max_size=4), COEFFS),
+    max_size=6))
+def test_add_scaled_equals_the_per_term_accumulate_loop(steps):
+    got, want = {}, {}
+    for terms, c in steps:
+        _add_scaled(got, terms, c)
+        for key, q in terms.items():
+            _accumulate(want, key, c * q)
+        assert typed(got) == typed(want)
+
+
+@settings(derandomize=True, max_examples=200)
+@example(VANISHING_WORDS)
+@given(st.lists(st.tuples(
+    st.lists(st.sampled_from("xyab"), max_size=3).map(tuple), COEFFS),
+    max_size=12))
+def test_add_word_equals_the_per_term_accumulate_loop(terms):
+    got, want = {}, {}
+    for factors, q in terms:
+        _add_word(got, ACC_SPACE, factors, q)
+        norm = ACC_SPACE.normalize_word(factors)
+        if norm is not None:
+            _accumulate(want, norm[0], q * norm[1])
+        assert typed(got) == typed(want)
+
+
+def test_a_key_that_vanishes_comes_back_last():
+    out = {}
+    for terms, c in VANISHING_TERMS:
+        _add_scaled(out, terms, c)
+    assert list(out.items()) == [("b", 1), ("a", 2)]
+    out = {}
+    for factors, q in VANISHING_WORDS:
+        _add_word(out, ACC_SPACE, factors, q)
+    assert list(out.items()) == [(("x",), 1), (("a", "b"), 2)]
+
+
+def test_an_empty_value_on_a_new_key_is_skipped():
+    """An empty value files nothing, and a later value on its key is the
+    first one there."""
+    space = GradedSpace([("a", 0, 1), ("b", 1, 0), ("c", 2, 2)], 3)
+    table = LInftyStructure(space, {1: {("a",): {}}, 2: {
+        ("a", "b"): {}, ("b", "a"): {"c": 1}, ("a", "a"): {}}})
+    assert table.components == {2: {("a", "b"): {"c": 1}}}
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "linfty"
+ZERO_DEFAULTS = {ast.dump(ast.Name("ZERO", ast.Load())),
+                 ast.dump(ast.Constant(0))}
+NONE_DEFAULT = {ast.dump(ast.Constant(None))}
+
+
+def called_key(node, method, defaults):
+    """k when node is x.method(k, d) with d in defaults, else None."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == method and len(node.args) == 2
+            and ast.dump(node.args[1]) in defaults):
+        return ast.dump(node.args[0])
+    return None
+
+
+def inline_accumulations(path):
+    """Functions of a module that write the zero-drop rule inline: a sum
+    x.get(k, ZERO) + ... and a x.pop(k, None) on the same key k."""
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        gets, pops = set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                gets.add(called_key(node.left, "get", ZERO_DEFAULTS))
+            pops.add(called_key(node, "pop", NONE_DEFAULT))
+        if (gets & pops) - {None}:
+            found.append(fn.name)
+    return found
+
+
+def test_only_graded_writes_the_zero_drop_rule_inline():
+    """Every other module sums through graded's accumulators, so the rule
+    (a vanishing key is removed, and a later term re-inserts it at the end)
+    lives in one module."""
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 10
+    assert {path.name: inline_accumulations(path) for path in paths
+            if path.name != "graded.py" and inline_accumulations(path)} == {}
+    assert inline_accumulations(SRC / "graded.py") == [
+        "_accumulate", "_add_scaled", "_add_word"]

@@ -530,6 +530,27 @@ def test_cli_float_fixture_exits_2(tmp_path, capsys):
     assert "exact scalars required" in err
 
 
+@pytest.mark.parametrize("field,value,text", [
+    ("generators", [["x", 0], ["c", 1, 2]],
+     "generator ['x', 0] is not a (name, degree, level) triple"),
+    ("generators", [["x", True, 1], ["c", 1, 2]],
+     "generator x: degree must be an integer"),
+    ("order", None, "nilpotency order must be a positive integer"),
+    ("generators", "x", "generators must be a list, got str"),
+], ids=["not-a-triple", "bool-degree", "missing-order", "not-a-list"])
+def test_cli_malformed_space_exits_2_and_names_it(field, value, text,
+                                                  tmp_path, capsys):
+    raw = copy.deepcopy(MINIMAL)
+    if value is None:
+        del raw["spaces"]["s"][field]
+    else:
+        raw["spaces"]["s"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(doc_text(raw), encoding="utf-8")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: spaces.s: {text}\n")
+
+
 def test_cli_twist_emits_a_loadable_flat_fixture(capsys):
     code, out, _ = run_cli(["twist", str(FIXTURES / "fix_b.json"),
                             "--element", "x"], capsys)

@@ -16,7 +16,8 @@ another (a diagram for a ladder, an int for a structure) instead of
 failing on a missing attribute, as do the table constructors for their
 endpoints; generator lists and the maps given to strict_morphism,
 from_curved_lie and from_dg_module are checked for shape.  No constructor
-takes a label.  The sign and shuffle kernels are internal and not exported.
+takes a label, and load_document takes a str or bytes alone.  The sign
+and shuffle kernels are internal and not exported.
 """
 
 from fractions import Fraction
@@ -442,3 +443,10 @@ def test_no_constructor_takes_a_label_and_no_loaded_object_carries_one():
         assert any(isinstance(o, GradedSpace) for o in objects), path.name
         for obj in objects:
             assert not hasattr(obj, "label"), (path.name, obj)
+
+
+@pytest.mark.parametrize("text", [5, None, ["{}"], {"format_version": "1"}])
+def test_load_document_rejects_text_that_is_not_a_str_or_bytes(text):
+    with pytest.raises(InputError, match="fixture text must be a str or bytes"):
+        load_document(text)
+    assert load_document(b'{"format_version": "1"}').spaces == {}
